@@ -39,6 +39,7 @@ from .retriever import (
     IndexConfig,
     RetrievalResult,
     build_index,
+    gate_open,
     query,
 )
 from .scorer import EvalReport, score_corpus
@@ -294,12 +295,6 @@ def build_sft_data(
     return out
 
 
-def _gate_open(ranking: str, hits: tuple[Hit, ...], theta: float) -> bool:
-    if ranking == "bm25":
-        return bool(hits)
-    return bool(hits) and hits[0].score >= theta
-
-
 def _score_items(
     records: Sequence[SentencePair], corrections: Sequence[str]
 ) -> EvalReport:
@@ -354,7 +349,7 @@ def sweep_threshold(
     for theta in thetas:
         corrections = []
         for rec, explanation, hits in prepared:
-            gated = RetrievalResult(hits=hits, gate_open=_gate_open(ranking, hits, theta))
+            gated = RetrievalResult(hits=hits, gate_open=gate_open(ranking, hits, theta))
             outcome = _correct(
                 rec.source, explanation, gated, train, config, template_set, completer
             )
@@ -420,12 +415,8 @@ def compare_retrievers(
                 embedder=embedder,
             )
             total_seconds += time.perf_counter() - start
-            gated = RetrievalResult(
-                hits=result.hits,
-                gate_open=_gate_open(ranking, result.hits, config.theta),
-            )
             outcome = _correct(
-                rec.source, explanation, gated, train, config, template_set, completer
+                rec.source, explanation, result, train, config, template_set, completer
             )
             corrections.append(outcome.correction)
         report = _score_items(records, corrections)

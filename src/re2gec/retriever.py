@@ -15,22 +15,32 @@ descending score with ties broken by ascending doc id, plus a gate decision:
 for cosine rankings the gate opens when the best similarity reaches theta;
 BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 
+TF-IDF and BM25 queries score through one column-major postings product,
+held as numpy arrays and built on the first query.  numpy is imported only
+there, so commands that never query an n-gram index do not load it.
+
 ``save_index``/``load_index`` use a versioned text format whose bytes are a
 deterministic function of the index contents.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .errors import RetrievalError
 from .segmentation import SegmenterConfig, segment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INDEX_MAGIC = "RE2IDX 1"
 RANKINGS = ("tfidf_cosine", "bm25", "embedding")
@@ -82,6 +92,20 @@ class RetrievalResult:
         }
 
 
+class Postings(NamedTuple):
+    """Column-major (CSC) postings of an n-gram index.
+
+    Column ``c`` holds the entries ``indptr[c]:indptr[c + 1]`` of ``rows``
+    (doc rows, ascending) and ``weights``.  A weight is the document's
+    normalized tf-idf weight, or for BM25 its query-independent gain
+    ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.
+    """
+
+    indptr: np.ndarray   # int64, len(vocabulary) + 1
+    rows: np.ndarray     # int32
+    weights: np.ndarray  # float64
+
+
 @dataclass
 class ExplanationIndex:
     vocabulary: dict[str, int]      # n-gram -> column, columns in lexicographic n-gram order
@@ -92,18 +116,59 @@ class ExplanationIndex:
     doc_lengths: list[int]
     avg_doc_length: float
     config: IndexConfig
-    _postings: dict[int, list[tuple[int, float]]] | None = field(
-        default=None, init=False, repr=False, compare=False
+    _postings: Postings | None = field(default=None, init=False, repr=False, compare=False)
+    _postings_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    def postings(self) -> dict[int, list[tuple[int, float]]]:
+    def postings(self) -> Postings:
+        """The postings, built once on first use even when threads race for them."""
         if self._postings is None:
-            table: dict[int, list[tuple[int, float]]] = {}
-            for doc_idx, vec in enumerate(self.doc_vectors):
-                for col, value in vec.items():
-                    table.setdefault(col, []).append((doc_idx, value))
-            self._postings = table
+            with self._postings_lock:
+                if self._postings is None:
+                    self._postings = _build_postings(self)
         return self._postings
+
+
+def _build_postings(index: ExplanationIndex) -> Postings:
+    import numpy as np
+
+    vectors = index.doc_vectors
+    n_cols = len(index.vocabulary)
+    sizes = [len(vec) for vec in vectors]
+    n_entries = sum(sizes)
+    cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int32, count=n_entries)
+    if n_entries and (cols.min() < 0 or cols.max() >= n_cols):
+        raise RetrievalError("index has doc vector columns outside its vocabulary")
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+    del cols
+    rows = np.repeat(np.arange(len(vectors), dtype=np.int32), sizes)[order]
+    weights = np.fromiter(
+        chain.from_iterable(vec.values() for vec in vectors),
+        dtype=np.float64,
+        count=n_entries,
+    )[order]
+    del order
+    if index.config.ranking == "bm25":
+        weights = _bm25_gains(index, np.diff(indptr), rows, weights)
+    return Postings(indptr, rows, weights)
+
+
+def _bm25_gains(
+    index: ExplanationIndex, col_sizes: np.ndarray, rows: np.ndarray, tf: np.ndarray
+) -> np.ndarray:
+    """Okapi gain of each posting, with the operations in the formula's order."""
+    import numpy as np
+
+    n_docs = len(index.doc_ids)
+    k1, b = index.config.bm25_k1, index.config.bm25_b
+    avg = index.avg_doc_length or 1.0
+    idf = np.array([math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in index.df])
+    idf = np.repeat(idf, col_sizes)
+    dl = np.asarray(index.doc_lengths, dtype=np.float64)[rows]
+    return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
 
 
 def ngram_counts(text: str, config: IndexConfig) -> Counter:
@@ -228,23 +293,57 @@ def pairwise_similarity(index: ExplanationIndex, text_a: str, text_b: str) -> fl
     return min(1.0, max(0.0, sim))
 
 
-def _bm25_scores(index: ExplanationIndex, text: str) -> dict[int, float]:
-    counts = ngram_counts(text, index.config)
-    n_docs = len(index.doc_ids)
-    k1, b = index.config.bm25_k1, index.config.bm25_b
-    avg = index.avg_doc_length or 1.0
-    scores: dict[int, float] = {}
-    postings = index.postings()
-    for gram, q_count in counts.items():
-        col = index.vocabulary.get(gram)
-        if col is None:
-            continue
-        idf = math.log(1.0 + (n_docs - index.df[col] + 0.5) / (index.df[col] + 0.5))
-        for doc_idx, tf in postings.get(col, ()):
-            dl = index.doc_lengths[doc_idx]
-            gain = idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
-            scores[doc_idx] = scores.get(doc_idx, 0.0) + q_count * gain
-    return scores
+def _postings_scores(
+    index: ExplanationIndex, text: str, keep: int
+) -> Iterable[tuple[int, float]]:
+    """(row, score) of the documents that can rank in the top ``keep``.
+
+    A score is the sum over the query's columns, in query order, of query
+    weight times posting weight: normalized tf-idf weights (clamped to 1)
+    for cosine, raw query counts times the stored gains for BM25.
+    ``bincount`` adds each document's terms in that same order, so scores
+    equal those of a plain per-posting loop to the last bit.  Only positive
+    scores at or above the ``keep``-th largest are returned, so every
+    document tied with it stays for the tie-break by id.
+    """
+    if index.config.ranking == "tfidf_cosine":
+        query_weights = _tfidf_query_vector(index, text)
+    else:
+        counts = ngram_counts(text, index.config)
+        query_weights = {
+            index.vocabulary[g]: c for g, c in counts.items() if g in index.vocabulary
+        }
+    if not query_weights:
+        return ()
+    import numpy as np
+
+    post = index.postings()
+    cols = np.fromiter(query_weights, dtype=np.int64, count=len(query_weights))
+    spans = list(zip(post.indptr[cols].tolist(), post.indptr[cols + 1].tolist()))
+    rows = np.concatenate([post.rows[start:end] for start, end in spans])
+    weights = np.concatenate(
+        [post.weights[start:end] * w for (start, end), w in zip(spans, query_weights.values())]
+    )
+    scores = np.bincount(rows, weights=weights, minlength=len(index.doc_ids))
+    if index.config.ranking == "tfidf_cosine":
+        np.minimum(scores, 1.0, out=scores)
+    hit_rows = np.flatnonzero(scores > 0.0)
+    if len(hit_rows) > keep:
+        hit_scores = scores[hit_rows]
+        cut = len(hit_scores) - keep
+        hit_rows = hit_rows[hit_scores >= np.partition(hit_scores, cut)[cut]]
+    return zip(hit_rows.tolist(), scores[hit_rows].tolist())
+
+
+def gate_open(ranking: str, hits: Sequence[Hit], theta: float) -> bool:
+    """The theta gate over ranked hits.
+
+    Cosine rankings open when the best score reaches theta; BM25 scores are
+    not bounded by 1, so its gate opens whenever any hit exists.
+    """
+    if ranking == "bm25":
+        return bool(hits)
+    return bool(hits) and hits[0].score >= theta
 
 
 def query(
@@ -264,16 +363,9 @@ def query(
         raise RetrievalError("empty index")
     excluded = frozenset(exclude_ids)
 
-    if index.config.ranking == "tfidf_cosine":
-        qv = _tfidf_query_vector(index, text)
-        scores: dict[int, float] = {}
-        postings = index.postings()
-        for col, qw in qv.items():
-            for doc_idx, dw in postings.get(col, ()):
-                scores[doc_idx] = scores.get(doc_idx, 0.0) + qw * dw
-        scores = {i: min(1.0, s) for i, s in scores.items()}
-    elif index.config.ranking == "bm25":
-        scores = _bm25_scores(index, text)
+    if index.config.ranking != "embedding":
+        # Excluded ids may hold up to len(excluded) of the top places.
+        scored = _postings_scores(index, text, k + len(excluded))
     else:
         if embedder is None:
             raise RetrievalError("embedding ranking requires an embedder")
@@ -286,21 +378,18 @@ def query(
             sim = sum(w * big.get(col, 0.0) for col, w in small.items())
             if sim != 0.0:
                 scores[doc_idx] = sim
+        scored = scores.items()
 
-    ranked = sorted(
+    best = heapq.nsmallest(
+        k,
         (
-            (score, index.doc_ids[doc_idx])
-            for doc_idx, score in scores.items()
+            (-score, index.doc_ids[doc_idx])
+            for doc_idx, score in scored
             if score > 0.0 and index.doc_ids[doc_idx] not in excluded
         ),
-        key=lambda pair: (-pair[0], pair[1]),
     )
-    hits = tuple(Hit(doc_id, score) for score, doc_id in ranked[:k])
-    if index.config.ranking == "bm25":
-        gate_open = bool(hits)
-    else:
-        gate_open = bool(hits) and hits[0].score >= theta
-    return RetrievalResult(hits=hits, gate_open=gate_open)
+    hits = tuple(Hit(doc_id, -neg_score) for neg_score, doc_id in best)
+    return RetrievalResult(hits=hits, gate_open=gate_open(index.config.ranking, hits, theta))
 
 
 def _segmenter_to_dict(cfg: SegmenterConfig) -> dict:

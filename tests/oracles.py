@@ -89,6 +89,50 @@ def full_scan_topk(
     return scored[:k]
 
 
+def bm25_topk(
+    texts: list[str],
+    ids: list[str],
+    query_text: str,
+    k: int,
+    exclude: frozenset[str] = frozenset(),
+    k1: float = 1.5,
+    b: float = 0.75,
+    nmin: int = 2,
+    nmax: int = 3,
+    seg: SegmenterConfig = CHAR,
+) -> list[tuple[str, float]]:
+    """Naive full-scan Okapi BM25 with idf ln(1 + (N - df + 0.5) / (df + 0.5)).
+
+    score(d) = sum over query n-grams g of
+        qtf(g) * idf(g) * tf(g, d) * (k1 + 1) / (tf(g, d) + k1 * (1 - b + b * |d| / avgdl))
+    Positive scores, desc, ties by id asc.
+    """
+    doc_counts = [count(ngram_tuples(t, nmin, nmax, seg)) for t in texts]
+    n_docs = len(texts)
+    lengths = [sum(c.values()) for c in doc_counts]
+    avgdl = sum(lengths) / n_docs
+    df: dict[tuple, int] = {}
+    for counts in doc_counts:
+        for g in counts:
+            df[g] = df.get(g, 0) + 1
+    q_counts = count(ngram_tuples(query_text, nmin, nmax, seg))
+    scored = []
+    for doc_id, counts, dl in zip(ids, doc_counts, lengths):
+        if doc_id in exclude:
+            continue
+        score = 0.0
+        for g, qtf in q_counts.items():
+            tf = counts.get(g, 0)
+            if tf == 0:
+                continue
+            idf = math.log(1.0 + (n_docs - df[g] + 0.5) / (df[g] + 0.5))
+            score += qtf * idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
+        if score > 0.0:
+            scored.append((doc_id, score))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
 def lcs_len(a, b) -> int:
     """Plain LCS length over any two sequences."""
     prev = [0] * (len(b) + 1)

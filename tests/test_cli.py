@@ -541,3 +541,32 @@ def test_console_script_entry_point(tmp_path):
         err_lines = proc.stderr.strip().splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith("usage error:")
+
+
+def test_numpy_loaded_only_by_index_queries(tmp_path):
+    # numpy costs startup time and memory; commands that never query an
+    # n-gram index (scoring, edit extraction) must not import it.
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    child = (
+        "import json, sys\n"
+        "import re2gec.cli\n"
+        "after_import = 'numpy' in sys.modules\n"
+        "code = re2gec.cli.dispatch(['extract-edits', '--source', 'ab', '--target', 'ba'])\n"
+        "after_extract = 'numpy' in sys.modules\n"
+        "from re2gec import Corpus, SentencePair, build_index, query\n"
+        "recs = [SentencePair(id='a', source='s', targets=['t'], explanation='主谓搭配')]\n"
+        "query(build_index(Corpus(recs, kind='gee')), '搭配', k=1, theta=0.0)\n"
+        "print(json.dumps([code, after_import, after_extract, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, after_import, after_extract, after_query = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert after_import is False
+    assert after_extract is False
+    assert after_query is True  # the probe does see numpy once a query loads it

@@ -1,8 +1,14 @@
 import math
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from re2gec import retriever
 from re2gec.corpus import Corpus, SentencePair
 from re2gec.errors import RetrievalError
 from re2gec.retriever import (
@@ -347,3 +353,90 @@ def test_build_rejects_duplicate_ids():
     recs = [gee_record("a", "文本一二三"), gee_record("a", "文本四五六")]
     with pytest.raises(RetrievalError, match="duplicate"):
         build_index(Corpus(recs, kind="gee"), "explanation", CFG)
+
+
+# --- postings scoring ---
+
+
+@st.composite
+def _retrieval_cases(draw):
+    """A small corpus with duplicate texts, ids not in row order, and a query."""
+    words = st.text(alphabet="abcd", min_size=1, max_size=8)
+    pool = draw(st.lists(words, min_size=1, max_size=4))
+    texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    texts.append(texts[0])
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(texts))]))
+    # "xyz" shares no n-gram with any document: no hits, gate closed.
+    query_text = draw(st.one_of(words, st.just("xyz")))
+    k = draw(st.integers(1, len(texts) + 3))
+    exclude = frozenset(draw(st.lists(st.sampled_from([*ids, "missing"]), max_size=3)))
+    nmin, nmax = draw(st.sampled_from([(1, 2), (2, 3)]))
+    return texts, ids, query_text, k, exclude, nmin, nmax
+
+
+def _assert_same_ranking(got, want):
+    assert [h.doc_id for h in got.hits] == [doc_id for doc_id, _ in want]
+    for hit, (_, score) in zip(got.hits, want):
+        assert abs(hit.score - score) <= 1e-9
+    # theta 0: every ranking opens the gate iff there is a hit.
+    assert got.gate_open is bool(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_retrieval_cases())
+def test_tfidf_query_equals_full_scan_oracle(case):
+    texts, ids, query_text, k, exclude, nmin, nmax = case
+    cfg = IndexConfig(ngram_min=nmin, ngram_max=nmax)
+    index = build_index(gee_corpus(dict(zip(ids, texts))), "explanation", cfg)
+    got = query(index, query_text, k=k, theta=0.0, exclude_ids=exclude)
+    want = oracles.full_scan_topk(texts, ids, query_text, k, exclude, nmin, nmax)
+    _assert_same_ranking(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_retrieval_cases(), st.sampled_from([0.0, 1.2]), st.sampled_from([0.0, 0.75, 1.0]))
+def test_bm25_query_equals_brute_force_oracle(case, k1, b):
+    texts, ids, query_text, k, exclude, nmin, nmax = case
+    cfg = IndexConfig(ranking="bm25", ngram_min=nmin, ngram_max=nmax, bm25_k1=k1, bm25_b=b)
+    index = build_index(gee_corpus(dict(zip(ids, texts))), "explanation", cfg)
+    got = query(index, query_text, k=k, theta=0.0, exclude_ids=exclude)
+    want = oracles.bm25_topk(texts, ids, query_text, k, exclude, k1, b, nmin, nmax)
+    _assert_same_ranking(got, want)
+
+
+def test_postings_built_once_under_concurrent_queries(monkeypatch):
+    index = build_index(gee_corpus(TEXTS), "explanation", CFG)
+    builds = []
+    real_build = retriever._build_postings
+
+    def slow_build(idx):
+        builds.append(threading.get_ident())
+        time.sleep(0.05)  # hold the build open while the other threads arrive
+        return real_build(idx)
+
+    monkeypatch.setattr(retriever, "_build_postings", slow_build)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    postings = [None] * n_threads
+    results = [None] * n_threads
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = query(index, "搭配不当，位置错误", k=3, theta=0.0)
+        postings[i] = index.postings()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert all(p is postings[0] for p in postings)
+    assert postings[0] is not None
+    assert all(r == results[0] and r.hits for r in results)
