@@ -27,7 +27,14 @@ from .pipeline import (
     sweep_threshold,
 )
 from .prompting import load_template_set, render_gee_prompt
-from .retriever import IndexConfig, build_index, load_index, query, save_index
+from .retriever import (
+    IndexConfig,
+    build_index,
+    check_corpus,
+    load_index,
+    query,
+    save_index,
+)
 from .scorer import detection_metrics, rouge_l, score_corpus, score_sentence
 from .segmentation import SegmenterConfig
 
@@ -274,6 +281,7 @@ def cmd_correct(opts: _Options) -> int:
     dev = _load(opts, "infile")
     train = _load(opts, "corpus", kind="gee")
     index = load_index(opts.require("index"))
+    check_corpus(index, train)
     outcomes = correct_corpus(
         [rec.source for rec in dev],
         index,
@@ -291,6 +299,8 @@ def cmd_baseline(opts: _Options) -> int:
     dev = _load(opts, "infile")
     train = _load(opts, "corpus")
     source_index = load_index(opts.get("index")) if opts.get("index") else None
+    if source_index is not None:
+        check_corpus(source_index, train)
     seed = int(opts.get("seed", 0))
     lines = []
     for i, rec in enumerate(dev):
@@ -371,6 +381,7 @@ def cmd_make_sft_data(opts: _Options) -> int:
     config = _re2_config(opts, need_correction=False, need_explainer=False)
     train = _load(opts, "train", kind="gee")
     index = load_index(opts.require("index"))
+    check_corpus(index, train)
     examples = build_sft_data(train, index, config)
     _emit(opts, "\n".join(_json_line(ex.to_dict()) for ex in examples))
     return 0
@@ -381,6 +392,7 @@ def cmd_sweep_theta(opts: _Options) -> int:
     dev = _load(opts, "dev")
     train = _load(opts, "train", kind="gee")
     index = load_index(opts.require("index"))
+    check_corpus(index, train)
     raw = opts.require("thetas")
     thetas = [float(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
     rows = sweep_threshold(dev, thetas, config, index, train)

@@ -15,19 +15,24 @@ descending score with ties broken by ascending doc id, plus a gate decision:
 for cosine rankings the gate opens when the best similarity reaches theta;
 BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 
-TF-IDF and BM25 queries score through one column-major postings product,
-held as numpy arrays and built on the first query.  numpy is imported only
-there, so commands that never query an n-gram index do not load it.
+An index stores its documents column-major only, as numpy arrays (one
+column per n-gram, or per embedding dimension), and every ranking scores
+through one postings product over them.  numpy is imported only by index
+build, load and query, so commands that never touch an index do not load it.
 
-``save_index``/``load_index`` use a versioned text format whose bytes are a
-deterministic function of the index contents.
+``save_index``/``load_index`` use the binary ``RE2IDX 2`` format: the magic
+line, a table of section lengths, one JSON header, and the column arrays as
+raw little-endian blocks.  Its bytes are a deterministic function of the
+index contents, and loading reads the blocks without a per-posting loop.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import math
+import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -42,7 +47,7 @@ from .segmentation import SegmenterConfig, segment
 if TYPE_CHECKING:
     import numpy as np
 
-INDEX_MAGIC = "RE2IDX 1"
+INDEX_MAGIC = "RE2IDX 2"
 RANKINGS = ("tfidf_cosine", "bm25", "embedding")
 INDEX_FIELDS = ("explanation", "source")
 
@@ -50,6 +55,20 @@ INDEX_FIELDS = ("explanation", "source")
 NGRAM_JOIN = "\x1f"
 
 Embedder = Callable[[Sequence[str]], "list[list[float]]"]
+
+_MAGIC_LINE = (INDEX_MAGIC + "\n").encode("ascii")
+# The raw blocks after the header, in file order: the 8-byte ones first, so
+# that every block starts at a multiple of its item size.
+_BLOCKS = (
+    ("indptr", "<i8"),
+    ("weights", "<f8"),
+    ("idf", "<f8"),
+    ("doc_lengths", "<i8"),
+    ("rows", "<i4"),
+    ("df", "<i4"),
+)
+# Byte lengths of the header and of each block.
+_LENGTHS = struct.Struct(f"<{1 + len(_BLOCKS)}Q")
 
 
 @dataclass(frozen=True)
@@ -93,36 +112,56 @@ class RetrievalResult:
 
 
 class Postings(NamedTuple):
-    """Column-major (CSC) postings of an n-gram index.
+    """Column-major (CSC) document weights.
 
     Column ``c`` holds the entries ``indptr[c]:indptr[c + 1]`` of ``rows``
-    (doc rows, ascending) and ``weights``.  A weight is the document's
-    normalized tf-idf weight, or for BM25 its query-independent gain
-    ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.
+    (doc rows, ascending) and ``weights``.  An index stores the normalized
+    tf-idf weight, the raw BM25 count or the normalized embedding value;
+    the query postings of a BM25 index hold instead the query-independent
+    gain ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.
     """
 
-    indptr: np.ndarray   # int64, len(vocabulary) + 1
+    indptr: np.ndarray   # int64, number of columns + 1
     rows: np.ndarray     # int32
     weights: np.ndarray  # float64
 
 
-@dataclass
+@dataclass(eq=False)
 class ExplanationIndex:
-    vocabulary: dict[str, int]      # n-gram -> column, columns in lexicographic n-gram order
+    vocabulary: dict[str, int]  # n-gram -> column, in lexicographic n-gram order; empty for embeddings
     idf: list[float]
     df: list[int]
-    doc_vectors: list[dict[int, float]]  # tfidf: L2-normalized weights; bm25: raw counts
+    columns: Postings           # the documents; one column per n-gram or embedding dimension
     doc_ids: list[str]
-    doc_lengths: list[int]
+    doc_lengths: list[int]      # n-gram counts; empty for embeddings
     avg_doc_length: float
     config: IndexConfig
-    _postings: Postings | None = field(default=None, init=False, repr=False, compare=False)
+    field_name: str             # the indexed record field
+    corpus_sha256: str          # _corpus_sha256() of the indexed (id, text) pairs
+    _postings: Postings | None = field(default=None, init=False, repr=False)
     _postings_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
+        default_factory=threading.Lock, init=False, repr=False
     )
 
+    @property
+    def dim(self) -> int:
+        """Number of columns: the vocabulary size or the embedding dimension."""
+        return len(self.columns.indptr) - 1
+
+    @property
+    def doc_vectors(self) -> list[dict[int, float]]:
+        """Each document's {column: stored weight}, columns ascending; a read-only view."""
+        import numpy as np
+
+        indptr, rows, weights = self.columns
+        cols = np.repeat(np.arange(self.dim), np.diff(indptr))
+        order = np.argsort(rows, kind="stable")
+        ends = np.cumsum(np.bincount(rows, minlength=len(self.doc_ids))).tolist()
+        cols, weights = cols[order].tolist(), weights[order].tolist()
+        return [dict(zip(cols[s:e], weights[s:e])) for s, e in zip([0, *ends], ends)]
+
     def postings(self) -> Postings:
-        """The postings, built once on first use even when threads race for them."""
+        """The query postings, built once on first use even when threads race for them."""
         if self._postings is None:
             with self._postings_lock:
                 if self._postings is None:
@@ -131,29 +170,13 @@ class ExplanationIndex:
 
 
 def _build_postings(index: ExplanationIndex) -> Postings:
+    """The stored columns, with BM25 counts turned into gains."""
+    if index.config.ranking != "bm25":
+        return index.columns
     import numpy as np
 
-    vectors = index.doc_vectors
-    n_cols = len(index.vocabulary)
-    sizes = [len(vec) for vec in vectors]
-    n_entries = sum(sizes)
-    cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int32, count=n_entries)
-    if n_entries and (cols.min() < 0 or cols.max() >= n_cols):
-        raise RetrievalError("index has doc vector columns outside its vocabulary")
-    order = np.argsort(cols, kind="stable")
-    indptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
-    del cols
-    rows = np.repeat(np.arange(len(vectors), dtype=np.int32), sizes)[order]
-    weights = np.fromiter(
-        chain.from_iterable(vec.values() for vec in vectors),
-        dtype=np.float64,
-        count=n_entries,
-    )[order]
-    del order
-    if index.config.ranking == "bm25":
-        weights = _bm25_gains(index, np.diff(indptr), rows, weights)
-    return Postings(indptr, rows, weights)
+    indptr, rows, tf = index.columns
+    return Postings(indptr, rows, _bm25_gains(index, np.diff(indptr), rows, tf))
 
 
 def _bm25_gains(
@@ -169,6 +192,26 @@ def _bm25_gains(
     idf = np.repeat(idf, col_sizes)
     dl = np.asarray(index.doc_lengths, dtype=np.float64)[rows]
     return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
+
+
+def _to_columns(vectors: list[dict[int, float]], n_cols: int) -> Postings:
+    """Column-major form of per-document {column: weight} rows."""
+    import numpy as np
+
+    sizes = [len(vec) for vec in vectors]
+    n_entries = sum(sizes)
+    cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int32, count=n_entries)
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+    del cols
+    rows = np.repeat(np.arange(len(vectors), dtype=np.int32), sizes)[order]
+    weights = np.fromiter(
+        chain.from_iterable(vec.values() for vec in vectors),
+        dtype=np.float64,
+        count=n_entries,
+    )[order]
+    return Postings(indptr, rows, weights)
 
 
 def ngram_counts(text: str, config: IndexConfig) -> Counter:
@@ -188,11 +231,32 @@ def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
     return {col: w / norm for col, w in vec.items()}
 
 
+def _embedding_vector(values: Sequence[float]) -> dict[int, float]:
+    return _l2_normalize({i: float(v) for i, v in enumerate(values) if v != 0.0})
+
+
 def _field_text(rec, field_name: str) -> str:
-    value = rec.explanation if field_name == "explanation" else rec.source
+    value = getattr(rec, field_name)
     if not value:
         raise RetrievalError(f"record {rec.id}: missing {field_name}")
     return value
+
+
+def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
+    """sha256 of the compact JSON list of ``[id, text]`` pairs, in corpus order."""
+    pairs = json.dumps([list(pair) for pair in zip(doc_ids, texts)], separators=(",", ":"))
+    return hashlib.sha256(pairs.encode("ascii")).hexdigest()
+
+
+def check_corpus(index: ExplanationIndex, corpus: Corpus) -> None:
+    """Raise unless ``corpus`` holds, in order, the (id, text) pairs the index was built over."""
+    ids = [rec.id for rec in corpus]
+    texts = [getattr(rec, index.field_name) or "" for rec in corpus]
+    if _corpus_sha256(ids, texts) != index.corpus_sha256:
+        raise RetrievalError(
+            f"index does not match the corpus: it was built over the {index.field_name} "
+            "field of other records; rebuild it with build-index"
+        )
 
 
 def build_index(
@@ -212,10 +276,7 @@ def build_index(
     if len(set(doc_ids)) != len(doc_ids):
         raise RetrievalError("corpus has duplicate record ids")
     texts = [_field_text(rec, field_name) for rec in corpus]
-
-    doc_counts = [ngram_counts(text, config) for text in texts]
-    doc_lengths = [sum(c.values()) for c in doc_counts]
-    avg_len = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
+    provenance = {"field_name": field_name, "corpus_sha256": _corpus_sha256(doc_ids, texts)}
 
     if config.ranking == "embedding":
         if embedder is None:
@@ -225,21 +286,24 @@ def build_index(
             raise RetrievalError(
                 f"embedder returned {len(vectors)} vectors for {len(texts)} texts"
             )
-        doc_vectors = [
-            _l2_normalize({i: float(v) for i, v in enumerate(vec) if v != 0.0})
-            for vec in vectors
-        ]
+        dim = len(vectors[0])
+        if any(len(vec) != dim for vec in vectors):
+            raise RetrievalError("embedder returned vectors of different lengths")
         return ExplanationIndex(
             vocabulary={},
             idf=[],
             df=[],
-            doc_vectors=doc_vectors,
+            columns=_to_columns([_embedding_vector(vec) for vec in vectors], dim),
             doc_ids=doc_ids,
-            doc_lengths=doc_lengths,
-            avg_doc_length=avg_len,
+            doc_lengths=[],
+            avg_doc_length=0.0,
             config=config,
+            **provenance,
         )
 
+    doc_counts = [ngram_counts(text, config) for text in texts]
+    doc_lengths = [sum(c.values()) for c in doc_counts]
+    avg_len = sum(doc_lengths) / len(doc_lengths)
     df_counter: Counter = Counter()
     for counts in doc_counts:
         df_counter.update(counts.keys())
@@ -261,11 +325,12 @@ def build_index(
         vocabulary=vocabulary,
         idf=idf,
         df=df,
-        doc_vectors=doc_vectors,
+        columns=_to_columns(doc_vectors, len(vocabulary)),
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
         avg_doc_length=avg_len,
         config=config,
+        **provenance,
     )
 
 
@@ -293,26 +358,39 @@ def pairwise_similarity(index: ExplanationIndex, text_a: str, text_b: str) -> fl
     return min(1.0, max(0.0, sim))
 
 
+def _query_weights(
+    index: ExplanationIndex, text: str, embedder: Embedder | None
+) -> dict[int, float]:
+    """{column: weight} of the query: normalized tf-idf, raw BM25 counts, or embedding."""
+    ranking = index.config.ranking
+    if ranking == "tfidf_cosine":
+        return _tfidf_query_vector(index, text)
+    if ranking == "bm25":
+        counts = ngram_counts(text, index.config)
+        return {index.vocabulary[g]: c for g, c in counts.items() if g in index.vocabulary}
+    if embedder is None:
+        raise RetrievalError("embedding ranking requires an embedder")
+    values = embedder([text])[0]
+    if len(values) != index.dim:
+        raise RetrievalError(
+            f"embedder returned a {len(values)}-dimensional vector "
+            f"for an index of dimension {index.dim}"
+        )
+    return _embedding_vector(values)
+
+
 def _postings_scores(
-    index: ExplanationIndex, text: str, keep: int
+    index: ExplanationIndex, query_weights: dict[int, float], keep: int
 ) -> Iterable[tuple[int, float]]:
     """(row, score) of the documents that can rank in the top ``keep``.
 
     A score is the sum over the query's columns, in query order, of query
-    weight times posting weight: normalized tf-idf weights (clamped to 1)
-    for cosine, raw query counts times the stored gains for BM25.
+    weight times posting weight (tf-idf cosine is clamped to 1).
     ``bincount`` adds each document's terms in that same order, so scores
     equal those of a plain per-posting loop to the last bit.  Only positive
     scores at or above the ``keep``-th largest are returned, so every
     document tied with it stays for the tie-break by id.
     """
-    if index.config.ranking == "tfidf_cosine":
-        query_weights = _tfidf_query_vector(index, text)
-    else:
-        counts = ngram_counts(text, index.config)
-        query_weights = {
-            index.vocabulary[g]: c for g, c in counts.items() if g in index.vocabulary
-        }
     if not query_weights:
         return ()
     import numpy as np
@@ -362,134 +440,171 @@ def query(
     if not index.doc_ids:
         raise RetrievalError("empty index")
     excluded = frozenset(exclude_ids)
-
-    if index.config.ranking != "embedding":
-        # Excluded ids may hold up to len(excluded) of the top places.
-        scored = _postings_scores(index, text, k + len(excluded))
-    else:
-        if embedder is None:
-            raise RetrievalError("embedding ranking requires an embedder")
-        qvec = _l2_normalize(
-            {i: float(v) for i, v in enumerate(embedder([text])[0]) if v != 0.0}
-        )
-        scores = {}
-        for doc_idx, dvec in enumerate(index.doc_vectors):
-            small, big = (qvec, dvec) if len(qvec) <= len(dvec) else (dvec, qvec)
-            sim = sum(w * big.get(col, 0.0) for col, w in small.items())
-            if sim != 0.0:
-                scores[doc_idx] = sim
-        scored = scores.items()
-
+    # Excluded ids may hold up to len(excluded) of the top places.
+    scored = _postings_scores(
+        index, _query_weights(index, text, embedder), k + len(excluded)
+    )
     best = heapq.nsmallest(
         k,
         (
             (-score, index.doc_ids[doc_idx])
             for doc_idx, score in scored
-            if score > 0.0 and index.doc_ids[doc_idx] not in excluded
+            if index.doc_ids[doc_idx] not in excluded
         ),
     )
     hits = tuple(Hit(doc_id, -neg_score) for neg_score, doc_id in best)
     return RetrievalResult(hits=hits, gate_open=gate_open(index.config.ranking, hits, theta))
 
 
-def _segmenter_to_dict(cfg: SegmenterConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "external_command": cfg.external_command,
-        "external_timeout": cfg.external_timeout,
-    }
-
-
 def dumps_index(index: ExplanationIndex) -> bytes:
-    """Serialize to the versioned text format; byte-deterministic for equal contents."""
+    """Serialize to ``RE2IDX 2``; byte-deterministic for equal contents."""
+    import numpy as np
+
     cfg = index.config
-    columns = sorted(index.vocabulary, key=index.vocabulary.get)
-    lines = [
-        INDEX_MAGIC,
-        _dumps_section(
-            {
-                "section": "config",
-                "ngram_min": cfg.ngram_min,
-                "ngram_max": cfg.ngram_max,
-                "ranking": cfg.ranking,
-                "bm25_k1": cfg.bm25_k1,
-                "bm25_b": cfg.bm25_b,
-                "segmenter": _segmenter_to_dict(cfg.segmenter),
-            }
-        ),
-        _dumps_section({"section": "vocabulary", "ngrams": columns}),
-        _dumps_section({"section": "idf", "values": index.idf, "df": index.df}),
-        _dumps_section(
-            {
-                "section": "doc_vectors",
-                "rows": [sorted(vec.items()) for vec in index.doc_vectors],
-                "doc_lengths": index.doc_lengths,
-                "avg_doc_length": index.avg_doc_length,
-            }
-        ),
-        _dumps_section({"section": "doc_ids", "ids": index.doc_ids}),
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _dumps_section(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    header = {
+        "avg_doc_length": index.avg_doc_length,
+        "config": {
+            "ngram_min": cfg.ngram_min,
+            "ngram_max": cfg.ngram_max,
+            "ranking": cfg.ranking,
+            "bm25_k1": cfg.bm25_k1,
+            "bm25_b": cfg.bm25_b,
+            "segmenter": {
+                "mode": cfg.segmenter.mode,
+                "external_command": cfg.segmenter.external_command,
+                "external_timeout": cfg.segmenter.external_timeout,
+            },
+        },
+        "corpus_sha256": index.corpus_sha256,
+        "dim": index.dim,
+        "doc_ids": index.doc_ids,
+        "field": index.field_name,
+        "vocabulary": sorted(index.vocabulary, key=index.vocabulary.get),
+    }
+    head = json.dumps(header, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+    head_bytes = head.encode("utf-8")
+    # Pad with JSON whitespace so that the blocks start 8-byte aligned.
+    head_bytes += b" " * (-(len(_MAGIC_LINE) + _LENGTHS.size + len(head_bytes)) % 8)
+    arrays = {"idf": index.idf, "df": index.df, "doc_lengths": index.doc_lengths}
+    arrays.update(index.columns._asdict())
+    blocks = [np.asarray(arrays[name], dtype=dtype).tobytes() for name, dtype in _BLOCKS]
+    lengths = _LENGTHS.pack(len(head_bytes), *map(len, blocks))
+    return b"".join([_MAGIC_LINE, lengths, head_bytes, *blocks])
 
 
 def save_index(index: ExplanationIndex, path: str | Path) -> None:
     Path(path).write_bytes(dumps_index(index))
 
 
-def _read_section(line: str, name: str, line_no: int) -> dict:
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _parse_header(raw: bytes) -> dict:
+    """The header fields, type-checked; the config as an ``IndexConfig``."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise RetrievalError(f"index line {line_no}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("section") != name:
-        raise RetrievalError(f"index line {line_no}: expected {name!r} section")
-    return obj
+        header = json.loads(raw)
+        cfg, seg = header["config"], header["config"]["segmenter"]
+        parsed = {
+            "config": IndexConfig(
+                ngram_min=cfg["ngram_min"],
+                ngram_max=cfg["ngram_max"],
+                ranking=cfg["ranking"],
+                bm25_k1=cfg["bm25_k1"],
+                bm25_b=cfg["bm25_b"],
+                segmenter=SegmenterConfig(
+                    mode=seg["mode"],
+                    external_command=seg["external_command"],
+                    external_timeout=seg["external_timeout"],
+                ),
+            ),
+            "avg_doc_length": float(header["avg_doc_length"]),
+            "corpus_sha256": header["corpus_sha256"],
+            "dim": header["dim"],
+            "doc_ids": header["doc_ids"],
+            "field_name": header["field"],
+            "vocabulary": header["vocabulary"],
+        }
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RetrievalError(f"bad index header: {exc!r}") from None
+    for name, ok in (
+        ("corpus_sha256", isinstance(parsed["corpus_sha256"], str)),
+        ("dim", type(parsed["dim"]) is int and parsed["dim"] >= 0),
+        ("doc_ids", _is_str_list(parsed["doc_ids"])),
+        ("field", parsed["field_name"] in INDEX_FIELDS),
+        ("vocabulary", _is_str_list(parsed["vocabulary"])),
+    ):
+        if not ok:
+            raise RetrievalError(f"bad index header: invalid {name!r}")
+    return parsed
 
 
 def loads_index(data: bytes) -> ExplanationIndex:
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != INDEX_MAGIC:
+    """Read an ``RE2IDX 2`` file; every defect raises a one-line ``RetrievalError``."""
+    if data.startswith(b"RE2IDX 1\n"):
+        raise RetrievalError(
+            "index file has the old RE2IDX 1 format; rebuild it with build-index"
+        )
+    if not data.startswith(_MAGIC_LINE):
         raise RetrievalError(
             f"not an index file or unsupported version (expected {INDEX_MAGIC!r} header)"
         )
-    if len(lines) < 6:
+    start = len(_MAGIC_LINE) + _LENGTHS.size
+    if len(data) < start:
         raise RetrievalError("truncated index file")
-    cfg_obj = _read_section(lines[1], "config", 2)
-    seg = cfg_obj.get("segmenter", {})
-    try:
-        config = IndexConfig(
-            ngram_min=cfg_obj["ngram_min"],
-            ngram_max=cfg_obj["ngram_max"],
-            ranking=cfg_obj["ranking"],
-            bm25_k1=cfg_obj["bm25_k1"],
-            bm25_b=cfg_obj["bm25_b"],
-            segmenter=SegmenterConfig(
-                mode=seg["mode"],
-                external_command=seg["external_command"],
-                external_timeout=seg["external_timeout"],
-            ),
-        )
-    except (KeyError, ValueError) as exc:
-        raise RetrievalError(f"bad index config: {exc}") from None
-    vocab_obj = _read_section(lines[2], "vocabulary", 3)
-    idf_obj = _read_section(lines[3], "idf", 4)
-    vec_obj = _read_section(lines[4], "doc_vectors", 5)
-    ids_obj = _read_section(lines[5], "doc_ids", 6)
-    vocabulary = {gram: col for col, gram in enumerate(vocab_obj["ngrams"])}
-    return ExplanationIndex(
+    head_len, *block_lens = _LENGTHS.unpack_from(data, len(_MAGIC_LINE))
+    end = start + head_len + sum(block_lens)
+    if len(data) != end:
+        if len(data) < end:
+            raise RetrievalError("truncated index file")
+        raise RetrievalError(f"index file has {len(data) - end} trailing bytes")
+    header = _parse_header(data[start : start + head_len])
+    vocab, doc_ids, dim = header.pop("vocabulary"), header["doc_ids"], header.pop("dim")
+    embedding = header["config"].ranking == "embedding"
+    if embedding and vocab:
+        raise RetrievalError("embedding index has a vocabulary")
+    if not embedding and dim != len(vocab):
+        raise RetrievalError(f"index has {dim} columns but a vocabulary of {len(vocab)}")
+    vocabulary = dict(zip(vocab, range(len(vocab))))
+    if len(vocabulary) != len(vocab) or vocab != sorted(vocab):
+        raise RetrievalError("index vocabulary is not sorted or has duplicates")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise RetrievalError("index has duplicate doc ids")
+
+    import numpy as np
+
+    offset, blocks = start + head_len, {}
+    for (name, dtype), size in zip(_BLOCKS, block_lens):
+        blocks[name] = (dtype, offset, size)
+        offset += size
+
+    def block(name: str, count: int) -> np.ndarray:
+        dtype, at, size = blocks[name]
+        if size != count * np.dtype(dtype).itemsize:
+            raise RetrievalError(
+                f"index block {name!r} has {size} bytes but the header counts give {count} values"
+            )
+        return np.frombuffer(data, dtype=dtype, count=count, offset=at)
+
+    indptr = block("indptr", dim + 1)
+    if indptr[0] != 0 or (np.diff(indptr) < 0).any():
+        raise RetrievalError("index indptr is not monotone from 0")
+    rows = block("rows", int(indptr[-1]))
+    if len(rows) and (rows.min() < 0 or rows.max() >= len(doc_ids)):
+        raise RetrievalError("index has doc rows out of range")
+    df = block("df", len(vocab))
+    if len(df) and df.min() < 0:
+        raise RetrievalError("index has negative document frequencies")
+    index = ExplanationIndex(
         vocabulary=vocabulary,
-        idf=[float(v) for v in idf_obj["values"]],
-        df=[int(v) for v in idf_obj["df"]],
-        doc_vectors=[{int(c): float(w) for c, w in row} for row in vec_obj["rows"]],
-        doc_ids=[str(i) for i in ids_obj["ids"]],
-        doc_lengths=[int(v) for v in vec_obj["doc_lengths"]],
-        avg_doc_length=float(vec_obj["avg_doc_length"]),
-        config=config,
+        idf=block("idf", len(vocab)).tolist(),
+        df=df.tolist(),
+        columns=Postings(indptr, rows, block("weights", len(rows))),
+        doc_lengths=block("doc_lengths", 0 if embedding else len(doc_ids)).tolist(),
+        **header,
     )
+    index.postings()
+    return index
 
 
 def load_index(path: str | Path) -> ExplanationIndex:

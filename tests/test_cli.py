@@ -395,6 +395,44 @@ def test_detect_output_shape(run, dev_jsonl, tmp_path):
 # --- data construction and studies ---
 
 
+@pytest.mark.parametrize("command", ["correct", "baseline", "make-sft-data", "sweep-theta"])
+def test_index_over_another_corpus_is_rejected(
+    run, command, gee_jsonl, dev_jsonl, write_corpus, write_script, tmp_path
+):
+    other = write_corpus(
+        [
+            {
+                "id": doc_id,
+                # Record 0 differs from gee_jsonl's in both indexable fields.
+                "source": f"原句{i}" if i else "别的句子",
+                "targets": [f"改句{i}"],
+                "explanation": text if i else text + "。",
+            }
+            for i, (doc_id, text) in enumerate(GEE_DOCS)
+        ]
+    )
+    field = "source" if command == "baseline" else "explanation"
+    index = str(tmp_path / "other.re2idx")
+    code, _, err = run("build-index", "--in", other, "--field", field, "--out", index)
+    assert code == 0, err
+    script = write_script({})
+    argv = {
+        "correct": ("correct", "--in", dev_jsonl, "--corpus", gee_jsonl,
+                    "--script", script, "--explainer-script", script),
+        "baseline": ("baseline", "--mode", "textsim", "--in", dev_jsonl, "--corpus", gee_jsonl,
+                     "--script", script),
+        "make-sft-data": ("make-sft-data", "--train", gee_jsonl),
+        "sweep-theta": ("sweep-theta", "--dev", dev_jsonl, "--train", gee_jsonl,
+                        "--thetas", "0.5", "--script", script, "--explainer-script", script),
+    }[command]
+    code, out, err = run(*argv, "--index", index)
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"index does not match the corpus: it was built over the {field} field" in lines[0]
+
+
 def test_make_sft_data_needs_no_backend(run, gee_jsonl, index_file):
     code, out, err = run("make-sft-data", "--train", gee_jsonl, "--index", index_file)
     assert code == 0, err

@@ -1,19 +1,24 @@
+import hashlib
+import json
 import math
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from re2gec import retriever
+from re2gec.cli import dispatch
 from re2gec.corpus import Corpus, SentencePair
 from re2gec.errors import RetrievalError
 from re2gec.retriever import (
     INDEX_MAGIC,
     NGRAM_JOIN,
+    RANKINGS,
     IndexConfig,
     build_index,
     dumps_index,
@@ -297,6 +302,27 @@ def test_embedding_requires_embedder():
         query(index, "接近第一篇", k=1, theta=0.0)
 
 
+def test_embedding_index_records_dimension(monkeypatch):
+    texts = {"d0": "主谓搭配不当，动词错误", "d1": "语序不当，状语位置错误"}
+    cfg = IndexConfig(ranking="embedding")
+
+    def no_ngrams(text, config):
+        raise AssertionError("embedding indexes count no n-grams")
+
+    monkeypatch.setattr(retriever, "ngram_counts", no_ngrams)
+    index = loads_index(
+        dumps_index(build_index(gee_corpus(texts), "explanation", cfg, embedder=fake_embedder))
+    )
+    assert index.dim == 3
+    assert index.doc_lengths == []
+    short = lambda batch: [vec[:2] for vec in fake_embedder(batch)]
+    with pytest.raises(RetrievalError, match="2-dimensional vector for an index of dimension 3"):
+        query(index, "接近第一篇", k=1, theta=0.0, embedder=short)
+    ragged = lambda batch: [[1.0] * (i + 1) for i in range(len(batch))]
+    with pytest.raises(RetrievalError, match="different lengths"):
+        build_index(gee_corpus(texts), "explanation", cfg, embedder=ragged)
+
+
 # --- persistence ---
 
 
@@ -343,10 +369,105 @@ def test_loads_rejects_wrong_magic():
 
 def test_loads_rejects_truncated_payload():
     blob = dumps_index(build_index(gee_corpus(TEXTS), "explanation", CFG))
-    lines = blob.decode("utf-8").split("\n")
-    truncated = "\n".join(lines[:3]).encode("utf-8")
+    truncated = blob[: len(blob) // 2]
     with pytest.raises(RetrievalError):
         loads_index(truncated)
+
+
+def _parts(blob: bytes) -> tuple[dict, dict]:
+    """The JSON header and the writable blocks of an ``RE2IDX 2`` blob."""
+    head_len, *block_lens = retriever._LENGTHS.unpack_from(blob, len(retriever._MAGIC_LINE))
+    offset = len(retriever._MAGIC_LINE) + retriever._LENGTHS.size
+    header = json.loads(blob[offset : offset + head_len])
+    offset += head_len
+    blocks = {}
+    for (name, dtype), size in zip(retriever._BLOCKS, block_lens):
+        count = size // np.dtype(dtype).itemsize
+        blocks[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).copy()
+        offset += size
+    return header, blocks
+
+
+def _assemble(header: dict | bytes, blocks: dict) -> bytes:
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    raw = [blocks[name].astype(dtype).tobytes() for name, dtype in retriever._BLOCKS]
+    lengths = retriever._LENGTHS.pack(len(head), *map(len, raw))
+    return retriever._MAGIC_LINE + lengths + head + b"".join(raw)
+
+
+def _corrupted(case: str) -> bytes:
+    """A toy index blob with one defect."""
+    blob = dumps_index(build_index(gee_corpus(TEXTS), "explanation", CFG))
+    if case == "bad magic":
+        return b"RE2IDX 9" + blob[len(INDEX_MAGIC):]
+    if case == "old format":
+        return b'RE2IDX 1\n{"section":"config"}\n'
+    if case == "truncated":
+        return blob[:-1]
+    if case == "trailing bytes":
+        return blob + b"\0"
+    header, blocks = _parts(blob)
+    vocab, ids, indptr = header["vocabulary"], header["doc_ids"], blocks["indptr"]
+    if case == "bad header":
+        return _assemble(b"{", blocks)
+    if case == "block length":
+        blocks["idf"] = blocks["idf"][:-1]
+    elif case == "non-monotone indptr":
+        indptr[1] = indptr[-1]
+    elif case == "row out of range":
+        blocks["rows"][0] = len(ids)
+    elif case == "column out of range":
+        header["dim"] += 1
+        blocks["indptr"] = np.append(indptr, indptr[-1])
+    elif case == "negative df":
+        blocks["df"][0] = -1
+    elif case == "unsorted vocabulary":
+        vocab[0], vocab[1] = vocab[1], vocab[0]
+    elif case == "duplicate vocabulary":
+        vocab[1] = vocab[0]
+    elif case == "duplicate doc ids":
+        ids[1] = ids[0]
+    elif case != "intact":
+        raise AssertionError(case)
+    return _assemble(header, blocks)
+
+
+def test_reassembled_blob_loads():
+    # The corruption cases below differ from this one only by their defect.
+    index = loads_index(_corrupted("intact"))
+    want = build_index(gee_corpus(TEXTS), "explanation", CFG)
+    assert query(index, TEXTS["d1"], k=3, theta=0.0) == query(want, TEXTS["d1"], k=3, theta=0.0)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("bad magic", "not an index file or unsupported version"),
+        ("old format", "old RE2IDX 1 format; rebuild it with build-index"),
+        ("truncated", "truncated index file"),
+        ("trailing bytes", "1 trailing bytes"),
+        ("bad header", "bad index header"),
+        ("block length", "block 'idf' has .* bytes but the header counts give"),
+        ("non-monotone indptr", "indptr is not monotone"),
+        ("row out of range", "doc rows out of range"),
+        ("column out of range", "columns but a vocabulary of"),
+        ("negative df", "negative document frequencies"),
+        ("unsorted vocabulary", "vocabulary is not sorted"),
+        ("duplicate vocabulary", "has duplicates"),
+        ("duplicate doc ids", "duplicate doc ids"),
+    ],
+)
+def test_corrupt_index_is_a_one_line_error(case, message, tmp_path, capsys):
+    blob = _corrupted(case)
+    with pytest.raises(RetrievalError, match=message):
+        loads_index(blob)
+    path = tmp_path / "bad.re2idx"
+    path.write_bytes(blob)
+    code = dispatch(["query", "--index", str(path), "--text", TEXTS["d0"]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_build_rejects_duplicate_ids():
@@ -440,3 +561,38 @@ def test_postings_built_once_under_concurrent_queries(monkeypatch):
     assert all(p is postings[0] for p in postings)
     assert postings[0] is not None
     assert all(r == results[0] and r.hits for r in results)
+
+
+def _hash_embedder(dim: int):
+    """Deterministic small-integer vectors with some zero components."""
+
+    def embed(texts):
+        return [
+            [float(b % 5 - 2) for b in hashlib.sha256(t.encode("utf-8")).digest()[:dim]]
+            for t in texts
+        ]
+
+    return embed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_retrieval_cases(), st.sampled_from(RANKINGS), st.integers(1, 6))
+def test_dumps_loads_round_trip(case, ranking, dim):
+    texts, ids, query_text, k, exclude, nmin, nmax = case
+    embedder = _hash_embedder(dim)
+    cfg = IndexConfig(ranking=ranking, ngram_min=nmin, ngram_max=nmax)
+    index = build_index(gee_corpus(dict(zip(ids, texts))), "explanation", cfg, embedder)
+    blob = dumps_index(index)
+    loaded = loads_index(blob)
+    for attr in (
+        "vocabulary", "idf", "df", "doc_ids", "doc_lengths", "avg_doc_length",
+        "config", "doc_vectors", "dim", "field_name", "corpus_sha256",
+    ):
+        assert getattr(loaded, attr) == getattr(index, attr), attr
+    assert dumps_index(loaded) == blob
+    got = query(loaded, query_text, k=k, theta=0.0, exclude_ids=exclude, embedder=embedder)
+    want = query(index, query_text, k=k, theta=0.0, exclude_ids=exclude, embedder=embedder)
+    assert repr(got) == repr(want)
+    for cut in range(len(blob)):
+        with pytest.raises(RetrievalError):
+            loads_index(blob[:cut])
