@@ -16,15 +16,8 @@ from .corpus import (
     SentencePair,
     dump_corpus,
     load_corpus,
-    validate_record,
 )
-from .edit_extract import (
-    AlignmentOp,
-    align_tokens,
-    apply_edits,
-    char_level_edits,
-    extract_edits,
-)
+from .edit_extract import apply_edits, char_level_edits, extract_edits
 from .errors import (
     BackendError,
     CorpusError,
@@ -41,7 +34,6 @@ from .llm_backend import (
     DecodingParams,
     RetryPolicy,
     complete,
-    complete_many,
     embed,
     prompt_key,
     script_from_pairs,

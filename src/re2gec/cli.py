@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
-keys mirror the long flag names (``{"k": 3, "theta": 0.6, ...}``); explicit
+keys mirror the subcommand's long flag names (``{"k": 3, "theta": 0.6, ...}``)
+and whose values pass the same type and choice checks as the flags; explicit
 flags override config values, which override built-in defaults.  Exit codes:
 0 on success, 1 on runtime errors (one-line diagnostic on stderr), 2 on
 usage errors.
@@ -14,19 +15,22 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import SentencePair, load_corpus
+from .corpus import load_corpus
 from .edit_extract import extract_edits
 from .errors import Re2Error
-from .llm_backend import BackendConfig, DecodingParams, complete, embed
+from .llm_backend import BackendConfig, DecodingParams
 from .pipeline import (
     Re2Config,
     build_sft_data,
     compare_retrievers,
     correct_corpus,
+    embedder_for,
+    generate_explanation,
+    map_ordered,
     run_baseline,
     sweep_threshold,
 )
-from .prompting import load_template_set, render_gee_prompt
+from .prompting import load_template_set
 from .retriever import (
     IndexConfig,
     build_index,
@@ -43,20 +47,62 @@ class _UsageError(Exception):
     pass
 
 
+# Options that take a comma-separated list; a manifest may give a JSON list.
+_LIST_OPTIONS = ("thetas", "rankings")
+
+
+def _manifest_value(action: argparse.Action, key: str, value):
+    """A manifest value parsed the way argparse parses the same flag's argument."""
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise _UsageError(f"config key {key!r} must be true or false, got {value!r}")
+        return action.const if value else None
+    scalars = value if isinstance(value, list) and key in _LIST_OPTIONS else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in scalars):
+        raise _UsageError(f"config key {key!r}: invalid value {value!r}")
+    text = ",".join(str(v) for v in scalars)
+    try:
+        parsed = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise _UsageError(f"config key {key!r}: invalid value {value!r}: {exc}") from None
+    if action.choices is not None and parsed not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise _UsageError(
+            f"config key {key!r}: invalid choice {parsed!r} (choose from {choices})"
+        )
+    return parsed
+
+
 class _Options:
-    """Flag values overlaid on the optional JSON config manifest."""
+    """Flag values overlaid on the optional JSON config manifest.
+
+    Manifest keys are the subcommand's option names; other keys are ignored,
+    or rejected under ``--strict``.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
         self._manifest = {}
         config_path = getattr(args, "config", None)
-        if config_path:
-            try:
-                self._manifest = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise Re2Error(f"cannot read config {config_path!r}: {exc}") from None
-            if not isinstance(self._manifest, dict):
-                raise Re2Error(f"config {config_path!r} must hold a JSON object")
+        if not config_path:
+            return
+        try:
+            manifest = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise Re2Error(f"cannot read config {config_path!r}: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise Re2Error(f"config {config_path!r} must hold a JSON object")
+        actions = {a.dest: a for a in args.parser._actions if a.option_strings}
+        unknown = []
+        for key, value in manifest.items():
+            if key not in actions:
+                unknown.append(key)
+            elif value is not None:
+                self._manifest[key] = _manifest_value(actions[key], key, value)
+        if unknown and self.get("strict"):
+            raise _UsageError(
+                f"config {config_path!r}: unknown key(s) " + ", ".join(map(repr, unknown))
+            )
 
     def get(self, name: str, default=None):
         value = getattr(self._args, name, None)
@@ -75,17 +121,17 @@ def _segmenter(opts: _Options) -> SegmenterConfig:
     return SegmenterConfig(
         mode=opts.get("segmenter", "character"),
         external_command=opts.get("segmenter_cmd"),
-        external_timeout=float(opts.get("segmenter_timeout", 10.0)),
+        external_timeout=opts.get("segmenter_timeout", 10.0),
     )
 
 
 def _index_config(opts: _Options) -> IndexConfig:
     return IndexConfig(
-        ngram_min=int(opts.get("ngram_min", 2)),
-        ngram_max=int(opts.get("ngram_max", 3)),
+        ngram_min=opts.get("ngram_min", 2),
+        ngram_max=opts.get("ngram_max", 3),
         ranking=opts.get("ranking", "tfidf_cosine"),
-        bm25_k1=float(opts.get("bm25_k1", 1.5)),
-        bm25_b=float(opts.get("bm25_b", 0.75)),
+        bm25_k1=opts.get("bm25_k1", 1.5),
+        bm25_b=opts.get("bm25_b", 0.75),
         segmenter=_segmenter(opts),
     )
 
@@ -109,7 +155,7 @@ def _backend(opts: _Options, prefix: str = "") -> BackendConfig | None:
         endpoint=endpoint,
         model=opts.get(prefix + "model"),
         script_path=script,
-        timeout=float(opts.get(prefix + "timeout", 30.0)),
+        timeout=opts.get(prefix + "timeout", 30.0),
     )
 
 
@@ -121,21 +167,19 @@ _UNUSED_BACKEND = BackendConfig(kind="mock", script_path="<unused>")
 def _embedding_backend(opts: _Options) -> BackendConfig | None:
     if opts.get("embed_backend") is None and opts.get("embed_script") is None:
         return None
-    kind = opts.get("embed_backend", "mock")
     return BackendConfig(
-        kind=kind,
+        kind=opts.get("embed_backend", "mock"),
         endpoint=opts.get("embed_endpoint"),
         model=opts.get("embed_model"),
         script_path=opts.get("embed_script"),
-        timeout=float(opts.get("embed_timeout", 30.0)),
     )
 
 
 def _decoding(opts: _Options) -> DecodingParams:
     return DecodingParams(
-        sample=bool(opts.get("sample", False)),
-        temperature=float(opts.get("temperature", 1.0)),
-        beam_size=int(opts.get("beam_size", 8)),
+        sample=opts.get("sample", False),
+        temperature=opts.get("temperature", 1.0),
+        beam_size=opts.get("beam_size", 8),
     )
 
 
@@ -157,8 +201,8 @@ def _re2_config(
     return Re2Config(
         backend=backend,
         explainer_backend=explainer,
-        k=int(opts.get("k", 3)),
-        theta=float(opts.get("theta", 0.6)),
+        k=opts.get("k", 3),
+        theta=opts.get("theta", 0.6),
         retriever_field=opts.get("field", "explanation"),
         decoding=_decoding(opts),
         embedding_backend=_embedding_backend(opts),
@@ -204,13 +248,6 @@ def _read_hyps(opts: _Options, expected: int) -> list[str]:
     return hyps
 
 
-def _maybe_embedder(opts: _Options):
-    backend = _embedding_backend(opts)
-    if backend is None:
-        return None
-    return lambda texts: embed(texts, backend)
-
-
 def cmd_extract_edits(opts: _Options) -> int:
     cfg = _segmenter(opts)
     if opts.get("source") is not None or opts.get("target") is not None:
@@ -234,7 +271,7 @@ def cmd_build_index(opts: _Options) -> int:
         corpus,
         field_name=opts.get("field", "explanation"),
         config=_index_config(opts),
-        embedder=_maybe_embedder(opts),
+        embedder=embedder_for(_embedding_backend(opts)),
     )
     save_index(index, opts.require("out"))
     return 0
@@ -246,10 +283,10 @@ def cmd_query(opts: _Options) -> int:
     result = query(
         index,
         opts.require("text"),
-        k=int(opts.get("k", 3)),
-        theta=float(opts.get("theta", 0.6)),
+        k=opts.get("k", 3),
+        theta=opts.get("theta", 0.6),
         exclude_ids=exclude,
-        embedder=_maybe_embedder(opts),
+        embedder=embedder_for(_embedding_backend(opts)),
     )
     _emit(opts, _json_line(result.to_dict()))
     return 0
@@ -261,18 +298,19 @@ def cmd_explain(opts: _Options) -> int:
     if opts.get("text") is not None:
         pairs = [("", opts.get("text"))]
     else:
-        corpus = _load(opts, "infile")
-        pairs = [(rec.id, rec.source) for rec in corpus]
-    lines = []
-    for rec_id, source in pairs:
-        prompt = render_gee_prompt(
-            SentencePair(id=rec_id or "input", source=source, targets=[source]),
-            "input_only",
-            template_set,
-        )
-        explanation = complete(prompt, config.decoding, config.explainer_backend).strip()
-        lines.append(_json_line({"id": rec_id, "source": source, "explanation": explanation}))
-    _emit(opts, "\n".join(lines))
+        pairs = [(rec.id, rec.source) for rec in _load(opts, "infile")]
+    explanations = map_ordered(
+        lambda pair: generate_explanation(pair[1], config, template_set),
+        pairs,
+        opts.get("jobs", 1),
+    )
+    _emit(
+        opts,
+        "\n".join(
+            _json_line({"id": rec_id, "source": source, "explanation": explanation})
+            for (rec_id, source), explanation in zip(pairs, explanations)
+        ),
+    )
     return 0
 
 
@@ -287,7 +325,7 @@ def cmd_correct(opts: _Options) -> int:
         index,
         train,
         config,
-        jobs=int(opts.get("jobs", 1)),
+        jobs=opts.get("jobs", 1),
     )
     _emit(opts, "\n".join(_json_line(o.to_dict()) for o in outcomes))
     return 0
@@ -301,12 +339,17 @@ def cmd_baseline(opts: _Options) -> int:
     source_index = load_index(opts.get("index")) if opts.get("index") else None
     if source_index is not None:
         check_corpus(source_index, train)
-    seed = int(opts.get("seed", 0))
-    lines = []
-    for i, rec in enumerate(dev):
-        outcome = run_baseline(rec.source, mode, train, source_index, config, seed=seed + i)
-        lines.append(_json_line(outcome.to_dict()))
-    _emit(opts, "\n".join(lines))
+    seed = opts.get("seed", 0)
+    template_set = load_template_set(config.templates)
+    outcomes = map_ordered(
+        lambda i: run_baseline(
+            dev.records[i].source, mode, train, source_index, config,
+            seed=seed + i, template_set=template_set,
+        ),
+        range(len(dev)),
+        opts.get("jobs", 1),
+    )
+    _emit(opts, "\n".join(_json_line(o.to_dict()) for o in outcomes))
     return 0
 
 
@@ -393,9 +436,8 @@ def cmd_sweep_theta(opts: _Options) -> int:
     train = _load(opts, "train", kind="gee")
     index = load_index(opts.require("index"))
     check_corpus(index, train)
-    raw = opts.require("thetas")
-    thetas = [float(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
-    rows = sweep_threshold(dev, thetas, config, index, train)
+    thetas = [float(x) for x in opts.require("thetas").split(",")]
+    rows = sweep_threshold(dev, thetas, config, index, train, jobs=opts.get("jobs", 1))
     _emit(opts, json.dumps(rows, ensure_ascii=False))
     return 0
 
@@ -404,20 +446,27 @@ def cmd_compare_retrievers(opts: _Options) -> int:
     config = _re2_config(opts)
     dev = _load(opts, "dev")
     train = _load(opts, "train", kind="gee")
-    raw = opts.require("rankings")
-    rankings = [x for x in (raw.split(",") if isinstance(raw, str) else raw) if x]
-    rows = compare_retrievers(dev, rankings, config, train)
+    rankings = [x for x in opts.require("rankings").split(",") if x]
+    rows = compare_retrievers(dev, rankings, config, train, jobs=opts.get("jobs", 1))
     _emit(opts, json.dumps(rows, ensure_ascii=False))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config manifest; flags override its values")
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--seed", type=int, help="random seed (default: 0)")
-    sub.add_argument("--jobs", type=int, help="max concurrent backend requests (default: 1)")
+    sub.add_argument("--jobs", type=_positive_int,
+                     help="threads, each running one input at a time (default: 1)")
     sub.add_argument("--strict", action="store_const", const=True,
-                     help="reject unknown corpus fields")
+                     help="reject unknown corpus fields and config keys")
 
 
 def _add_segmenter(sub: argparse.ArgumentParser) -> None:
@@ -478,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, parser=sub)
         _add_common(sub)
         return sub
 

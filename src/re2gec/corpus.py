@@ -262,40 +262,3 @@ def dump_corpus(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
             fh.write(dumps_record(rec) + "\n")
-
-
-def validate_record(rec: SentencePair) -> list[str]:
-    """Check record invariants; returns a list of violations (empty means valid)."""
-    from .edit_extract import apply_edits
-
-    violations = []
-    if not rec.id:
-        violations.append("empty id")
-    if not rec.targets:
-        violations.append("targets empty")
-    if rec.edits is not None:
-        if len(rec.edits) != len(rec.targets):
-            violations.append(
-                f"edits has {len(rec.edits)} lists for {len(rec.targets)} targets"
-            )
-        for i, edit_list in enumerate(rec.edits):
-            prev_end = -1
-            ok = True
-            for e in edit_list:
-                if e.offset < prev_end:
-                    violations.append(f"edits for target {i} unsorted or overlapping")
-                    ok = False
-                    break
-                if e.offset + len(e.original) > len(rec.source):
-                    violations.append(f"edit out of range for target {i}")
-                    ok = False
-                    break
-                if rec.source[e.offset : e.offset + len(e.original)] != e.original:
-                    violations.append(f"edit original mismatch for target {i}")
-                    ok = False
-                    break
-                prev_end = e.offset + len(e.original)
-            if ok and i < len(rec.targets):
-                if apply_edits(rec.source, edit_list) != rec.targets[i]:
-                    violations.append(f"edit/target mismatch for target {i}")
-    return violations

@@ -6,8 +6,8 @@ when skipping, consume the source side first), so the same input always
 yields the same script.  Matched tokens anchor the alignment; the character
 gaps between consecutive matched tokens become edits, after trimming any
 characters the gap shares on both sides (this keeps unchanged separators out
-of edit spans in whitespace mode).  A maximal run of adjacent non-equal
-alignment ops therefore collapses into a single Edit.
+of edit spans in whitespace mode).  Each gap between consecutive matches
+therefore yields at most one Edit.
 
 Offsets are 0-based Unicode character offsets into the source sentence, and
 ``apply_edits(source, extract_edits(source, target, cfg)) == target`` holds
@@ -16,23 +16,11 @@ for every segmenter mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Edit
 from .errors import EditError
-from .segmentation import SegmenterConfig, Token, segment
-
-_CHAR_CONFIG = SegmenterConfig(mode="character")
-
-
-@dataclass(frozen=True)
-class AlignmentOp:
-    """One aligned region: token index ranges into the source and target sequences."""
-
-    kind: str  # "equal" | "replace" | "delete" | "insert"
-    source_range: tuple[int, int]
-    target_range: tuple[int, int]
+from .segmentation import SegmenterConfig, segment
 
 
 def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
@@ -79,42 +67,6 @@ def _match_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
         pairs.extend((pre + i, pre + j) for i, j in _lcs_pairs(mid_a, mid_b))
     pairs.extend((la - suf + n, lb - suf + n) for n in range(suf))
     return pairs
-
-
-def align_tokens(
-    source_tokens: Sequence[Token], target_tokens: Sequence[Token]
-) -> list[AlignmentOp]:
-    """Alignment ops partitioning both token sequences in order."""
-    pairs = _match_pairs([t.text for t in source_tokens], [t.text for t in target_tokens])
-    ops = []
-    prev_i = prev_j = 0
-
-    def flush_gap(i: int, j: int) -> None:
-        if i > prev_i and j > prev_j:
-            kind = "replace"
-        elif i > prev_i:
-            kind = "delete"
-        elif j > prev_j:
-            kind = "insert"
-        else:
-            return
-        ops.append(AlignmentOp(kind, (prev_i, i), (prev_j, j)))
-
-    pos = 0
-    while pos < len(pairs):
-        i0, j0 = pairs[pos]
-        run = 1
-        while (
-            pos + run < len(pairs)
-            and pairs[pos + run] == (i0 + run, j0 + run)
-        ):
-            run += 1
-        flush_gap(i0, j0)
-        ops.append(AlignmentOp("equal", (i0, i0 + run), (j0, j0 + run)))
-        prev_i, prev_j = i0 + run, j0 + run
-        pos += run
-    flush_gap(len(source_tokens), len(target_tokens))
-    return ops
 
 
 def _trim_gap(gap_s: str, gap_t: str) -> tuple[int, str, str]:

@@ -23,7 +23,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -78,7 +77,6 @@ class BackendConfig:
     script_path: str | None = None
     timeout: float = 30.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    max_in_flight: int = 4
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
@@ -89,8 +87,6 @@ class BackendConfig:
             raise ValueError("mock backend requires a script_path")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
 
 def prompt_key(text: str) -> str:
@@ -208,24 +204,6 @@ def complete(prompt: str, params: DecodingParams, config: BackendConfig) -> str:
     if config.kind == "mock":
         return _mock_complete(prompt, config)
     return _http_complete(prompt, params, config)
-
-
-def complete_many(
-    prompts: Sequence[str],
-    params: DecodingParams,
-    config: BackendConfig,
-    jobs: int = 1,
-) -> list[str]:
-    """Completions for many prompts, in input order.
-
-    Runs up to min(jobs, config.max_in_flight) requests concurrently; with
-    jobs == 1 this is a plain sequential loop.
-    """
-    workers = max(1, min(jobs, config.max_in_flight))
-    if workers == 1 or len(prompts) <= 1:
-        return [complete(p, params, config) for p in prompts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: complete(p, params, config), prompts))
 
 
 def embed(texts: Sequence[str], config: BackendConfig) -> list[list[float]]:

@@ -18,8 +18,9 @@ comparison harness.
 from __future__ import annotations
 
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -107,11 +108,48 @@ def _stage(stage: str, fn: Callable, *args, **kwargs):
         raise PipelineError(stage, str(exc)) from exc
 
 
-def _embedder(config: Re2Config):
-    if config.embedding_backend is None:
+def map_ordered(fn: Callable, items: Sequence, jobs: int = 1) -> list:
+    """``[fn(item) for item in items]``, on ``jobs`` threads when ``jobs > 1``.
+
+    Results keep input order, and the first input (in order) whose call
+    raises ends the map with that exception.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def embedder_for(backend: BackendConfig | None):
+    """Embedding callable over ``backend`` for index builds and queries; None without one."""
+    if backend is None:
         return None
-    backend = config.embedding_backend
     return lambda texts: embed(texts, backend)
+
+
+def _cached_completer(config: Re2Config) -> Callable[[str], str]:
+    """Correction-backend ``complete`` that sends each distinct prompt once.
+
+    Threads may share it: a prompt asked for while its completion is in
+    flight waits for that completion rather than sending a second request.
+    """
+    cache: dict[str, Future] = {}
+    lock = threading.Lock()
+
+    def completer(prompt: str) -> str:
+        with lock:
+            pending = cache.get(prompt)
+            owner = pending is None
+            if owner:
+                pending = cache[prompt] = Future()
+        if owner:
+            try:
+                pending.set_result(complete(prompt, config.decoding, config.backend))
+            except Exception as exc:
+                pending.set_exception(exc)
+        return pending.result()
+
+    return completer
 
 
 def generate_explanation(
@@ -176,7 +214,7 @@ def run_re2(
         explanation,
         config.k,
         config.theta,
-        embedder=_embedder(config),
+        embedder=embedder_for(config.embedding_backend),
     )
     completer = lambda prompt: complete(prompt, config.decoding, config.backend)
     return _correct(
@@ -191,6 +229,7 @@ def run_baseline(
     source_index: ExplanationIndex | None,
     config: Re2Config,
     seed: int = 0,
+    template_set: TemplateSet | None = None,
 ) -> CorrectionOutcome:
     """Correct one input with a baseline example-selection strategy.
 
@@ -200,7 +239,7 @@ def run_baseline(
     """
     if mode not in BASELINE_MODES:
         raise PipelineError("baseline", f"unknown baseline mode {mode!r}")
-    template_set = load_template_set(config.templates)
+    template_set = template_set or load_template_set(config.templates)
     if mode == "zero_shot":
         result = RetrievalResult(hits=(), gate_open=False)
     elif mode == "random_k":
@@ -224,7 +263,7 @@ def run_baseline(
             input_text,
             config.k,
             0.0,
-            embedder=_embedder(config),
+            embedder=embedder_for(config.embedding_backend),
         )
     completer = lambda prompt: complete(prompt, config.decoding, config.backend)
     return _correct(input_text, "", result, corpus, config, template_set, completer)
@@ -237,14 +276,11 @@ def correct_corpus(
     config: Re2Config,
     jobs: int = 1,
 ) -> list[CorrectionOutcome]:
-    """Run the correction flow over many inputs, preserving input order."""
+    """Run the correction flow over many inputs on ``jobs`` threads, in input order."""
     template_set = load_template_set(config.templates)
-    if jobs <= 1 or len(inputs) <= 1:
-        return [run_re2(text, index, corpus, config, template_set) for text in inputs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(lambda t: run_re2(t, index, corpus, config, template_set), inputs)
-        )
+    return map_ordered(
+        lambda text: run_re2(text, index, corpus, config, template_set), inputs, jobs
+    )
 
 
 def build_sft_data(
@@ -270,7 +306,7 @@ def build_sft_data(
             config.k,
             0.0,
             exclude_ids={rec.id},
-            embedder=_embedder(config),
+            embedder=embedder_for(config.embedding_backend),
         )
         examples = _examples_for_hits(result.hits, train)
         response = rec.targets[0]
@@ -295,6 +331,24 @@ def build_sft_data(
     return out
 
 
+def _corrections(
+    items: Sequence[tuple[SentencePair, str, RetrievalResult]],
+    corpus: Corpus,
+    config: Re2Config,
+    template_set: TemplateSet,
+    completer: Callable[[str], str],
+    jobs: int,
+) -> list[str]:
+    """Corrections for (record, explanation, retrieval result) triples, in order."""
+    return map_ordered(
+        lambda item: _correct(
+            item[0].source, item[1], item[2], corpus, config, template_set, completer
+        ).correction,
+        items,
+        jobs,
+    )
+
+
 def _score_items(
     records: Sequence[SentencePair], corrections: Sequence[str]
 ) -> EvalReport:
@@ -312,48 +366,38 @@ def sweep_threshold(
     config: Re2Config,
     index: ExplanationIndex,
     train: Corpus,
+    jobs: int = 1,
 ) -> list[dict]:
     """Score the pipeline at several gate thresholds.
 
     Explanations and retrievals are computed once; each theta only re-decides
-    the gate.  Completions are cached per distinct prompt.
+    the gate.  Completions are cached per distinct prompt.  Inputs run on
+    ``jobs`` threads.
     """
     for theta in thetas:
         if not (0.0 <= theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
     template_set = load_template_set(config.templates)
+    embedder = embedder_for(config.embedding_backend)
     records = list(dev)
-    prepared = []
-    for rec in records:
+
+    def prepare(rec: SentencePair) -> tuple[SentencePair, str, tuple[Hit, ...]]:
         explanation = generate_explanation(rec.source, config, template_set)
         result = _stage(
-            "retrieve",
-            query,
-            index,
-            explanation,
-            config.k,
-            0.0,
-            embedder=_embedder(config),
+            "retrieve", query, index, explanation, config.k, 0.0, embedder=embedder
         )
-        prepared.append((rec, explanation, result.hits))
+        return rec, explanation, result.hits
 
-    cache: dict[str, str] = {}
-
-    def completer(prompt: str) -> str:
-        if prompt not in cache:
-            cache[prompt] = complete(prompt, config.decoding, config.backend)
-        return cache[prompt]
-
-    rows = []
+    prepared = map_ordered(prepare, records, jobs)
+    completer = _cached_completer(config)
     ranking = index.config.ranking
+    rows = []
     for theta in thetas:
-        corrections = []
-        for rec, explanation, hits in prepared:
-            gated = RetrievalResult(hits=hits, gate_open=gate_open(ranking, hits, theta))
-            outcome = _correct(
-                rec.source, explanation, gated, train, config, template_set, completer
-            )
-            corrections.append(outcome.correction)
+        gated = [
+            (rec, explanation, RetrievalResult(hits, gate_open(ranking, hits, theta)))
+            for rec, explanation, hits in prepared
+        ]
+        corrections = _corrections(gated, train, config, template_set, completer, jobs)
         report = _score_items(records, corrections)
         rows.append(
             {
@@ -371,54 +415,61 @@ def compare_retrievers(
     rankings: Sequence[str],
     config: Re2Config,
     train: Corpus,
+    jobs: int = 1,
 ) -> list[dict]:
     """Score the pipeline under different ranking backends over one dev set.
 
     Builds one index per ranking from the train corpus, reuses the same
     explanations across rankings, and reports correction quality plus mean
-    per-query retrieval latency.
+    per-query retrieval latency.  Explanations are embedded once, before any
+    query is timed, so the latency leaves the embedding backend out.
+    Explanations and corrections run on ``jobs`` threads.
     """
     template_set = load_template_set(config.templates)
     records = list(dev)
-    explanations = [
-        generate_explanation(rec.source, config, template_set) for rec in records
-    ]
-    cache: dict[str, str] = {}
-
-    def completer(prompt: str) -> str:
-        if prompt not in cache:
-            cache[prompt] = complete(prompt, config.decoding, config.backend)
-        return cache[prompt]
-
-    rows = []
-    for ranking in rankings:
-        index_config = replace(config.index_config, ranking=ranking)
-        embedder = _embedder(config)
-        if ranking == "embedding" and embedder is None:
+    explanations = map_ordered(
+        lambda rec: generate_explanation(rec.source, config, template_set), records, jobs
+    )
+    embedder = embedder_for(config.embedding_backend)
+    vectors: dict[str, list[float]] = {}
+    if "embedding" in rankings:
+        if embedder is None:
             raise PipelineError(
                 "compare", "embedding ranking requires an embedding backend"
             )
+        distinct = list(dict.fromkeys(explanations))
+        if distinct:
+            vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
+    looked_up = lambda texts: [vectors[text] for text in texts]
+    completer = _cached_completer(config)
+
+    rows = []
+    for ranking in rankings:
         index = _stage(
             "compare",
             build_index,
             train,
             config.retriever_field,
-            index_config,
+            replace(config.index_config, ranking=ranking),
             embedder=embedder,
         )
-        corrections = []
+        # Queries run one at a time so that their timing does not depend on
+        # how many correction threads share the interpreter.
+        results = []
         total_seconds = 0.0
-        for rec, explanation in zip(records, explanations):
+        for explanation in explanations:
             start = time.perf_counter()
-            result = _stage(
-                "retrieve", query, index, explanation, config.k, config.theta,
-                embedder=embedder,
+            results.append(
+                _stage(
+                    "retrieve", query, index, explanation, config.k, config.theta,
+                    embedder=looked_up,
+                )
             )
             total_seconds += time.perf_counter() - start
-            outcome = _correct(
-                rec.source, explanation, result, train, config, template_set, completer
-            )
-            corrections.append(outcome.correction)
+        corrections = _corrections(
+            list(zip(records, explanations, results)),
+            train, config, template_set, completer, jobs,
+        )
         report = _score_items(records, corrections)
         rows.append(
             {

@@ -251,6 +251,13 @@ def test_explain_corpus_file(run, dev_jsonl, explainer_script):
     assert [r["explanation"] for r in recs] == [Q_LOW, Q_HIGH]
 
 
+def test_explain_failure_names_the_stage(run, explainer_script):
+    code, out, err = run("explain", "--text", "未知的句子", "--explainer-script", explainer_script)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: explain: mock backend: no scripted response")
+
+
 def test_correct_end_to_end_and_determinism(
     run, dev_jsonl, gee_jsonl, index_file, explainer_script, corrector_script, tmp_path
 ):
@@ -476,6 +483,73 @@ def test_compare_retrievers_rows(
         assert set(row) == {"ranking", "precision", "recall", "f_half", "mean_query_ms"}
 
 
+# --- --jobs ---
+
+
+@pytest.fixture
+def batch_dev(write_corpus):
+    pairs = [(INPUT_LOW, TARGET_LOW), (INPUT_HIGH, TARGET_HIGH)] * 4
+    return write_corpus(
+        [
+            {"id": f"dev{i}", "source": source, "targets": [target]}
+            for i, (source, target) in enumerate(pairs)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "explain",
+        "correct",
+        "baseline:zero_shot",
+        "baseline:random_k",
+        "baseline:textsim",
+        "sweep-theta",
+        "compare-retrievers",
+    ],
+)
+def test_jobs_do_not_change_output(
+    run, command, batch_dev, gee_jsonl, index_file, explainer_script, corrector_script,
+    tmp_path,
+):
+    backends = ("--script", corrector_script, "--explainer-script", explainer_script)
+    name, _, mode = command.partition(":")
+    if mode == "textsim":
+        source_index = str(tmp_path / "source.re2idx")
+        code, _, err = run(
+            "build-index", "--in", gee_jsonl, "--field", "source", "--out", source_index
+        )
+        assert code == 0, err
+        extra = ("--index", source_index)
+    else:
+        extra = ()
+    argv = {
+        "explain": ("--in", batch_dev, "--explainer-script", explainer_script),
+        "correct": ("--in", batch_dev, "--corpus", gee_jsonl, "--index", index_file,
+                    *backends),
+        "baseline": ("--mode", mode, "--in", batch_dev, "--corpus", gee_jsonl,
+                     "--script", corrector_script, "--seed", "3", *extra),
+        "sweep-theta": ("--dev", batch_dev, "--train", gee_jsonl, "--index", index_file,
+                        "--thetas", "0.0,0.6,1.0", *backends),
+        "compare-retrievers": ("--dev", batch_dev, "--train", gee_jsonl,
+                               "--rankings", "tfidf_cosine,bm25", *backends),
+    }[name]
+    outs = []
+    for jobs in ("1", "4"):
+        code, out, err = run(name, *argv, "--jobs", jobs)
+        assert code == 0, err
+        if name == "compare-retrievers":
+            rows = json.loads(out)
+            for row in rows:
+                del row["mean_query_ms"]  # a timing
+            out = json.dumps(rows)
+        outs.append(out)
+    assert outs[0] == outs[1]
+    if name in ("explain", "correct", "baseline"):
+        assert len(outs[0].strip().split("\n")) == 8
+
+
 # --- config manifest ---
 
 
@@ -508,6 +582,59 @@ def test_config_manifest_must_be_object(run, index_file, tmp_path):
     )
     assert code == 1
     assert "must hold a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        pytest.param({"k": [1]}, id="k list"),
+        pytest.param({"k": "three"}, id="k word"),
+        pytest.param({"k": 2.5}, id="k fraction"),
+        pytest.param({"theta": True}, id="theta bool"),
+        pytest.param({"mode": "best"}, id="mode choice"),
+        pytest.param({"field": "target"}, id="field choice"),
+        pytest.param({"sample": "yes"}, id="sample string"),
+        pytest.param({"jobs": 0}, id="jobs zero"),
+        pytest.param({"surprise": 1, "strict": True}, id="strict unknown key"),
+    ],
+)
+def test_bad_config_manifest_is_usage_error(
+    run, dev_jsonl, gee_jsonl, write_script, tmp_path, manifest
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "zero_shot", **manifest}), encoding="utf-8")
+    code, out, err = run(
+        "baseline", "--config", str(path), "--in", dev_jsonl, "--corpus", gee_jsonl,
+        "--script", write_script({}),
+    )
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("usage error: config")
+
+
+def test_config_manifest_unknown_keys_and_lists(
+    run, dev_jsonl, gee_jsonl, index_file, write_script, tmp_path
+):
+    script = write_script({})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "zero_shot", "surprise": 1}), encoding="utf-8")
+    argv = ("baseline", "--config", str(path), "--in", dev_jsonl, "--corpus", gee_jsonl,
+            "--script", script)
+    assert run(*argv)[0] == 0
+    code, _, err = run(*argv, "--strict")
+    assert code == 2
+    assert "unknown key(s) 'surprise'" in err
+    code, _, err = run(*argv, "--jobs", "0")
+    assert code == 2
+    assert "--jobs: must be >= 1" in err
+
+    path.write_text(json.dumps({"thetas": [0.0, 0.6, 1.0]}), encoding="utf-8")
+    argv = ("sweep-theta", "--dev", dev_jsonl, "--train", gee_jsonl, "--index", index_file,
+            "--script", script, "--explainer-script", script)
+    code, from_list, err = run(*argv, "--config", str(path))
+    assert code == 0, err
+    assert from_list == run(*argv, "--thetas", "0.0,0.6,1.0")[1]
 
 
 def test_strict_corpus_loading(run, write_corpus, tmp_path):

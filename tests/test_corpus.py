@@ -13,7 +13,6 @@ from re2gec.corpus import (
     dump_corpus,
     dumps_record,
     load_corpus,
-    validate_record,
 )
 from re2gec.errors import CorpusError
 
@@ -209,32 +208,56 @@ def test_roundtrip_property(tmp_path_factory, records, kind):
     assert load_corpus(path, kind=kind).records == records
 
 
-def test_validate_record_flags_every_planted_violation():
-    valid = SentencePair(
-        id="ok", source="abcdef", targets=["abXdef"], edits=[[Edit(2, "c", "X")]]
-    )
-    assert validate_record(valid) == []
+_VALID_LINE = {"id": "ok", "source": "abcdef", "targets": ["abXdef"], "edits": [[[2, "c", "X"]]]}
 
-    cases = {
-        "targets empty": SentencePair(id="a", source="s", targets=[]),
-        "not parallel": SentencePair(
-            id="a", source="ab", targets=["ab"], edits=[[], []]
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        pytest.param(
+            {"id": "a", "source": "s", "targets": []}, "non-empty list", id="targets empty"
         ),
-        "out of range": SentencePair(
-            id="a", source="ab", targets=["ab"], edits=[[Edit(1, "bc", "x")]]
+        pytest.param(
+            {"id": "a", "source": "ab", "targets": ["ab"], "edits": [[], []]},
+            "2 lists for 1 targets",
+            id="not parallel",
         ),
-        "overlapping": SentencePair(
-            id="a",
-            source="abcd",
-            targets=["abcd"],
-            edits=[[Edit(0, "ab", "x"), Edit(1, "bc", "y")]],
+        pytest.param(
+            {"id": "a", "source": "ab", "targets": ["ab"], "edits": [[[1, "bc", "x"]]]},
+            "out of range",
+            id="out of range",
         ),
-        "original mismatch": SentencePair(
-            id="a", source="abcd", targets=["abcd"], edits=[[Edit(0, "zz", "x")]]
+        pytest.param(
+            {
+                "id": "a",
+                "source": "abcd",
+                "targets": ["abcd"],
+                "edits": [[[0, "ab", "x"], [1, "bc", "y"]]],
+            },
+            "overlap",
+            id="overlapping",
         ),
-        "replay mismatch": SentencePair(
-            id="a", source="abcd", targets=["abcd"], edits=[[Edit(0, "a", "x")]]
+        pytest.param(
+            {"id": "a", "source": "abcd", "targets": ["abcd"], "edits": [[[0, "zz", "x"]]]},
+            "original mismatch",
+            id="original mismatch",
         ),
-    }
-    for name, rec in cases.items():
-        assert validate_record(rec), f"case {name!r} not flagged"
+        pytest.param(
+            {"id": "a", "source": "abcd", "targets": ["abcd"], "edits": [[[0, "a", "x"]]]},
+            "rebuild 'xbcd'",
+            id="replay mismatch",
+        ),
+    ],
+)
+def test_load_corpus_rejects_planted_violation(tmp_path, record, reason):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        json.dumps(_VALID_LINE) + "\n" + json.dumps(record) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(CorpusError, match=r"^line 2: ") as info:
+        load_corpus(path)
+    assert reason in str(info.value)
+    assert "\n" not in str(info.value)
+    path.write_text(json.dumps(_VALID_LINE) + "\n", encoding="utf-8")
+    assert [rec.id for rec in load_corpus(path)] == ["ok"]
+

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import lcs_len
 from re2gec.corpus import Edit
-from re2gec.edit_extract import (
-    align_tokens,
-    apply_edits,
-    char_level_edits,
-    extract_edits,
-)
+from re2gec.edit_extract import _match_pairs, apply_edits, char_level_edits, extract_edits
 from re2gec.errors import EditError
 from re2gec.segmentation import SegmenterConfig, segment
 
@@ -111,42 +106,21 @@ def test_apply_right_to_left_substitution():
     assert apply_edits("abcd", edits) == "AAbd!"
 
 
-# --- alignment op invariants ---
+# --- token alignment: one longest common subsequence ---
 
 
-def assert_partition(ops, n_src, n_tgt, src_texts, tgt_texts):
-    prev_s = prev_t = 0
-    for op in ops:
-        assert op.source_range[0] == prev_s and op.target_range[0] == prev_t
-        s0, s1 = op.source_range
-        t0, t1 = op.target_range
-        assert s0 <= s1 and t0 <= t1
-        if op.kind == "equal":
-            assert s1 - s0 == t1 - t0 > 0
-            assert src_texts[s0:s1] == tgt_texts[t0:t1]
-        elif op.kind == "replace":
-            assert s1 > s0 and t1 > t0
-        elif op.kind == "delete":
-            assert s1 > s0 and t0 == t1
-        elif op.kind == "insert":
-            assert s0 == s1 and t1 > t0
-        else:
-            raise AssertionError(op.kind)
-        prev_s, prev_t = s1, t1
-    assert prev_s == n_src and prev_t == n_tgt
+def assert_lcs_pairs(src_texts, tgt_texts):
+    pairs = _match_pairs(src_texts, tgt_texts)
+    for (i0, j0), (i1, j1) in zip(pairs, pairs[1:]):
+        assert i0 < i1 and j0 < j1, "pairs must be strictly increasing"
+    assert all(src_texts[i] == tgt_texts[j] for i, j in pairs)
+    assert len(pairs) == lcs_len(src_texts, tgt_texts)
 
 
-def test_align_tokens_partitions_and_matches_lcs():
-    src = segment("the cat sat on the mat", WS)
-    tgt = segment("a cat sat on my mat", WS)
-    ops = align_tokens(src, tgt)
-    src_texts = [t.text for t in src]
-    tgt_texts = [t.text for t in tgt]
-    assert_partition(ops, len(src), len(tgt), src_texts, tgt_texts)
-    matched = sum(
-        op.source_range[1] - op.source_range[0] for op in ops if op.kind == "equal"
-    )
-    assert matched == lcs_len(src_texts, tgt_texts)
+def test_match_pairs_matches_lcs():
+    src = [t.text for t in segment("the cat sat on the mat", WS)]
+    tgt = [t.text for t in segment("a cat sat on my mat", WS)]
+    assert_lcs_pairs(src, tgt)
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,18 +128,10 @@ def test_align_tokens_partitions_and_matches_lcs():
     st.lists(st.sampled_from(list("abc的了")), max_size=12),
     st.lists(st.sampled_from(list("abc的了")), max_size=12),
 )
-def test_align_tokens_property(src_texts, tgt_texts):
-    src = segment(" ".join(src_texts), WS)
-    tgt = segment(" ".join(tgt_texts), WS)
-    ops = align_tokens(src, tgt)
-    assert_partition(ops, len(src), len(tgt), [t.text for t in src], [t.text for t in tgt])
-    matched = sum(
-        op.source_range[1] - op.source_range[0] for op in ops if op.kind == "equal"
-    )
-    assert matched == lcs_len([t.text for t in src], [t.text for t in tgt])
-    # adjacent non-equal ops never occur: gaps collapse into one op
-    for a, b in zip(ops, ops[1:]):
-        assert a.kind == "equal" or b.kind == "equal"
+def test_match_pairs_property(src_texts, tgt_texts):
+    src = [t.text for t in segment(" ".join(src_texts), WS)]
+    tgt = [t.text for t in segment(" ".join(tgt_texts), WS)]
+    assert_lcs_pairs(src, tgt)
 
 
 # --- round-trip and minimality properties ---

@@ -14,11 +14,12 @@ from re2gec.llm_backend import (
     DecodingParams,
     RetryPolicy,
     complete,
-    complete_many,
     embed,
     prompt_key,
     script_from_pairs,
 )
+from re2gec.pipeline import Re2Config, correct_corpus
+from re2gec.retriever import build_index
 
 PARAMS = DecodingParams()
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, factor=1.0)
@@ -111,8 +112,6 @@ def test_backend_config_validation():
         BackendConfig(kind="mock")
     with pytest.raises(ValueError, match="timeout"):
         BackendConfig(kind="mock", script_path="s", timeout=0.0)
-    with pytest.raises(ValueError, match="max_in_flight"):
-        BackendConfig(kind="mock", script_path="s", max_in_flight=0)
 
 
 def test_prompt_key_is_utf8_sha256():
@@ -276,20 +275,10 @@ def test_http_transport_error_reports_attempts():
         complete("问", PARAMS, config)
 
 
-# --- batching ---
+# --- concurrency ---
 
 
-def test_complete_many_preserves_order(tmp_path):
-    pairs = {f"提示{i}": f"回答{i}" for i in range(20)}
-    config = mock_config(tmp_path, pairs)
-    prompts = list(pairs)
-    for jobs in (1, 4, 64):
-        assert complete_many(prompts, PARAMS, config, jobs=jobs) == [
-            pairs[p] for p in prompts
-        ]
-
-
-def test_complete_many_runs_concurrently():
+def test_correct_corpus_runs_backend_calls_concurrently(mini_gee_corpus):
     state = {"active": 0, "peak": 0}
     lock = threading.Lock()
 
@@ -302,10 +291,15 @@ def test_complete_many_runs_concurrently():
             state["active"] -= 1
         return 200, completion("答")
 
-    with stub_server(responder) as (url, _):
-        config = http_config(url, max_in_flight=4)
-        got = complete_many([f"问{i}" for i in range(8)], PARAMS, config, jobs=4)
-    assert got == ["答"] * 8
+    index = build_index(mini_gee_corpus, "explanation")
+    inputs = [f"句{i}" for i in range(8)]
+    with stub_server(responder) as (url, server):
+        backend = http_config(url)
+        config = Re2Config(backend=backend, explainer_backend=backend)
+        outcomes = correct_corpus(inputs, index, mini_gee_corpus, config, jobs=4)
+    assert [o.input for o in outcomes] == inputs
+    assert [o.correction for o in outcomes] == ["答"] * 8
+    assert len(server.requests) == 16  # one explanation and one correction per input
     assert state["peak"] >= 2
 
 

@@ -1,4 +1,6 @@
 import json
+import time
+from dataclasses import replace
 
 import pytest
 from conftest import (
@@ -349,6 +351,27 @@ def test_compare_retrievers_rows(dev_corpus, mini_gee_corpus, sweep_config):
 def test_compare_retrievers_embedding_needs_backend(dev_corpus, mini_gee_corpus, sweep_config):
     with pytest.raises(PipelineError, match="embedding ranking requires"):
         compare_retrievers(dev_corpus, ["embedding"], sweep_config, mini_gee_corpus)
+
+
+def test_compare_retrievers_query_time_leaves_out_embedding(
+    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+):
+    calls = []
+
+    def slow_embed(texts, backend):
+        calls.append(list(texts))
+        time.sleep(0.2)
+        return [[float(len(text)), 1.0] for text in texts]
+
+    monkeypatch.setattr(pipeline_module, "embed", slow_embed)
+    config = replace(
+        sweep_config, embedding_backend=BackendConfig(kind="mock", script_path="<unused>")
+    )
+    (row,) = compare_retrievers(dev_corpus, ["embedding"], config, mini_gee_corpus)
+    assert row["mean_query_ms"] < 100.0
+    # one call for the train index, one for the distinct dev explanations
+    assert len(calls) == 2
+    assert [Q_LOW, Q_HIGH] in calls
 
 
 def test_pipeline_error_carries_stage():
