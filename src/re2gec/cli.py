@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import load_corpus
+from .corpus import load_corpus, string_fields
 from .edit_extract import extract_edits
 from .errors import Re2Error
 from .llm_backend import BackendConfig, DecodingParams
@@ -237,31 +237,26 @@ def _load(opts: _Options, name: str, kind: str = "gec"):
     return load_corpus(opts.require(name), kind=kind, strict=bool(opts.get("strict", False)))
 
 
-def _read_hyps(opts: _Options, expected: int) -> list[str]:
+def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
+    """(source, hypothesis, targets) per --src record; hypotheses from --hyp or --hyp-log."""
+    src = _load(opts, "src")
     if opts.get("hyp_log") is not None:
-        lines = Path(opts.get("hyp_log")).read_text(encoding="utf-8").splitlines()
-        hyps = [json.loads(line)["correction"] for line in lines if line.strip()]
+        hyps = [row[0] for row in string_fields(opts.get("hyp_log"), ("correction",))]
     else:
         hyps = Path(opts.require("hyp")).read_text(encoding="utf-8").splitlines()
-    if len(hyps) != expected:
-        raise Re2Error(f"{expected} sources but {len(hyps)} hypotheses")
-    return hyps
+    if len(hyps) != len(src):
+        raise Re2Error(f"{len(src)} sources but {len(hyps)} hypotheses")
+    return [(rec.source, hyp, rec.targets) for rec, hyp in zip(src, hyps)]
 
 
 def cmd_extract_edits(opts: _Options) -> int:
     cfg = _segmenter(opts)
     if opts.get("source") is not None or opts.get("target") is not None:
-        edits = extract_edits(opts.require("source"), opts.require("target"), cfg)
-        _emit(opts, _json_line([e.to_triple() for e in edits]))
-        return 0
-    lines = []
-    for raw in Path(opts.require("infile")).read_text(encoding="utf-8").splitlines():
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        edits = extract_edits(obj["source"], obj["target"], cfg)
-        lines.append(_json_line([e.to_triple() for e in edits]))
-    _emit(opts, "\n".join(lines))
+        pairs = [(opts.require("source"), opts.require("target"))]
+    else:
+        pairs = string_fields(opts.require("infile"), ("source", "target"))
+    edit_lists = [extract_edits(source, target, cfg) for source, target in pairs]
+    _emit(opts, "\n".join(_json_line([e.to_triple() for e in edits]) for edits in edit_lists))
     return 0
 
 
@@ -354,16 +349,13 @@ def cmd_baseline(opts: _Options) -> int:
 
 
 def cmd_score(opts: _Options) -> int:
-    src = _load(opts, "src")
-    hyps = _read_hyps(opts, len(src))
-    items = [(rec.source, hyp, rec.targets) for rec, hyp in zip(src, hyps)]
-    report = score_corpus(items)
+    scores = [score_sentence(*item) for item in _scoring_items(opts)]
+    report = score_corpus(scores)
     per_sentence = opts.get("per_sentence")
     if per_sentence:
         with open(per_sentence, "w", encoding="utf-8") as fh:
             fh.write("index\ttp\tfp\tfn\tchosen_reference\n")
-            for i, (source, hyp, targets) in enumerate(items):
-                s = score_sentence(source, hyp, targets)
+            for i, s in enumerate(scores):
                 fh.write(f"{i}\t{s.tp}\t{s.fp}\t{s.fn}\t{s.chosen_reference}\n")
     _emit(
         opts,
@@ -411,11 +403,7 @@ def cmd_rouge(opts: _Options) -> int:
 
 
 def cmd_detect(opts: _Options) -> int:
-    src = _load(opts, "src")
-    hyps = _read_hyps(opts, len(src))
-    report = detection_metrics(
-        [(rec.source, hyp, rec.targets) for rec, hyp in zip(src, hyps)]
-    )
+    report = detection_metrics(_scoring_items(opts))
     _emit(opts, json.dumps(report.to_dict(), ensure_ascii=False))
     return 0
 

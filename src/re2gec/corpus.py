@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .errors import CorpusError
 
@@ -205,18 +206,8 @@ def _check_edits_replay(rec: SentencePair, line_no: int) -> None:
             )
 
 
-def load_corpus(path: str | Path, kind: str = "gec", strict: bool = False) -> Corpus:
-    """Load and validate a JSON-lines corpus file.
-
-    Unknown fields are rejected when ``strict`` is true, otherwise ignored
-    with a warning.  Raises CorpusError with the offending line number on
-    malformed JSON, schema violations, duplicate ids, or edit lists that do
-    not rebuild their targets.
-    """
-    if kind not in CORPUS_KINDS:
-        raise CorpusError(f"unknown corpus kind {kind!r}")
-    records = []
-    seen = set()
+def json_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) per non-blank line; CorpusError names any other line."""
     text = Path(path).read_text(encoding="utf-8")
     # Records are separated by plain \n; str.splitlines() would also split on
     # U+2028-style separators that may appear raw inside JSON strings.
@@ -229,6 +220,35 @@ def load_corpus(path: str | Path, kind: str = "gec", strict: bool = False) -> Co
             raise CorpusError(f"line {line_no}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
+        yield line_no, obj
+
+
+def string_fields(path: str | Path, names: Sequence[str]) -> list[tuple[str, ...]]:
+    """The named string fields of each record of a JSON-lines file, in file order."""
+    rows = []
+    for line_no, obj in json_objects(path):
+        for name in names:
+            if name not in obj:
+                raise CorpusError(f"line {line_no}: missing required field {name!r}")
+            if not isinstance(obj[name], str):
+                raise CorpusError(f"line {line_no}: {name} must be a string")
+        rows.append(tuple(obj[name] for name in names))
+    return rows
+
+
+def load_corpus(path: str | Path, kind: str = "gec", strict: bool = False) -> Corpus:
+    """Load and validate a JSON-lines corpus file.
+
+    Unknown fields are rejected when ``strict`` is true, otherwise ignored
+    with a warning.  Raises CorpusError with the offending line number on
+    malformed JSON, schema violations, duplicate ids, or edit lists that do
+    not rebuild their targets.
+    """
+    if kind not in CORPUS_KINDS:
+        raise CorpusError(f"unknown corpus kind {kind!r}")
+    records = []
+    seen = set()
+    for line_no, obj in json_objects(path):
         rec = _parse_record(obj, line_no, strict)
         if rec.id in seen:
             raise CorpusError(f"line {line_no}: duplicate id {rec.id!r}")

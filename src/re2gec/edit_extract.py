@@ -9,6 +9,10 @@ characters the gap shares on both sides (this keeps unchanged separators out
 of edit spans in whitespace mode).  Each gap between consecutive matches
 therefore yields at most one Edit.
 
+LCS lengths come from one bit-parallel kernel, shared with ``scorer.rouge_l``
+(Allison & Dix, IPL 1986; Hyyrö, 2004); the traceback reads suffix LCS
+lengths off its rows over the reversed sequences by popcount.
+
 Offsets are 0-based Unicode character offsets into the source sentence, and
 ``apply_edits(source, extract_edits(source, target, cfg)) == target`` holds
 for every segmenter mode.
@@ -23,20 +27,41 @@ from .errors import EditError
 from .segmentation import SegmenterConfig, segment
 
 
+def _lcs_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
+    """``rows[i]`` has bit j clear iff LCS(a[:i], b[:j + 1]) > LCS(a[:i], b[:j]).
+
+    Hence LCS(a[:i], b[:j]) == j - popcount(rows[i] & (2**j - 1)).  The match
+    masks are keyed by symbol, so token lists work as well as strings.
+    """
+    masks: dict = {}
+    for j, symbol in enumerate(b):
+        masks[symbol] = masks.get(symbol, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    rows = [v]
+    for symbol in a:
+        m = masks.get(symbol)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    return rows
+
+
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Length of a longest common subsequence of a and b."""
+    return len(b) - _lcs_rows(a, b)[-1].bit_count()
+
+
 def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
     """Matched index pairs of one LCS, canonical under the greedy tie-break."""
     la, lb = len(a), len(b)
-    # L[i][j] = LCS length of a[i:], b[j:]
-    length = [[0] * (lb + 1) for _ in range(la + 1)]
-    for i in range(la - 1, -1, -1):
-        row, nxt = length[i], length[i + 1]
-        ai = a[i]
-        for j in range(lb - 1, -1, -1):
-            if ai == b[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                x, y = nxt[j], row[j + 1]
-                row[j] = x if x >= y else y
+    rows = _lcs_rows(a[::-1], b[::-1])
+
+    def suffix(i: int, j: int) -> int:  # LCS of a[i:], b[j:]
+        n = lb - j
+        return n - (rows[la - i] & ((1 << n) - 1)).bit_count()
+
     pairs = []
     i = j = 0
     while i < la and j < lb:
@@ -45,15 +70,15 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
             pairs.append((i, j))
             i += 1
             j += 1
-        elif length[i + 1][j] >= length[i][j + 1]:
+        elif suffix(i + 1, j) >= suffix(i, j + 1):
             i += 1
         else:
             j += 1
     return pairs
 
 
-def _match_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
-    """LCS match pairs with common prefix/suffix pinned before the DP runs."""
+def _affixes(a: Sequence[str], b: Sequence[str]) -> tuple[int, int]:
+    """Lengths of the common prefix and of the common suffix that does not overlap it."""
     la, lb = len(a), len(b)
     pre = 0
     while pre < la and pre < lb and a[pre] == b[pre]:
@@ -61,25 +86,19 @@ def _match_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
     suf = 0
     while suf < la - pre and suf < lb - pre and a[la - 1 - suf] == b[lb - 1 - suf]:
         suf += 1
+    return pre, suf
+
+
+def _match_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
+    """LCS match pairs with common prefix/suffix pinned before the kernel runs."""
+    la, lb = len(a), len(b)
+    pre, suf = _affixes(a, b)
     pairs = [(i, i) for i in range(pre)]
     mid_a, mid_b = a[pre : la - suf], b[pre : lb - suf]
     if mid_a and mid_b:
         pairs.extend((pre + i, pre + j) for i, j in _lcs_pairs(mid_a, mid_b))
     pairs.extend((la - suf + n, lb - suf + n) for n in range(suf))
     return pairs
-
-
-def _trim_gap(gap_s: str, gap_t: str) -> tuple[int, str, str]:
-    """Drop characters the gap shares on both ends; returns (prefix_len, orig, repl)."""
-    p = 0
-    limit = min(len(gap_s), len(gap_t))
-    while p < limit and gap_s[p] == gap_t[p]:
-        p += 1
-    q = 0
-    limit = min(len(gap_s), len(gap_t)) - p
-    while q < limit and gap_s[len(gap_s) - 1 - q] == gap_t[len(gap_t) - 1 - q]:
-        q += 1
-    return p, gap_s[p : len(gap_s) - q], gap_t[p : len(gap_t) - q]
 
 
 def _edits_from_alignment(
@@ -97,8 +116,9 @@ def _edits_from_alignment(
         gap_s = source[prev_s:s_start]
         gap_t = target[prev_t:t_start]
         if gap_s != gap_t:
-            p, orig, repl = _trim_gap(gap_s, gap_t)
-            edits.append(Edit(prev_s + p, orig, repl))
+            # Drop the characters the gap shares on both ends.
+            p, q = _affixes(gap_s, gap_t)
+            edits.append(Edit(prev_s + p, gap_s[p : len(gap_s) - q], gap_t[p : len(gap_t) - q]))
         prev_s, prev_t = s_end, t_end
     return edits
 

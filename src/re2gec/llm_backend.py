@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import requests
-
 from .errors import BackendError
 
 API_KEY_ENV = "RE2_API_KEY"
@@ -149,6 +147,8 @@ def _headers() -> dict:
 
 
 def _post_with_retries(url: str, payload: dict, config: BackendConfig) -> dict:
+    import requests  # here, not at the top: it costs ~100 ms of startup
+
     policy = config.retry
     last_error = None
     for attempt in range(1, policy.max_attempts + 1):

@@ -43,7 +43,7 @@ from .retriever import (
     gate_open,
     query,
 )
-from .scorer import EvalReport, score_corpus
+from .scorer import EvalReport, score_corpus, score_sentence
 
 MODE_WITH = "with_examples"
 MODE_WITHOUT = "without_examples"
@@ -353,10 +353,8 @@ def _score_items(
     records: Sequence[SentencePair], corrections: Sequence[str]
 ) -> EvalReport:
     return score_corpus(
-        [
-            (rec.source, correction, rec.targets)
-            for rec, correction in zip(records, corrections)
-        ]
+        score_sentence(rec.source, correction, rec.targets)
+        for rec, correction in zip(records, corrections)
     )
 
 

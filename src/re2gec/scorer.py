@@ -5,7 +5,8 @@ segmentation, independent of whatever segmenter the pipeline used): an edit
 counts as a true positive only when its (offset, original, replacement)
 triple appears in the reference script.  Each sentence is scored against its
 best reference (highest F0.5, ties to higher tp then lower reference index)
-and corpus numbers micro-average the tp/fp/fn counts.
+and ``score_corpus`` micro-averages the tp/fp/fn counts of those sentence
+scores, so per-sentence and corpus reports share one scoring pass.
 
 Zero-denominator conventions: a sentence with neither predicted nor gold
 edits scores P = R = F = 1; a side with an undefined ratio otherwise scores
@@ -15,9 +16,9 @@ edits scores P = R = F = 1; a side with an undefined ratio otherwise scores
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .edit_extract import char_level_edits
+from .edit_extract import char_level_edits, lcs_length
 
 
 def f_beta(precision: float, recall: float, beta: float) -> float:
@@ -58,18 +59,12 @@ def score_sentence(source: str, hypothesis: str, references: Sequence[str]) -> S
     if not references:
         raise ValueError("references must be non-empty")
     hyp = _edit_triples(source, hypothesis)
-    best = None
-    best_key = None
+    scores = []
     for idx, reference in enumerate(references):
         gold = _edit_triples(source, reference)
-        tp = len(hyp & gold)
-        fp = len(hyp - gold)
-        fn = len(gold - hyp)
-        key = (_prf(tp, fp, fn, 0.5)[2], tp)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = SentenceScore(tp=tp, fp=fp, fn=fn, chosen_reference=idx)
-    return best
+        scores.append(SentenceScore(len(hyp & gold), len(hyp - gold), len(gold - hyp), idx))
+    # max() keeps the first of equal keys, so ties go to the lower index.
+    return max(scores, key=lambda s: (_prf(s.tp, s.fp, s.fn, 0.5)[2], s.tp))
 
 
 @dataclass(frozen=True)
@@ -88,46 +83,25 @@ class EvalReport:
         return cls(tp, fp, fn, precision, recall, f_beta(precision, recall, 0.5))
 
 
-def score_corpus(items: Sequence[tuple[str, str, Sequence[str]]]) -> EvalReport:
-    """Micro-averaged report over (source, hypothesis, references) items."""
+def score_corpus(scores: Iterable[SentenceScore]) -> EvalReport:
+    """Micro-averaged report over the ``score_sentence`` results of a corpus."""
     tp = fp = fn = 0
-    for source, hypothesis, references in items:
-        s = score_sentence(source, hypothesis, references)
+    for s in scores:
         tp += s.tp
         fp += s.fp
         fn += s.fn
     return EvalReport.from_counts(tp, fp, fn)
 
 
-def _lcs_length(a: str, b: str) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for ch_a in a:
-        cur = [0]
-        append = cur.append
-        row_prev = prev
-        best = 0
-        for j, ch_b in enumerate(b):
-            if ch_a == ch_b:
-                best = row_prev[j] + 1
-            else:
-                up = row_prev[j + 1]
-                left = cur[j]
-                best = up if up >= left else left
-            append(best)
-        prev = cur
-    return prev[-1]
-
-
 def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
     """Character-level ROUGE-L (precision, recall, f1); empty sides score 0.
 
-    F1 is computed as 2*lcs/(len(candidate)+len(reference)), the exact
-    harmonic mean of the two length ratios, so desk-check values like 0.75
-    come out float-exact.
+    The LCS length comes from the bit-parallel kernel that edit extraction
+    also uses.  F1 is computed as 2*lcs/(len(candidate)+len(reference)), the
+    exact harmonic mean of the two length ratios, so desk-check values like
+    0.75 come out float-exact.
     """
-    lcs = _lcs_length(candidate, reference)
+    lcs = lcs_length(candidate, reference)
     precision = lcs / len(candidate) if candidate else 0.0
     recall = lcs / len(reference) if reference else 0.0
     f1 = 2 * lcs / (len(candidate) + len(reference)) if lcs else 0.0
@@ -198,14 +172,10 @@ def detection_metrics(
             s_fn += 1
 
         pred_pos = _edit_positions(source, hypothesis)
-        best_gold = frozenset()
-        best_overlap = -1
-        for t in targets:
-            gold_pos = _edit_positions(source, t)
-            overlap = len(pred_pos & gold_pos)
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_gold = gold_pos
+        # The first target with the largest overlap, as max() keeps the first.
+        best_gold = max(
+            (_edit_positions(source, t) for t in targets), key=lambda g: len(pred_pos & g)
+        )
         p_tp += len(pred_pos & best_gold)
         p_fp += len(pred_pos - best_gold)
         p_fn += len(best_gold - pred_pos)

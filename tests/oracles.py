@@ -142,3 +142,36 @@ def lcs_len(a, b) -> int:
             cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
         prev = cur
     return prev[-1]
+
+
+def lcs_pairs(a, b) -> list[tuple[int, int]]:
+    """Matched index pairs of one LCS by the full O(n·m) table, canonical tie-break.
+
+    The traceback matches equal heads at once and, when skipping, consumes
+    ``a`` first whenever that keeps the LCS length.
+    """
+    la, lb = len(a), len(b)
+    # L[i][j] = LCS length of a[i:], b[j:]
+    length = [[0] * (lb + 1) for _ in range(la + 1)]
+    for i in range(la - 1, -1, -1):
+        row, nxt = length[i], length[i + 1]
+        ai = a[i]
+        for j in range(lb - 1, -1, -1):
+            if ai == b[j]:
+                row[j] = nxt[j + 1] + 1
+            else:
+                x, y = nxt[j], row[j + 1]
+                row[j] = x if x >= y else y
+    pairs = []
+    i = j = 0
+    while i < la and j < lb:
+        if a[i] == b[j]:
+            # Matching equal heads is always LCS-optimal.
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif length[i + 1][j] >= length[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return pairs

@@ -28,7 +28,7 @@ from re2gec.llm_backend import BackendConfig
 from re2gec.pipeline import MODE_WITH, MODE_WITHOUT, Re2Config, build_sft_data, run_re2
 from re2gec.prompting import load_template_set, render_gee_prompt
 from re2gec.retriever import IndexConfig, build_index, pairwise_similarity, query
-from re2gec.scorer import detection_metrics, f_beta, rouge_l, score_corpus
+from re2gec.scorer import detection_metrics, f_beta, rouge_l, score_corpus, score_sentence
 from re2gec.segmentation import SegmenterConfig
 
 SET = load_template_set("default")
@@ -359,15 +359,19 @@ def test_criterion_08_end_to_end_determinism(
     report(8, failures, "repeated build-index and correct runs are byte-identical")
 
 
+def _score_items(items):
+    return score_corpus(score_sentence(*item) for item in items)
+
+
 def test_criterion_09_scorer_conventions():
     failures = []
-    perfect = score_corpus([("病句", "好句", ["好句"]), ("对的", "对的", ["对的"])])
+    perfect = _score_items([("病句", "好句", ["好句"]), ("对的", "对的", ["对的"])])
     if (perfect.precision, perfect.recall, perfect.f_half) != (1.0, 1.0, 1.0):
         failures.append(f"all-correct fixture gave {perfect}")
-    unchanged = score_corpus([("病句啊", "病句啊", ["好句呢"])])
+    unchanged = _score_items([("病句啊", "病句啊", ["好句呢"])])
     if unchanged.recall != 0.0:
         failures.append(f"unchanged hypothesis recall {unchanged.recall}")
-    hand = score_corpus(
+    hand = _score_items(
         [
             ("他昨天去了学校的", "她昨天去了学校的", ["她昨天去了学校"]),  # tp=1 fn=1
             ("abc", "abX", ["Ybc"]),                                      # fp=1 fn=1

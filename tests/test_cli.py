@@ -196,6 +196,88 @@ def test_extract_edits_file_mode(run, tmp_path):
     ]
 
 
+_GOOD_PAIR = json.dumps({"source": "AXB", "target": "AB"})
+_GOOD_HYP = json.dumps({"id": "devA", "correction": TARGET_LOW})
+
+
+@pytest.mark.parametrize(
+    "command, bad_line, message",
+    [
+        ("extract-edits", "[1, 2]", "record must be a JSON object"),
+        ("extract-edits", '{"source": 5, "target": "AB"}', "source must be a string"),
+        ("extract-edits", '{"source": "AB"}', "missing required field 'target'"),
+        ("extract-edits", '{"source": "AB", "target"', "invalid JSON"),
+        ("score", "[1]", "record must be a JSON object"),
+        ("score", '{"id": "devB"}', "missing required field 'correction'"),
+        ("score", '{"id": "devB", "correction": 5}', "correction must be a string"),
+    ],
+    ids=[
+        "pair not an object", "source not a string", "target missing", "pair bad JSON",
+        "log line not an object", "correction missing", "correction not a string",
+    ],
+)
+def test_bad_scoring_input_line_is_one_error_line(
+    run, dev_jsonl, tmp_path, command, bad_line, message
+):
+    infile = tmp_path / "in.jsonl"
+    good = _GOOD_PAIR if command == "extract-edits" else _GOOD_HYP
+    infile.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+    if command == "extract-edits":
+        code, out, err = run("extract-edits", "--in", str(infile))
+    else:
+        code, out, err = run("score", "--src", dev_jsonl, "--hyp-log", str(infile))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: line 2: {message}")
+
+
+def test_score_per_sentence_scores_each_sentence_once(run, write_corpus, tmp_path, monkeypatch):
+    import re2gec.scorer
+
+    src = write_corpus(
+        [
+            {"id": "a", "source": "他昨天去学校了的", "targets": ["他昨天去学校了"]},
+            {"id": "b", "source": "我很喜欢吃苹果苹果",
+             "targets": ["我很喜欢吃苹果", "我很喜欢吃苹果。"]},
+            {"id": "c", "source": "她看书在图书馆", "targets": ["她在图书馆看书", "她在图书馆里看书"]},
+            {"id": "d", "source": "正确的句子", "targets": ["正确的句子"]},
+        ]
+    )
+    hyp = tmp_path / "hyp.txt"
+    hyps = ["他昨天去学校了", "我很喜欢吃苹果。", "她在图书馆看书了", "正确的句子呀"]
+    hyp.write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
+    calls = []
+    original = re2gec.scorer.char_level_edits
+
+    def counting(source, target):
+        calls.append((source, target))
+        return original(source, target)
+
+    monkeypatch.setattr(re2gec.scorer, "char_level_edits", counting)
+    tsv = tmp_path / "per.tsv"
+    code, out, _ = run("score", "--src", src, "--hyp", str(hyp), "--per-sentence", str(tsv))
+    assert code == 0
+    # one extraction per hypothesis, then one per reference, sentence by sentence
+    records = [json.loads(line) for line in Path(src).read_text(encoding="utf-8").splitlines()]
+    assert calls == [
+        (rec["source"], text)
+        for rec, h in zip(records, hyps)
+        for text in [h, *rec["targets"]]
+    ]
+    # expected bytes are the output of the two-pass scorer this replaced
+    assert out == (
+        '{"tp": 3, "fp": 2, "fn": 1, "precision": 0.6, "recall": 0.75, "f0.5": 0.625}\n'
+    )
+    assert tsv.read_text(encoding="utf-8") == (
+        "index\ttp\tfp\tfn\tchosen_reference\n"
+        "0\t1\t0\t0\t0\n"
+        "1\t1\t0\t0\t1\n"
+        "2\t1\t1\t1\t0\n"
+        "3\t0\t1\t0\t0\n"
+    )
+
+
 # --- index and query ---
 
 
@@ -735,3 +817,36 @@ def test_numpy_loaded_only_by_index_queries(tmp_path):
     assert after_import is False
     assert after_extract is False
     assert after_query is True  # the probe does see numpy once a query loads it
+
+
+def test_requests_loaded_only_by_http_backends(tmp_path):
+    # requests (with urllib3 and charset_normalizer) is about half of the
+    # CLI's import time; only an HTTP backend's POST may import it.
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    (tmp_path / "src.jsonl").write_text(
+        json.dumps({"id": "a", "source": "他去了的", "targets": ["他去了"]}) + "\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "hyp.txt").write_text("他去了\n", encoding="utf-8")
+    child = (
+        "import json, sys\n"
+        "import re2gec.cli\n"
+        "seen = ['requests' in sys.modules]\n"
+        "codes = []\n"
+        "for argv in (['score', '--src', 'src.jsonl', '--hyp', 'hyp.txt'],\n"
+        "             ['rouge', '--candidate', 'ab', '--reference', 'abc'],\n"
+        "             ['extract-edits', '--source', 'ab', '--target', 'ba']):\n"
+        "    codes.append(re2gec.cli.dispatch(argv))\n"
+        "    seen.append('requests' in sys.modules)\n"
+        "print(json.dumps([codes, seen]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, seen = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert seen == [False, False, False, False]

@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lcs_len
+import re2gec.edit_extract as edit_extract
+from oracles import lcs_len, lcs_pairs
 from re2gec.corpus import Edit
-from re2gec.edit_extract import _match_pairs, apply_edits, char_level_edits, extract_edits
+from re2gec.edit_extract import (
+    _lcs_pairs,
+    _match_pairs,
+    apply_edits,
+    char_level_edits,
+    extract_edits,
+    lcs_length,
+)
 from re2gec.errors import EditError
 from re2gec.segmentation import SegmenterConfig, segment
 
@@ -132,6 +140,54 @@ def test_match_pairs_property(src_texts, tgt_texts):
     src = [t.text for t in segment(" ".join(src_texts), WS)]
     tgt = [t.text for t in segment(" ".join(tgt_texts), WS)]
     assert_lcs_pairs(src, tgt)
+
+
+# --- the bit-parallel LCS kernel against the full-table oracle ---
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two sequences over one alphabet of 1-5 symbols, as str or token lists.
+
+    Lengths reach 150, so the bit vectors span several 64-bit words, and
+    either side may be empty.
+    """
+    size = draw(st.integers(1, 5))
+    tokens = draw(st.sampled_from([list("ab的了字"), ["the", "cat", "sat", "on", "mat"]]))
+    alphabet = tokens[:size]
+    a = draw(st.lists(st.sampled_from(alphabet), max_size=150))
+    b = draw(st.lists(st.sampled_from(alphabet), max_size=150))
+    if len(tokens[0]) == 1 and draw(st.booleans()):
+        return "".join(a), "".join(b)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_lcs_kernel_matches_oracle(ab):
+    a, b = ab
+    assert _lcs_pairs(a, b) == lcs_pairs(a, b)
+    assert lcs_length(a, b) == lcs_len(a, b)
+    assert lcs_length(b, a) == lcs_len(a, b)
+
+
+def test_lcs_kernel_edge_cases():
+    for a, b in [("", ""), ("", "abc"), ("abc", ""), ([], ["x"]), ("a" * 200, "a" * 130)]:
+        assert _lcs_pairs(a, b) == lcs_pairs(a, b)
+        assert lcs_length(a, b) == lcs_len(a, b)
+    assert lcs_length("a" * 200, "a" * 130) == 130
+
+
+def test_char_level_edits_seeded_chinese_mutations_match_oracle(monkeypatch):
+    rng = random.Random(6)
+    alphabet = "我们他她的了在是学校图书馆看书昨天去，。"
+    cases = []
+    for _ in range(400):
+        source = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 90)))
+        cases.append((source, _mutate(rng, source)))
+    got = [char_level_edits(s, t) for s, t in cases]
+    monkeypatch.setattr(edit_extract, "_lcs_pairs", lcs_pairs)
+    assert got == [char_level_edits(s, t) for s, t in cases]
 
 
 # --- round-trip and minimality properties ---

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,7 +124,7 @@ def test_score_corpus_micro_average():
         ("abc", "abX", ["Ybc"]),                                      # fp=1 fn=1
         ("好句子", "好句子", ["好句子"]),                               # all zero
     ]
-    report = score_corpus(items)
+    report = score_corpus(score_sentence(*item) for item in items)
     assert (report.tp, report.fp, report.fn) == (1, 1, 2)
     assert report.precision == pytest.approx(0.5)
     assert report.recall == pytest.approx(1 / 3)
@@ -130,7 +132,7 @@ def test_score_corpus_micro_average():
 
 
 def test_score_corpus_all_clean_is_perfect():
-    report = score_corpus([("a", "a", ["a"]), ("bb", "bb", ["bb"])])
+    report = score_corpus([score_sentence("a", "a", ["a"]), score_sentence("bb", "bb", ["bb"])])
     assert report == EvalReport(0, 0, 0, 1.0, 1.0, 1.0)
 
 
@@ -174,6 +176,28 @@ def test_rouge_l_matches_oracle_and_swaps(a, b):
     rp, rr, rf1 = rouge_l(b, a)
     assert (rp, rr) == (r, p)
     assert rf1 == pytest.approx(f1)
+
+
+def test_rouge_l_seeded_chinese_mutations_match_oracle():
+    rng = random.Random(6)
+    alphabet = "我们他她的了在是学校图书馆看书昨天去，。"
+    for _ in range(400):
+        candidate = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+        chars = list(candidate)
+        for _ in range(rng.randint(0, 6)):
+            pos = rng.randint(0, len(chars))
+            if chars and rng.random() < 0.5:
+                del chars[min(pos, len(chars) - 1)]
+            else:
+                chars.insert(pos, rng.choice(alphabet))
+        reference = "".join(chars)
+        lcs = lcs_len(candidate, reference)
+        expected = (
+            lcs / len(candidate) if candidate else 0.0,
+            lcs / len(reference) if reference else 0.0,
+            2 * lcs / (len(candidate) + len(reference)) if lcs else 0.0,
+        )
+        assert rouge_l(candidate, reference) == expected, (candidate, reference)
 
 
 # --- detection ---
