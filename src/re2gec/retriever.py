@@ -16,9 +16,10 @@ for cosine rankings the gate opens when the best similarity reaches theta;
 BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 
 An index stores its documents column-major only, as numpy arrays (one
-column per n-gram, or per embedding dimension), and every ranking scores
-through one postings product over them.  numpy is imported only by index
-build, load and query, so commands that never touch an index do not load it.
+column per n-gram, or per embedding dimension), built with one sort of
+all documents' entries; every ranking scores through one postings product
+over them.  numpy is imported only by index build, load and query,
+so commands that never touch an index do not load it.
 
 ``save_index``/``load_index`` use the binary ``RE2IDX 2`` format: the magic
 line, a table of section lengths, one JSON header, and the column arrays as
@@ -36,7 +37,7 @@ import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -194,33 +195,39 @@ def _bm25_gains(
     return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
 
 
-def _to_columns(vectors: list[dict[int, float]], n_cols: int) -> Postings:
-    """Column-major form of per-document {column: weight} rows."""
+def _columns(
+    sizes: list[int], cols: np.ndarray, weights: np.ndarray, n_cols: int, normalize: bool
+) -> Postings:
+    """Column-major form of the (column, weight) entries of rows of ``sizes`` entries each.
+
+    ``normalize`` scales each row to unit L2 norm and drops zero-norm rows.  The
+    builtin ``sum`` adds each row's squares in entry order, so the norms equal a
+    per-row Python loop's to the last bit.
+    """
     import numpy as np
 
-    sizes = [len(vec) for vec in vectors]
-    n_entries = sum(sizes)
-    cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int32, count=n_entries)
-    order = np.argsort(cols, kind="stable")
+    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    if normalize:
+        squares = iter((weights * weights).tolist())
+        norms = np.repeat([math.sqrt(sum(islice(squares, n))) for n in sizes], sizes)
+        keep = norms != 0.0
+        if not keep.all():
+            rows, cols, weights, norms = rows[keep], cols[keep], weights[keep], norms[keep]
+        weights = weights / norms
+    # (column, row) keys are unique, so any sort gives the stable column order.
+    order = np.argsort(cols.astype(np.int64) * len(sizes) + rows)
     indptr = np.zeros(n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
-    del cols
-    rows = np.repeat(np.arange(len(vectors), dtype=np.int32), sizes)[order]
-    weights = np.fromiter(
-        chain.from_iterable(vec.values() for vec in vectors),
-        dtype=np.float64,
-        count=n_entries,
-    )[order]
-    return Postings(indptr, rows, weights)
+    return Postings(indptr, rows[order], weights[order])
 
 
 def ngram_counts(text: str, config: IndexConfig) -> Counter:
     """Raw n-gram counts of a text under the index's segmenter and n-gram range."""
-    tokens = [t.text for t in segment(text, config.segmenter)]
+    seg = config.segmenter
+    tokens = text if seg.mode == "character" else [t.text for t in segment(text, seg)]
     counts: Counter = Counter()
     for n in range(config.ngram_min, config.ngram_max + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[NGRAM_JOIN.join(tokens[i : i + n])] += 1
+        counts.update(map(NGRAM_JOIN.join, zip(*(tokens[k:] for k in range(n)))))
     return counts
 
 
@@ -231,8 +238,22 @@ def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
     return {col: w / norm for col, w in vec.items()}
 
 
-def _embedding_vector(values: Sequence[float]) -> dict[int, float]:
-    return _l2_normalize({i: float(v) for i, v in enumerate(values) if v != 0.0})
+def _embed(embedder: Embedder | None, texts: Sequence[str]) -> np.ndarray:
+    """The embedder's vectors of ``texts`` as a float64 matrix; every defect raises."""
+    import numpy as np
+
+    if embedder is None:
+        raise RetrievalError("embedding ranking requires an embedder")
+    vectors = embedder(texts)
+    if len(vectors) != len(texts):
+        raise RetrievalError(f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
+    if any(len(vec) != len(vectors[0]) for vec in vectors):
+        raise RetrievalError("embedder returned vectors of different lengths")
+    matrix = np.array(vectors, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if len(bad):
+        raise RetrievalError(f"embedder returned a non-finite value for text {bad[0]}")
+    return matrix
 
 
 def _field_text(rec, field_name: str) -> str:
@@ -278,70 +299,47 @@ def build_index(
     texts = [_field_text(rec, field_name) for rec in corpus]
     provenance = {"field_name": field_name, "corpus_sha256": _corpus_sha256(doc_ids, texts)}
 
+    import numpy as np
+
     if config.ranking == "embedding":
-        if embedder is None:
-            raise RetrievalError("embedding ranking requires an embedder")
-        vectors = embedder(texts)
-        if len(vectors) != len(texts):
-            raise RetrievalError(
-                f"embedder returned {len(vectors)} vectors for {len(texts)} texts"
-            )
-        dim = len(vectors[0])
-        if any(len(vec) != dim for vec in vectors):
-            raise RetrievalError("embedder returned vectors of different lengths")
-        return ExplanationIndex(
-            vocabulary={},
-            idf=[],
-            df=[],
-            columns=_to_columns([_embedding_vector(vec) for vec in vectors], dim),
-            doc_ids=doc_ids,
-            doc_lengths=[],
-            avg_doc_length=0.0,
-            config=config,
-            **provenance,
-        )
-
-    doc_counts = [ngram_counts(text, config) for text in texts]
-    doc_lengths = [sum(c.values()) for c in doc_counts]
-    avg_len = sum(doc_lengths) / len(doc_lengths)
-    df_counter: Counter = Counter()
-    for counts in doc_counts:
-        df_counter.update(counts.keys())
-    vocabulary = {gram: col for col, gram in enumerate(sorted(df_counter))}
-    n_docs = len(texts)
-    df = [0] * len(vocabulary)
-    for gram, col in vocabulary.items():
-        df[col] = df_counter[gram]
-    idf = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df]
-
-    doc_vectors = []
-    for counts in doc_counts:
+        matrix = _embed(embedder, texts)
+        mask = matrix != 0.0
+        sizes, cols, weights = mask.sum(axis=1).tolist(), mask.nonzero()[1], matrix[mask]
+        vocabulary, idf, df, doc_lengths, dim = {}, [], [], [], matrix.shape[1]
+    else:
+        # Every document's grams and counts, flattened in row and first-occurrence order.
+        doc_counts = [ngram_counts(text, config) for text in texts]
+        doc_lengths = [sum(c.values()) for c in doc_counts]
+        sizes = list(map(len, doc_counts))
+        grams = list(chain.from_iterable(doc_counts))
+        counts = chain.from_iterable(c.values() for c in doc_counts)
+        weights = np.fromiter(counts, dtype=np.float64, count=len(grams))
+        vocabulary = {gram: col for col, gram in enumerate(sorted(set(grams)))}
+        cols = np.fromiter(map(vocabulary.__getitem__, grams), dtype=np.int32, count=len(grams))
+        # A document holds each gram once, so df counts the gram's entries.  One
+        # math.log per distinct df: numpy's log need not match it to the last bit.
+        df = np.bincount(cols, minlength=len(vocabulary)).tolist()
+        idf_of = {d: math.log((1 + len(texts)) / (1 + d)) + 1.0 for d in set(df)}
+        idf = list(map(idf_of.__getitem__, df))
         if config.ranking == "tfidf_cosine":
-            vec = {vocabulary[g]: c * idf[vocabulary[g]] for g, c in counts.items()}
-            doc_vectors.append(_l2_normalize(vec))
-        else:
-            doc_vectors.append({vocabulary[g]: float(c) for g, c in counts.items()})
+            weights *= np.array(idf)[cols]
+        dim = len(vocabulary)
     return ExplanationIndex(
         vocabulary=vocabulary,
         idf=idf,
         df=df,
-        columns=_to_columns(doc_vectors, len(vocabulary)),
+        columns=_columns(sizes, cols, weights, dim, normalize=config.ranking != "bm25"),
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        avg_doc_length=avg_len,
+        avg_doc_length=sum(doc_lengths) / len(texts),
         config=config,
         **provenance,
     )
 
 
 def _tfidf_query_vector(index: ExplanationIndex, text: str) -> dict[int, float]:
-    counts = ngram_counts(text, index.config)
-    vec = {}
-    for gram, count in counts.items():
-        col = index.vocabulary.get(gram)
-        if col is not None:
-            vec[col] = count * index.idf[col]
-    return _l2_normalize(vec)
+    vocab, counts = index.vocabulary, ngram_counts(text, index.config)
+    return _l2_normalize({vocab[g]: c * index.idf[vocab[g]] for g, c in counts.items() if g in vocab})
 
 
 def pairwise_similarity(index: ExplanationIndex, text_a: str, text_b: str) -> float:
@@ -368,15 +366,13 @@ def _query_weights(
     if ranking == "bm25":
         counts = ngram_counts(text, index.config)
         return {index.vocabulary[g]: c for g, c in counts.items() if g in index.vocabulary}
-    if embedder is None:
-        raise RetrievalError("embedding ranking requires an embedder")
-    values = embedder([text])[0]
-    if len(values) != index.dim:
+    (vec,) = _embed(embedder, [text]).tolist()
+    if len(vec) != index.dim:
         raise RetrievalError(
-            f"embedder returned a {len(values)}-dimensional vector "
+            f"embedder returned a {len(vec)}-dimensional vector "
             f"for an index of dimension {index.dim}"
         )
-    return _embedding_vector(values)
+    return _l2_normalize({i: v for i, v in enumerate(vec) if v != 0.0})
 
 
 def _postings_scores(
@@ -528,6 +524,7 @@ def _parse_header(raw: bytes) -> dict:
     except (ValueError, KeyError, TypeError) as exc:
         raise RetrievalError(f"bad index header: {exc!r}") from None
     for name, ok in (
+        ("avg_doc_length", 0.0 <= parsed["avg_doc_length"] < math.inf),
         ("corpus_sha256", isinstance(parsed["corpus_sha256"], str)),
         ("dim", type(parsed["dim"]) is int and parsed["dim"] >= 0),
         ("doc_ids", _is_str_list(parsed["doc_ids"])),
@@ -589,19 +586,22 @@ def loads_index(data: bytes) -> ExplanationIndex:
     indptr = block("indptr", dim + 1)
     if indptr[0] != 0 or (np.diff(indptr) < 0).any():
         raise RetrievalError("index indptr is not monotone from 0")
-    rows = block("rows", int(indptr[-1]))
-    if len(rows) and (rows.min() < 0 or rows.max() >= len(doc_ids)):
-        raise RetrievalError("index has doc rows out of range")
-    df = block("df", len(vocab))
-    if len(df) and df.min() < 0:
-        raise RetrievalError("index has negative document frequencies")
+    rows, weights = block("rows", int(indptr[-1])), block("weights", int(indptr[-1]))
+    idf, df = block("idf", len(vocab)), block("df", len(vocab))
+    doc_lengths = block("doc_lengths", 0 if embedding else len(doc_ids))
+    for defect, values, lo, hi in (
+        ("doc rows out of range", rows, -1, len(doc_ids)),
+        ("non-finite weights", weights, -math.inf, math.inf),
+        ("non-finite idf values", idf, -math.inf, math.inf),
+        ("negative document frequencies", df, -1, math.inf),
+        ("negative doc lengths", doc_lengths, -1, math.inf),
+    ):
+        # A NaN fails every comparison; min and max need no temporary array.
+        if len(values) and not lo < values.min() <= values.max() < hi:
+            raise RetrievalError(f"index has {defect}")
     index = ExplanationIndex(
-        vocabulary=vocabulary,
-        idf=block("idf", len(vocab)).tolist(),
-        df=df.tolist(),
-        columns=Postings(indptr, rows, block("weights", len(rows))),
-        doc_lengths=block("doc_lengths", 0 if embedding else len(doc_ids)).tolist(),
-        **header,
+        vocabulary=vocabulary, idf=idf.tolist(), df=df.tolist(), doc_lengths=doc_lengths.tolist(),
+        columns=Postings(indptr, rows, weights), **header,
     )
     index.postings()
     return index

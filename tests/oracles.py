@@ -5,12 +5,30 @@ internals: n-grams are tuples of token texts, vectors are plain dicts keyed
 by those tuples, ranking is a full scan.  Only the segmentation module is
 reused, since token boundaries are part of the shared contract (and are
 tested on their own).
+
+The last section instead keeps earlier package code verbatim, as the
+reference that a faster rewrite must match exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
+from typing import Sequence
 
+from re2gec.corpus import Corpus
+from re2gec.errors import RetrievalError
+from re2gec.retriever import (
+    INDEX_FIELDS,
+    NGRAM_JOIN,
+    Embedder,
+    ExplanationIndex,
+    IndexConfig,
+    Postings,
+    _corpus_sha256,
+    _field_text,
+)
 from re2gec.segmentation import SegmenterConfig, segment
 
 CHAR = SegmenterConfig(mode="character")
@@ -175,3 +193,124 @@ def lcs_pairs(a, b) -> list[tuple[int, int]]:
         else:
             j += 1
     return pairs
+
+
+# --- Earlier package code, kept verbatim as the reference. ---
+# The per-document n-gram loop and dict-based index build that preceded the
+# flattened column build in re2gec.retriever.
+
+
+def _to_columns(vectors: list[dict[int, float]], n_cols: int) -> Postings:
+    """Column-major form of per-document {column: weight} rows."""
+    import numpy as np
+
+    sizes = [len(vec) for vec in vectors]
+    n_entries = sum(sizes)
+    cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int32, count=n_entries)
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+    del cols
+    rows = np.repeat(np.arange(len(vectors), dtype=np.int32), sizes)[order]
+    weights = np.fromiter(
+        chain.from_iterable(vec.values() for vec in vectors),
+        dtype=np.float64,
+        count=n_entries,
+    )[order]
+    return Postings(indptr, rows, weights)
+
+
+def ngram_counts(text: str, config: IndexConfig) -> Counter:
+    """Raw n-gram counts of a text under the index's segmenter and n-gram range."""
+    tokens = [t.text for t in segment(text, config.segmenter)]
+    counts: Counter = Counter()
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[NGRAM_JOIN.join(tokens[i : i + n])] += 1
+    return counts
+
+
+def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    if norm == 0.0:
+        return {}
+    return {col: w / norm for col, w in vec.items()}
+
+
+def _embedding_vector(values: Sequence[float]) -> dict[int, float]:
+    return _l2_normalize({i: float(v) for i, v in enumerate(values) if v != 0.0})
+
+
+def build_index(
+    corpus: Corpus,
+    field_name: str = "explanation",
+    config: IndexConfig | None = None,
+    embedder: Embedder | None = None,
+) -> ExplanationIndex:
+    """Build an index over one text field of every corpus record."""
+    if config is None:
+        config = IndexConfig()
+    if field_name not in INDEX_FIELDS:
+        raise RetrievalError(f"unknown index field {field_name!r}")
+    doc_ids = [rec.id for rec in corpus]
+    if not doc_ids:
+        raise RetrievalError("corpus is empty")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise RetrievalError("corpus has duplicate record ids")
+    texts = [_field_text(rec, field_name) for rec in corpus]
+    provenance = {"field_name": field_name, "corpus_sha256": _corpus_sha256(doc_ids, texts)}
+
+    if config.ranking == "embedding":
+        if embedder is None:
+            raise RetrievalError("embedding ranking requires an embedder")
+        vectors = embedder(texts)
+        if len(vectors) != len(texts):
+            raise RetrievalError(
+                f"embedder returned {len(vectors)} vectors for {len(texts)} texts"
+            )
+        dim = len(vectors[0])
+        if any(len(vec) != dim for vec in vectors):
+            raise RetrievalError("embedder returned vectors of different lengths")
+        return ExplanationIndex(
+            vocabulary={},
+            idf=[],
+            df=[],
+            columns=_to_columns([_embedding_vector(vec) for vec in vectors], dim),
+            doc_ids=doc_ids,
+            doc_lengths=[],
+            avg_doc_length=0.0,
+            config=config,
+            **provenance,
+        )
+
+    doc_counts = [ngram_counts(text, config) for text in texts]
+    doc_lengths = [sum(c.values()) for c in doc_counts]
+    avg_len = sum(doc_lengths) / len(doc_lengths)
+    df_counter: Counter = Counter()
+    for counts in doc_counts:
+        df_counter.update(counts.keys())
+    vocabulary = {gram: col for col, gram in enumerate(sorted(df_counter))}
+    n_docs = len(texts)
+    df = [0] * len(vocabulary)
+    for gram, col in vocabulary.items():
+        df[col] = df_counter[gram]
+    idf = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df]
+
+    doc_vectors = []
+    for counts in doc_counts:
+        if config.ranking == "tfidf_cosine":
+            vec = {vocabulary[g]: c * idf[vocabulary[g]] for g, c in counts.items()}
+            doc_vectors.append(_l2_normalize(vec))
+        else:
+            doc_vectors.append({vocabulary[g]: float(c) for g, c in counts.items()})
+    return ExplanationIndex(
+        vocabulary=vocabulary,
+        idf=idf,
+        df=df,
+        columns=_to_columns(doc_vectors, len(vocabulary)),
+        doc_ids=doc_ids,
+        doc_lengths=doc_lengths,
+        avg_doc_length=avg_len,
+        config=config,
+        **provenance,
+    )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ from re2gec.retriever import (
     query,
     save_index,
 )
+from re2gec.segmentation import SegmenterConfig
 
 CFG = IndexConfig()
 
@@ -64,6 +66,19 @@ def test_ngram_counts_matches_oracle():
         assert {tuple(k.split(NGRAM_JOIN)): v for k, v in mine.items()} == ref
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="ab \x1f\u3000主谓搭配", max_size=14),
+    st.sampled_from(["character", "whitespace"]),
+    st.integers(1, 5).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 5))),
+)
+def test_ngram_counts_equals_oracle_loop(text, mode, ngram_range):
+    # Same grams, same counts and the same insertion order, so the index
+    # build that flattens them sees the same entry order too.
+    cfg = IndexConfig(*ngram_range, segmenter=SegmenterConfig(mode=mode))
+    assert list(ngram_counts(text, cfg).items()) == list(oracles.ngram_counts(text, cfg).items())
+
+
 def test_vocabulary_is_sorted_and_indices_dense():
     index = build_index(gee_corpus(TEXTS), "explanation", CFG)
     grams = list(index.vocabulary)
@@ -91,7 +106,7 @@ def test_doc_vectors_match_oracle_and_are_unit_norm():
         mine = to_tuple_vector(index, vec)
         assert set(mine) == set(ref)
         for g, w in ref.items():
-            assert mine[g] == pytest.approx(w, abs=1e-12)
+            assert mine[g] == w
 
 
 def test_self_similarity_is_one():
@@ -323,6 +338,23 @@ def test_embedding_index_records_dimension(monkeypatch):
         build_index(gee_corpus(texts), "explanation", cfg, embedder=ragged)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_embeddings_are_rejected(bad):
+    texts = {"d0": "主谓搭配不当，动词错误", "d1": "语序不当，状语位置错误"}
+    cfg = IndexConfig(ranking="embedding")
+
+    def poisoned(batch):
+        vectors = fake_embedder(batch)
+        vectors[-1][1] = bad
+        return vectors
+
+    with pytest.raises(RetrievalError, match="non-finite value for text 1$"):
+        build_index(gee_corpus(texts), "explanation", cfg, embedder=poisoned)
+    index = build_index(gee_corpus(texts), "explanation", cfg, embedder=fake_embedder)
+    with pytest.raises(RetrievalError, match="non-finite value for text 0$"):
+        query(index, "接近第一篇", k=1, theta=0.0, embedder=poisoned)
+
+
 # --- persistence ---
 
 
@@ -421,6 +453,18 @@ def _corrupted(case: str) -> bytes:
         blocks["indptr"] = np.append(indptr, indptr[-1])
     elif case == "negative df":
         blocks["df"][0] = -1
+    elif case == "NaN weight":
+        blocks["weights"][0] = np.nan
+    elif case == "infinite idf":
+        blocks["idf"][0] = np.inf
+    elif case == "negative doc length":
+        blocks["doc_lengths"][0] = -1000
+    elif case == "NaN avg_doc_length":
+        header["avg_doc_length"] = math.nan
+    elif case == "infinite avg_doc_length":
+        header["avg_doc_length"] = math.inf
+    elif case == "negative avg_doc_length":
+        header["avg_doc_length"] = -1.0
     elif case == "unsorted vocabulary":
         vocab[0], vocab[1] = vocab[1], vocab[0]
     elif case == "duplicate vocabulary":
@@ -452,6 +496,12 @@ def test_reassembled_blob_loads():
         ("row out of range", "doc rows out of range"),
         ("column out of range", "columns but a vocabulary of"),
         ("negative df", "negative document frequencies"),
+        ("NaN weight", "non-finite weights"),
+        ("infinite idf", "non-finite idf values"),
+        ("negative doc length", "negative doc lengths"),
+        ("NaN avg_doc_length", "invalid 'avg_doc_length'"),
+        ("infinite avg_doc_length", "invalid 'avg_doc_length'"),
+        ("negative avg_doc_length", "invalid 'avg_doc_length'"),
         ("unsorted vocabulary", "vocabulary is not sorted"),
         ("duplicate vocabulary", "has duplicates"),
         ("duplicate doc ids", "duplicate doc ids"),
@@ -596,3 +646,51 @@ def test_dumps_loads_round_trip(case, ranking, dim):
     for cut in range(len(blob)):
         with pytest.raises(RetrievalError):
             loads_index(blob[:cut])
+
+
+def _float_embedder(dim: int):
+    """Deterministic vectors of inexact floats, with some zero components.
+
+    Some components are so small that their squares underflow to 0, and a
+    vector of only those has norm 0 and is dropped like an all-zero one.
+    """
+
+    def value(b: int) -> float:
+        return 0.0 if b % 4 == 0 else (b - 128) * (1e-170 if b % 3 == 0 else 1 / 3.7)
+
+    def embed(texts):
+        digests = [hashlib.sha256(t.encode("utf-8")).digest()[:dim] for t in texts]
+        return [[value(b) for b in d] for d in digests]
+
+    return embed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _retrieval_cases(),
+    st.sampled_from(RANKINGS),
+    st.sampled_from(["character", "whitespace"]),
+    st.integers(0, 12),
+)
+def test_build_index_bytes_equal_oracle_build(case, ranking, mode, dim):
+    texts, ids, _, _, _, nmin, nmax = case
+    corpus = gee_corpus(dict(zip(ids, texts)))
+    cfg = IndexConfig(nmin, nmax, ranking, segmenter=SegmenterConfig(mode=mode))
+    embedder = _float_embedder(dim)
+    got = dumps_index(build_index(corpus, "explanation", cfg, embedder))
+    assert got == dumps_index(oracles.build_index(corpus, "explanation", cfg, embedder))
+
+
+@pytest.mark.parametrize("ranking", RANKINGS)
+def test_build_index_bytes_equal_oracle_on_seeded_corpus(ranking):
+    # Documents of 40-120 characters have hundreds of entries, where any
+    # reordered or pairwise sum of the squares would change the last bits.
+    rng = random.Random(7)
+    alphabet = "主谓搭配不当动词错误语序状位置成分残缺少宾，。"
+    texts = {
+        f"d{i:03d}": "".join(rng.choices(alphabet, k=rng.randint(40, 120))) for i in range(200)
+    }
+    cfg = IndexConfig(1, 3, ranking)
+    embedder = _float_embedder(32)
+    got = dumps_index(build_index(gee_corpus(texts), "explanation", cfg, embedder))
+    assert got == dumps_index(oracles.build_index(gee_corpus(texts), "explanation", cfg, embedder))
