@@ -237,13 +237,25 @@ def _load(opts: _Options, name: str, kind: str = "gec"):
     return load_corpus(opts.require(name), kind=kind, strict=bool(opts.get("strict", False)))
 
 
+def _text_lines(path: str) -> list[str]:
+    """Lines of a plain-text file, split at \n only.
+
+    One \r ending a line is dropped, and a final newline adds no line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
 def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
     """(source, hypothesis, targets) per --src record; hypotheses from --hyp or --hyp-log."""
     src = _load(opts, "src")
     if opts.get("hyp_log") is not None:
         hyps = [row[0] for row in string_fields(opts.get("hyp_log"), ("correction",))]
     else:
-        hyps = Path(opts.require("hyp")).read_text(encoding="utf-8").splitlines()
+        hyps = _text_lines(opts.require("hyp"))
     if len(hyps) != len(src):
         raise Re2Error(f"{len(src)} sources but {len(hyps)} hypotheses")
     return [(rec.source, hyp, rec.targets) for rec, hyp in zip(src, hyps)]
@@ -379,8 +391,8 @@ def cmd_rouge(opts: _Options) -> int:
         p, r, f1 = rouge_l(opts.require("candidate"), opts.require("reference"))
         _emit(opts, json.dumps({"precision": p, "recall": r, "f1": f1}))
         return 0
-    cands = Path(opts.require("cand_file")).read_text(encoding="utf-8").splitlines()
-    refs = Path(opts.require("ref_file")).read_text(encoding="utf-8").splitlines()
+    cands = _text_lines(opts.require("cand_file"))
+    refs = _text_lines(opts.require("ref_file"))
     if len(cands) != len(refs):
         raise Re2Error(f"{len(cands)} candidates but {len(refs)} references")
     if not cands:

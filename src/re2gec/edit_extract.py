@@ -1,13 +1,21 @@
 """Minimal edit scripts between a source sentence and a corrected target.
 
-Alignment runs over segmenter tokens: longest-common-subsequence with a
-canonical tie-break (always match equal tokens at the earliest positions;
-when skipping, consume the source side first), so the same input always
-yields the same script.  Matched tokens anchor the alignment; the character
-gaps between consecutive matched tokens become edits, after trimming any
-characters the gap shares on both sides (this keeps unchanged separators out
-of edit spans in whitespace mode).  Each gap between consecutive matches
-therefore yields at most one Edit.
+Alignment is a longest common subsequence with a canonical tie-break
+(always match equal symbols at the earliest positions; when skipping,
+consume the source side first), so the same input always yields the same
+script.  The common prefix and suffix are pinned before the LCS runs.
+
+Character mode (``char_level_edits``, and ``extract_edits`` under a
+character segmenter) emits edits straight from the traceback: each gap
+between consecutive matched characters is one edit as it stands.  No gap
+needs trimming there, since a gap whose two sides began or ended with the
+same character would leave a longer common subsequence.
+
+Whitespace and external modes align segmenter tokens.  Matched tokens anchor
+the alignment, and the character gaps between consecutive anchors become
+edits after trimming the characters the gap shares on both sides (this keeps
+unchanged separators out of edit spans).  In every mode each gap between
+consecutive matches yields at most one Edit.
 
 LCS lengths come from one bit-parallel kernel, shared with ``scorer.rouge_l``
 (Allison & Dix, IPL 1986; Hyyrö, 2004); the traceback reads suffix LCS
@@ -129,6 +137,8 @@ def extract_edits(source: str, target: str, config: SegmenterConfig) -> list[Edi
     Returns edits sorted ascending by offset with pairwise non-overlapping
     source spans; empty iff source == target.
     """
+    if config.mode == "character":
+        return char_level_edits(source, target)
     if source == target:
         return []
     source_tokens = segment(source, config)
@@ -146,13 +156,24 @@ def extract_edits(source: str, target: str, config: SegmenterConfig) -> list[Edi
 
 
 def char_level_edits(source: str, target: str) -> list[Edit]:
-    """Edit script under forced character segmentation, whatever config a caller uses elsewhere."""
+    """Edit script under forced character segmentation, whatever config a caller uses elsewhere.
+
+    One edit per gap between consecutive LCS matches of the text between the
+    common prefix and suffix, untrimmed (see the module docstring).
+    """
     if source == target:
         return []
-    spans_s = [(i, i + 1) for i in range(len(source))]
-    spans_t = [(i, i + 1) for i in range(len(target))]
-    pairs = _match_pairs(source, target)
-    return _edits_from_alignment(source, target, pairs, spans_s, spans_t)
+    pre, suf = _affixes(source, target)
+    a, b = source[pre : len(source) - suf], target[pre : len(target) - suf]
+    edits = []
+    i = j = 0
+    for mi, mj in _lcs_pairs(a, b) if a and b else ():
+        if mi != i or mj != j:
+            edits.append(Edit(pre + i, a[i:mi], b[j:mj]))
+        i, j = mi + 1, mj + 1
+    if i < len(a) or j < len(b):
+        edits.append(Edit(pre + i, a[i:], b[j:]))
+    return edits
 
 
 def apply_edits(source: str, edits: Sequence[Edit]) -> str:

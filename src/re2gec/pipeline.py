@@ -43,7 +43,7 @@ from .retriever import (
     gate_open,
     query,
 )
-from .scorer import EvalReport, score_corpus, score_sentence
+from .scorer import EvalReport, edit_triples, score_corpus, score_triples
 
 MODE_WITH = "with_examples"
 MODE_WITHOUT = "without_examples"
@@ -349,12 +349,19 @@ def _corrections(
     )
 
 
+def _gold_triples(records: Sequence[SentencePair]) -> list[list[frozenset]]:
+    """Each record's reference edit sets, extracted once for every scoring pass."""
+    return [[edit_triples(rec.source, t) for t in rec.targets] for rec in records]
+
+
 def _score_items(
-    records: Sequence[SentencePair], corrections: Sequence[str]
+    records: Sequence[SentencePair],
+    gold: Sequence[Sequence[frozenset]],
+    corrections: Sequence[str],
 ) -> EvalReport:
     return score_corpus(
-        score_sentence(rec.source, correction, rec.targets)
-        for rec, correction in zip(records, corrections)
+        score_triples(edit_triples(rec.source, correction), references)
+        for rec, references, correction in zip(records, gold, corrections)
     )
 
 
@@ -389,6 +396,7 @@ def sweep_threshold(
     prepared = map_ordered(prepare, records, jobs)
     completer = _cached_completer(config)
     ranking = index.config.ranking
+    gold = _gold_triples(records)
     rows = []
     for theta in thetas:
         gated = [
@@ -396,7 +404,7 @@ def sweep_threshold(
             for rec, explanation, hits in prepared
         ]
         corrections = _corrections(gated, train, config, template_set, completer, jobs)
-        report = _score_items(records, corrections)
+        report = _score_items(records, gold, corrections)
         rows.append(
             {
                 "theta": theta,
@@ -440,6 +448,7 @@ def compare_retrievers(
             vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
     looked_up = lambda texts: [vectors[text] for text in texts]
     completer = _cached_completer(config)
+    gold = _gold_triples(records)
 
     rows = []
     for ranking in rankings:
@@ -468,7 +477,7 @@ def compare_retrievers(
             list(zip(records, explanations, results)),
             train, config, template_set, completer, jobs,
         )
-        report = _score_items(records, corrections)
+        report = _score_items(records, gold, corrections)
         rows.append(
             {
                 "ranking": ranking,

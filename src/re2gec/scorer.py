@@ -4,9 +4,11 @@ Correction quality compares character-level edit scripts (always character
 segmentation, independent of whatever segmenter the pipeline used): an edit
 counts as a true positive only when its (offset, original, replacement)
 triple appears in the reference script.  Each sentence is scored against its
-best reference (highest F0.5, ties to higher tp then lower reference index)
-and ``score_corpus`` micro-averages the tp/fp/fn counts of those sentence
-scores, so per-sentence and corpus reports share one scoring pass.
+best reference (highest F0.5, ties to higher tp then lower reference index).
+``score_sentence`` extracts the edit sets and hands them to ``score_triples``,
+which callers that score one set of references many times use directly.
+``score_corpus`` micro-averages the tp/fp/fn counts of those sentence scores,
+so per-sentence and corpus reports share one scoring pass.
 
 Zero-denominator conventions: a sentence with neither predicted nor gold
 edits scores P = R = F = 1; a side with an undefined ratio otherwise scores
@@ -40,7 +42,8 @@ def _prf(tp: int, fp: int, fn: int, beta: float) -> tuple[float, float, float]:
     return p, r, f_beta(p, r, beta)
 
 
-def _edit_triples(source: str, text: str) -> frozenset[tuple[int, str, str]]:
+def edit_triples(source: str, text: str) -> frozenset[tuple[int, str, str]]:
+    """(offset, original, replacement) of each character-level edit from source to text."""
     return frozenset(
         (e.offset, e.original, e.replacement) for e in char_level_edits(source, text)
     )
@@ -54,17 +57,25 @@ class SentenceScore:
     chosen_reference: int  # 0-based index of the best-scoring reference
 
 
-def score_sentence(source: str, hypothesis: str, references: Sequence[str]) -> SentenceScore:
-    """Score one hypothesis against its best reference by exact edit-triple overlap."""
+def score_triples(
+    hypothesis: frozenset[tuple[int, str, str]],
+    references: Sequence[frozenset[tuple[int, str, str]]],
+) -> SentenceScore:
+    """Score ``edit_triples`` of a hypothesis against those of each reference; keep the best."""
     if not references:
         raise ValueError("references must be non-empty")
-    hyp = _edit_triples(source, hypothesis)
-    scores = []
-    for idx, reference in enumerate(references):
-        gold = _edit_triples(source, reference)
-        scores.append(SentenceScore(len(hyp & gold), len(hyp - gold), len(gold - hyp), idx))
+    scores = [
+        SentenceScore(len(hypothesis & gold), len(hypothesis - gold), len(gold - hypothesis), idx)
+        for idx, gold in enumerate(references)
+    ]
     # max() keeps the first of equal keys, so ties go to the lower index.
     return max(scores, key=lambda s: (_prf(s.tp, s.fp, s.fn, 0.5)[2], s.tp))
+
+
+def score_sentence(source: str, hypothesis: str, references: Sequence[str]) -> SentenceScore:
+    """Score one hypothesis against its best reference by exact edit-triple overlap."""
+    hyp = edit_triples(source, hypothesis)
+    return score_triples(hyp, [edit_triples(source, reference) for reference in references])
 
 
 @dataclass(frozen=True)

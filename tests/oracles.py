@@ -6,7 +6,7 @@ by those tuples, ranking is a full scan.  Only the segmentation module is
 reused, since token boundaries are part of the shared contract (and are
 tested on their own).
 
-The last section instead keeps earlier package code verbatim, as the
+The last sections instead keep earlier package code verbatim, as the
 reference that a faster rewrite must match exactly.
 """
 
@@ -17,7 +17,7 @@ from collections import Counter
 from itertools import chain
 from typing import Sequence
 
-from re2gec.corpus import Corpus
+from re2gec.corpus import Corpus, Edit
 from re2gec.errors import RetrievalError
 from re2gec.retriever import (
     INDEX_FIELDS,
@@ -314,3 +314,89 @@ def build_index(
         config=config,
         **provenance,
     )
+
+
+# The edit extraction that preceded the direct character-mode path in
+# re2gec.edit_extract: every mode anchored on matched tokens and trimmed the
+# gaps between them.  The O(n·m) ``lcs_pairs`` above stands in for the
+# kernel it called, so this route shares no LCS code with the package.
+
+_lcs_pairs = lcs_pairs
+
+
+def _affixes(a: Sequence[str], b: Sequence[str]) -> tuple[int, int]:
+    """Lengths of the common prefix and of the common suffix that does not overlap it."""
+    la, lb = len(a), len(b)
+    pre = 0
+    while pre < la and pre < lb and a[pre] == b[pre]:
+        pre += 1
+    suf = 0
+    while suf < la - pre and suf < lb - pre and a[la - 1 - suf] == b[lb - 1 - suf]:
+        suf += 1
+    return pre, suf
+
+
+def _match_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
+    """LCS match pairs with common prefix/suffix pinned before the kernel runs."""
+    la, lb = len(a), len(b)
+    pre, suf = _affixes(a, b)
+    pairs = [(i, i) for i in range(pre)]
+    mid_a, mid_b = a[pre : la - suf], b[pre : lb - suf]
+    if mid_a and mid_b:
+        pairs.extend((pre + i, pre + j) for i, j in _lcs_pairs(mid_a, mid_b))
+    pairs.extend((la - suf + n, lb - suf + n) for n in range(suf))
+    return pairs
+
+
+def _edits_from_alignment(
+    source: str,
+    target: str,
+    pairs: list[tuple[int, int]],
+    s_spans: Sequence[tuple[int, int]],
+    t_spans: Sequence[tuple[int, int]],
+) -> list[Edit]:
+    edits = []
+    prev_s = prev_t = 0
+    anchors = [(s_spans[i], t_spans[j]) for i, j in pairs]
+    anchors.append(((len(source), len(source)), (len(target), len(target))))
+    for (s_start, s_end), (t_start, t_end) in anchors:
+        gap_s = source[prev_s:s_start]
+        gap_t = target[prev_t:t_start]
+        if gap_s != gap_t:
+            # Drop the characters the gap shares on both ends.
+            p, q = _affixes(gap_s, gap_t)
+            edits.append(Edit(prev_s + p, gap_s[p : len(gap_s) - q], gap_t[p : len(gap_t) - q]))
+        prev_s, prev_t = s_end, t_end
+    return edits
+
+
+def extract_edits(source: str, target: str, config: SegmenterConfig) -> list[Edit]:
+    """Extract the canonical minimal edit script turning source into target.
+
+    Returns edits sorted ascending by offset with pairwise non-overlapping
+    source spans; empty iff source == target.
+    """
+    if source == target:
+        return []
+    source_tokens = segment(source, config)
+    target_tokens = segment(target, config)
+    pairs = _match_pairs(
+        [t.text for t in source_tokens], [t.text for t in target_tokens]
+    )
+    return _edits_from_alignment(
+        source,
+        target,
+        pairs,
+        [(t.start, t.end) for t in source_tokens],
+        [(t.start, t.end) for t in target_tokens],
+    )
+
+
+def char_level_edits(source: str, target: str) -> list[Edit]:
+    """Edit script under forced character segmentation, whatever config a caller uses elsewhere."""
+    if source == target:
+        return []
+    spans_s = [(i, i + 1) for i in range(len(source))]
+    spans_t = [(i, i + 1) for i in range(len(target))]
+    pairs = _match_pairs(source, target)
+    return _edits_from_alignment(source, target, pairs, spans_s, spans_t)

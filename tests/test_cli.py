@@ -24,6 +24,7 @@ from re2gec.corpus import SentencePair
 from re2gec.prompting import load_template_set, render_gec_prompt, render_gee_prompt
 from re2gec.retriever import load_index
 from re2gec.retriever import query as lib_query
+from re2gec.scorer import detection_metrics, rouge_l, score_corpus, score_sentence
 
 SET = load_template_set("default")
 
@@ -479,6 +480,64 @@ def test_detect_output_shape(run, dev_jsonl, tmp_path):
     report = json.loads(out)
     assert report["sentence_level"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
     assert report["position_level"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+
+# str.splitlines() would also break at these; in a plain-text line file they
+# are part of the sentence.  A lone \r is too: only \n ends a line.
+LINE_BREAK_LOOKALIKES = {"u2028": "\u2028", "u0085": "\x85", "formfeed": "\x0c", "lone_cr": "\r"}
+
+
+@pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES.values(), ids=LINE_BREAK_LOOKALIKES.keys())
+def test_plain_text_line_files_split_at_newline_only(run, dev_jsonl, tmp_path, char):
+    odd = TARGET_LOW[:2] + char + TARGET_LOW[2:]
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(f"{odd}\n{TARGET_HIGH}\n", encoding="utf-8", newline="")
+    items = [(INPUT_LOW, odd, [TARGET_LOW]), (INPUT_HIGH, TARGET_HIGH, [TARGET_HIGH])]
+
+    code, out, err = run("score", "--src", dev_jsonl, "--hyp", str(hyp))
+    assert code == 0, err
+    report = score_corpus(score_sentence(*item) for item in items)
+    assert json.loads(out) == {
+        "tp": report.tp, "fp": report.fp, "fn": report.fn,
+        "precision": report.precision, "recall": report.recall, "f0.5": report.f_half,
+    }
+    assert report.fp == 1
+
+    code, out, err = run("detect", "--src", dev_jsonl, "--hyp", str(hyp))
+    assert code == 0, err
+    assert json.loads(out) == detection_metrics(items).to_dict()
+
+    cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    cand.write_text(f"{odd}\n同一句\n", encoding="utf-8", newline="")
+    ref.write_text(f"{TARGET_LOW}\n同一句\n", encoding="utf-8", newline="")
+    code, out, err = run("rouge", "--cand-file", str(cand), "--ref-file", str(ref))
+    assert code == 0, err
+    pairs = json.loads(out)["pairs"]
+    assert [tuple(p.values()) for p in pairs] == [rouge_l(odd, TARGET_LOW), (1.0, 1.0, 1.0)]
+
+
+def test_crlf_line_files_read_as_lf(run, dev_jsonl, tmp_path):
+    def write(name, lines, eol):
+        path = tmp_path / f"{name}-{len(eol)}.txt"
+        path.write_text("".join(line + eol for line in lines), encoding="utf-8", newline="")
+        return str(path)
+
+    outputs = []
+    for eol in ("\n", "\r\n"):
+        hyp = write("hyp", [TARGET_LOW, INPUT_HIGH], eol)
+        cand = write("cand", ["ace", "同一句", ""], eol)
+        ref = write("ref", ["abcde", "同一句", "空"], eol)
+        outputs.append(
+            [
+                run("score", "--src", dev_jsonl, "--hyp", hyp),
+                run("detect", "--src", dev_jsonl, "--hyp", hyp),
+                run("rouge", "--cand-file", cand, "--ref-file", ref),
+            ]
+        )
+    lf, crlf = outputs
+    assert crlf == lf
+    assert [code for code, _, _ in lf] == [0, 0, 0]
+    assert len(json.loads(lf[2][1])["pairs"]) == 3
 
 
 # --- data construction and studies ---

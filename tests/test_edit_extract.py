@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import re2gec.edit_extract as edit_extract
 from oracles import lcs_len, lcs_pairs
 from re2gec.corpus import Edit
@@ -188,6 +189,63 @@ def test_char_level_edits_seeded_chinese_mutations_match_oracle(monkeypatch):
     got = [char_level_edits(s, t) for s, t in cases]
     monkeypatch.setattr(edit_extract, "_lcs_pairs", lcs_pairs)
     assert got == [char_level_edits(s, t) for s, t in cases]
+
+
+@st.composite
+def char_pairs(draw):
+    """A (source, target) pair over 1-5 symbols drawn from ASCII, CJK, a space and U+3000.
+
+    Lengths reach 150, past one 64-bit word, and either side may be empty.
+    The target is drawn on its own, equal to the source, or a few edits away.
+    """
+    pool = st.sampled_from("ab的了字 \u3000")
+    alphabet = draw(st.lists(pool, min_size=1, max_size=5, unique=True))
+    text = st.text(st.sampled_from(alphabet), max_size=150)
+    source = draw(text)
+    how = draw(st.sampled_from(("free", "equal", "edited")))
+    if how == "free":
+        return source, draw(text)
+    target = source
+    if how == "edited":
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(target)))
+            j = draw(st.integers(i, min(len(target), i + 3)))
+            piece = draw(st.text(st.sampled_from(alphabet), max_size=3))
+            target = target[:i] + piece + target[j:]
+    return source, target
+
+
+def assert_matches_oracle_route(source, target):
+    want = oracles.char_level_edits(source, target)
+    assert char_level_edits(source, target) == want
+    assert extract_edits(source, target, SegmenterConfig()) == want
+    assert extract_edits(source, target, WS) == oracles.extract_edits(source, target, WS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(char_pairs())
+def test_char_level_edits_equal_oracle_route(pair):
+    assert_matches_oracle_route(*pair)
+
+
+def test_char_level_edits_edge_cases_equal_oracle_route():
+    cases = [
+        ("", ""), ("", "的了"), ("的了", ""), ("abc", "abc"), ("a", "aaa"), ("aaa", "a"),
+        ("a" * 100, "a" * 70), ("ab" * 40, "ba" * 40), ("的 \u3000" * 30, "的\u3000 " * 30),
+        ("x" + "的" * 80 + "y", "的" * 80), ("的" * 80, "z" + "的" * 80 + "z"),
+    ]
+    for source, target in cases:
+        assert_matches_oracle_route(source, target)
+
+
+def test_character_mode_takes_no_gap_trimming(monkeypatch):
+    def trimming(*args):
+        raise AssertionError("character mode must not anchor and trim gaps")
+
+    monkeypatch.setattr(edit_extract, "_edits_from_alignment", trimming)
+    want = [[1, "打饭", ""], [6, "", "打饭"]]
+    assert triples(char_level_edits("他打饭在食堂", "他在食堂打饭")) == want
+    assert triples(extract_edits("他打饭在食堂", "他在食堂打饭", CHAR)) == want
 
 
 # --- round-trip and minimality properties ---

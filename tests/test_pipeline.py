@@ -327,6 +327,32 @@ def test_sweep_threshold_caches_completions(
     assert len(calls) == 6
 
 
+def _count_edit_extractions(monkeypatch) -> list:
+    import re2gec.scorer
+
+    real = re2gec.scorer.char_level_edits
+    calls = []
+
+    def counting(source, target):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(re2gec.scorer, "char_level_edits", counting)
+    return calls
+
+
+def test_sweep_threshold_extracts_gold_edits_once(
+    dev_corpus, gee_index, mini_gee_corpus, sweep_config, monkeypatch
+):
+    calls = _count_edit_extractions(monkeypatch)
+    thetas = [0.0, 0.6, 1.0]
+    sweep_threshold(dev_corpus, thetas, sweep_config, gee_index, mini_gee_corpus)
+    n_refs = sum(len(rec.targets) for rec in dev_corpus)
+    # each reference once, then each theta's hypotheses
+    assert len(calls) == n_refs + len(thetas) * len(dev_corpus)
+    assert calls[:n_refs] == [(rec.source, t) for rec in dev_corpus for t in rec.targets]
+
+
 def test_sweep_threshold_validates_thetas(dev_corpus, gee_index, mini_gee_corpus, sweep_config):
     with pytest.raises(ValueError, match="theta"):
         sweep_threshold(dev_corpus, [0.5, 1.01], sweep_config, gee_index, mini_gee_corpus)
@@ -346,6 +372,16 @@ def test_compare_retrievers_rows(dev_corpus, mini_gee_corpus, sweep_config):
         assert 0.0 <= row["f_half"] <= 1.0
     # tfidf keeps the 0.6 gate: only the high query gets examples
     assert rows[0]["recall"] == pytest.approx(0.5)
+
+
+def test_compare_retrievers_extracts_gold_edits_once(
+    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+):
+    calls = _count_edit_extractions(monkeypatch)
+    rankings = ["tfidf_cosine", "bm25"]
+    compare_retrievers(dev_corpus, rankings, sweep_config, mini_gee_corpus)
+    n_refs = sum(len(rec.targets) for rec in dev_corpus)
+    assert len(calls) == n_refs + len(rankings) * len(dev_corpus)
 
 
 def test_compare_retrievers_embedding_needs_backend(dev_corpus, mini_gee_corpus, sweep_config):
