@@ -36,7 +36,6 @@ from .llm_backend import (
     complete,
     embed,
     prompt_key,
-    script_from_pairs,
 )
 from .pipeline import (
     CorrectionOutcome,

@@ -459,9 +459,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, out_help: str) -> None:
     sub.add_argument("--config", help="JSON config manifest; flags override its values")
-    sub.add_argument("--out", help="output path (default: stdout)")
+    sub.add_argument("--out", help=out_help)
     sub.add_argument("--seed", type=int, help="random seed (default: 0)")
     sub.add_argument("--jobs", type=_positive_int,
                      help="threads, each running one input at a time (default: 1)")
@@ -525,10 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(
+        name: str, handler, help_text: str, out_help: str = "output path (default: stdout)"
+    ) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler, parser=sub)
-        _add_common(sub)
+        _add_common(sub, out_help)
         return sub
 
     sub = add("extract-edits", cmd_extract_edits, "extract edit scripts from sentence pairs")
@@ -537,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--in", dest="infile", help="JSON-lines file of {source, target} pairs")
     _add_segmenter(sub)
 
-    sub = add("build-index", cmd_build_index, "build a similarity index from a corpus")
+    sub = add("build-index", cmd_build_index, "build a similarity index from a corpus",
+              out_help="index file to write (required)")
     sub.add_argument("--in", dest="infile", help="corpus JSON-lines file")
     sub.add_argument("--kind", choices=("gec", "gee", "detection"), help="corpus kind")
     sub.add_argument("--field", choices=("explanation", "source"),

@@ -92,15 +92,6 @@ def prompt_key(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def script_from_pairs(pairs: dict[str, str], fallback: str = "echo_last_line") -> dict:
-    """Build a mock script dict from literal prompt -> response pairs."""
-    if fallback not in FALLBACK_MODES:
-        raise ValueError(f"unknown fallback mode {fallback!r}")
-    script = {prompt_key(prompt): response for prompt, response in pairs.items()}
-    script[FALLBACK_KEY] = fallback
-    return script
-
-
 _script_cache: dict[tuple[str, float], dict] = {}
 _script_lock = threading.Lock()
 

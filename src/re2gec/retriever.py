@@ -231,6 +231,115 @@ def ngram_counts(text: str, config: IndexConfig) -> Counter:
     return counts
 
 
+def _token_ids(
+    texts: Sequence[str], seg: SegmenterConfig
+) -> tuple[str, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Every document's tokens in one string, ranked among the distinct tokens.
+
+    Returns all tokens joined by ``NGRAM_JOIN``, where tokens ``p .. p+n-1``
+    join to ``joined[bounds[p] : bounds[p + n] - 1]``; the bounds (int64,
+    one more than the tokens); each token's rank (int32); the number of
+    distinct tokens; and the tokens per document.  ``retriever.segment``
+    makes the tokens of the other modes.
+    """
+    import numpy as np
+
+    if seg.mode == "character":
+        codes = np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
+        seen = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
+        seen[codes] = True
+        rank_of = np.cumsum(seen, dtype=np.int32) - 1  # code point -> rank, for those seen
+        spaced = np.full(max(2 * len(codes) - 1, 0), ord(NGRAM_JOIN), dtype=np.uint32)
+        spaced[::2] = codes
+        joined, bounds = spaced.tobytes().decode("utf-32-le"), np.arange(0, 2 * len(codes) + 1, 2)
+        return joined, bounds, rank_of[codes], int(seen.sum()), np.array(list(map(len, texts)))
+    docs = [[t.text for t in segment(text, seg)] for text in texts]
+    tokens = list(chain.from_iterable(docs))
+    bounds = np.zeros(len(tokens) + 1, dtype=np.int64)
+    np.cumsum([len(t) + 1 for t in tokens], out=bounds[1:])
+    distinct = sorted(set(tokens))
+    rank = dict(zip(distinct, range(len(distinct))))
+    ranks = np.fromiter(map(rank.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    return NGRAM_JOIN.join(tokens), bounds, ranks, len(distinct), np.array(list(map(len, docs)))
+
+
+def _gram_slots(
+    texts: Sequence[str], config: IndexConfig
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every length-n window's gram id, for n in the index's range, and each gram's string.
+
+    The id of a length-n window is its rank among the distinct (id of its
+    (n-1)-prefix, last token) pairs, so each length's ids follow the order of
+    the token tuples.  Only the distinct grams become ``NGRAM_JOIN``-joined
+    strings, one length after another.  The window slots run document by
+    document, each document's windows by length, then position: the order
+    in which ``ngram_counts`` meets them.
+
+    Returns the strings, each slot's index into them (int32) and the windows
+    per document.
+    """
+    import numpy as np
+
+    joined, bounds, tokens, n_tokens, lengths = _token_ids(texts, config.segmenter)
+    nmin, nmax = config.ngram_min, config.ngram_max
+    # windows[d, n - nmin]: document d's length-n windows; their slots start at starts[d, n - nmin].
+    windows = np.maximum(lengths[:, None] - np.arange(nmin - 1, nmax), 0)
+    starts = (np.cumsum(windows) - windows.ravel()).reshape(windows.shape)
+    doc_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
+    offset = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rest = np.repeat(lengths, lengths) - offset  # tokens from each position to its document's end
+    ids, slot_grams, strings = tokens.copy(), np.empty(windows.sum(), dtype=np.int32), []
+    for n in range(1, nmax + 1):
+        pos = np.flatnonzero(rest >= n)
+        n_grams = n_tokens
+        if n > 1:
+            pairs = ids[pos].astype(np.int64) * n_tokens + tokens[pos + n - 1]
+            distinct, inverse = np.unique(pairs, return_inverse=True)
+            ids[pos], n_grams = inverse, len(distinct)
+        if n >= nmin:
+            grams = ids[pos]
+            slot_grams[starts[doc_of[pos], n - nmin] + offset[pos]] = grams + len(strings)
+            at = np.empty(n_grams, dtype=np.int64)
+            at[grams] = pos  # any one occurrence of each gram
+            ends = (bounds[at + n] - 1).tolist()
+            strings += [joined[lo:hi] for lo, hi in zip(bounds[at].tolist(), ends)]
+    return strings, slot_grams, windows.sum(axis=1)
+
+
+def _ngram_entries(
+    texts: Sequence[str], config: IndexConfig
+) -> tuple[dict[str, int], list[int], np.ndarray, np.ndarray, list[int]]:
+    """The vocabulary and every document's (column, count) entries, in ``ngram_counts`` order.
+
+    One ``sorted`` of the distinct gram strings gives the column order;
+    equal strings of different lengths share a column.  One sort of
+    (column, slot) keys then finds the first slot and the count of each
+    (document, column).
+
+    Returns the vocabulary, the entries per document, the entry columns
+    (int32) and counts (float64), and the windows per document.
+    """
+    import numpy as np
+
+    strings, slot_grams, doc_lengths = _gram_slots(texts, config)
+    vocab = sorted(strings)
+    vocabulary = dict(zip(vocab, range(len(vocab))))
+    if len(vocabulary) < len(vocab):
+        vocabulary = dict(zip(vocabulary, range(len(vocabulary))))
+    column_of = np.fromiter(map(vocabulary.__getitem__, strings), np.int32, len(strings))
+    cols = column_of[slot_grams]
+    slot_docs = np.repeat(np.arange(len(texts), dtype=np.int32), doc_lengths)
+    # Sorted unique (column, slot) keys put each (column, document) run in slot order.
+    n = len(cols)
+    key_cols, slots = np.divmod(np.sort(cols.astype(np.int64) * n + np.arange(n)), max(n, 1))
+    runs = np.flatnonzero(np.diff(key_cols, prepend=-1) | np.diff(slot_docs[slots], prepend=-1))
+    counts = np.zeros(n)
+    counts[slots[runs]] = np.diff(runs, append=n)
+    first = counts != 0.0
+    sizes = np.bincount(slot_docs[first], minlength=len(texts)).tolist()
+    return vocabulary, sizes, cols[first], counts[first], doc_lengths.tolist()
+
+
 def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
     norm = math.sqrt(sum(w * w for w in vec.values()))
     if norm == 0.0:
@@ -261,6 +370,18 @@ def _field_text(rec, field_name: str) -> str:
     if not value:
         raise RetrievalError(f"record {rec.id}: missing {field_name}")
     return value
+
+
+def _check_encodable(doc_ids: Sequence[str], texts: Sequence[str], field_name: str) -> None:
+    """Reject the first record whose id or text holds a lone surrogate: index files are UTF-8."""
+    for doc_id, text in zip(doc_ids, texts):
+        for what, value in (("id", doc_id), (field_name, text)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise RetrievalError(
+                    f"record {doc_id!r}: the {what} has a lone surrogate, which UTF-8 cannot encode"
+                ) from None
 
 
 def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
@@ -297,6 +418,7 @@ def build_index(
     if len(set(doc_ids)) != len(doc_ids):
         raise RetrievalError("corpus has duplicate record ids")
     texts = [_field_text(rec, field_name) for rec in corpus]
+    _check_encodable(doc_ids, texts, field_name)
     provenance = {"field_name": field_name, "corpus_sha256": _corpus_sha256(doc_ids, texts)}
 
     import numpy as np
@@ -307,15 +429,7 @@ def build_index(
         sizes, cols, weights = mask.sum(axis=1).tolist(), mask.nonzero()[1], matrix[mask]
         vocabulary, idf, df, doc_lengths, dim = {}, [], [], [], matrix.shape[1]
     else:
-        # Every document's grams and counts, flattened in row and first-occurrence order.
-        doc_counts = [ngram_counts(text, config) for text in texts]
-        doc_lengths = [sum(c.values()) for c in doc_counts]
-        sizes = list(map(len, doc_counts))
-        grams = list(chain.from_iterable(doc_counts))
-        counts = chain.from_iterable(c.values() for c in doc_counts)
-        weights = np.fromiter(counts, dtype=np.float64, count=len(grams))
-        vocabulary = {gram: col for col, gram in enumerate(sorted(set(grams)))}
-        cols = np.fromiter(map(vocabulary.__getitem__, grams), dtype=np.int32, count=len(grams))
+        vocabulary, sizes, cols, weights, doc_lengths = _ngram_entries(texts, config)
         # A document holds each gram once, so df counts the gram's entries.  One
         # math.log per distinct df: numpy's log need not match it to the last bit.
         df = np.bincount(cols, minlength=len(vocabulary)).tolist()

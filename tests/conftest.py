@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from re2gec import Corpus, SentencePair
-from re2gec.llm_backend import script_from_pairs
+from re2gec.llm_backend import FALLBACK_KEY, FALLBACK_MODES, prompt_key
 from re2gec.segmentation import SegmenterConfig, close_external_segmenters
 
 # Three explanation docs with controlled pairwise overlap; the frozen gate
@@ -31,6 +31,15 @@ INPUT_LOW = "他昨天去学校了的"
 INPUT_HIGH = "我很喜欢吃苹果苹果"
 TARGET_LOW = "他昨天去学校了"
 TARGET_HIGH = "我很喜欢吃苹果"
+
+
+def script_from_pairs(pairs: dict[str, str], fallback: str = "echo_last_line") -> dict:
+    """Build a mock script dict from literal prompt -> response pairs."""
+    if fallback not in FALLBACK_MODES:
+        raise ValueError(f"unknown fallback mode {fallback!r}")
+    script = {prompt_key(prompt): response for prompt, response in pairs.items()}
+    script[FALLBACK_KEY] = fallback
+    return script
 
 
 @pytest.fixture

@@ -126,12 +126,45 @@ def test_missing_required_option_is_usage_error(run):
     assert "missing required option --index" in err
 
 
+def test_build_index_requires_out_as_its_help_says(run, gee_jsonl):
+    code, out, _ = run("build-index", "--help")
+    assert code == 0
+    assert "index file to write (required)" in " ".join(out.split())
+    code, _, err = run("build-index", "--in", gee_jsonl)
+    assert code == 2
+    assert "missing required option --out" in err
+
+
 def test_runtime_error_exits_one(run, tmp_path):
     code, _, err = run(
         "build-index", "--in", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "i")
     )
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "\ud800", "explanation": "主谓搭配"}, r"record '\ud800': the id"),
+        ({"id": "d1", "explanation": "主谓\udfff搭配"}, "record 'd1': the explanation"),
+    ],
+    ids=["surrogate id", "surrogate text"],
+)
+def test_lone_surrogate_record_is_one_error_line(run, tmp_path, record, message):
+    # json.dumps escapes the lone surrogates, and load_corpus accepts the escapes.
+    records = [{"id": "d0", "explanation": "正常的解释"}, record]
+    infile = tmp_path / "gee.jsonl"
+    infile.write_text(
+        "".join(json.dumps({"source": "s", "targets": ["t"], **r}) + "\n" for r in records),
+        encoding="ascii",
+    )
+    code, out, err = run("build-index", "--in", str(infile), "--out", str(tmp_path / "i"))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line == f"error: {message} has a lone surrogate, which UTF-8 cannot encode"
+    assert not (tmp_path / "i").exists()
 
 
 def test_correct_without_backend_is_usage_error(run, dev_jsonl, gee_jsonl, index_file):

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from conftest import script_from_pairs
 
 from re2gec.errors import BackendError
 from re2gec.llm_backend import (
@@ -16,7 +17,6 @@ from re2gec.llm_backend import (
     complete,
     embed,
     prompt_key,
-    script_from_pairs,
 )
 from re2gec.pipeline import Re2Config, correct_corpus
 from re2gec.retriever import build_index

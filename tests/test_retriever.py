@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -530,9 +530,9 @@ def test_build_rejects_duplicate_ids():
 
 
 @st.composite
-def _retrieval_cases(draw):
+def _retrieval_cases(draw, alphabet="abcd", ngram_ranges=((1, 2), (2, 3))):
     """A small corpus with duplicate texts, ids not in row order, and a query."""
-    words = st.text(alphabet="abcd", min_size=1, max_size=8)
+    words = st.text(alphabet=alphabet, min_size=1, max_size=8)
     pool = draw(st.lists(words, min_size=1, max_size=4))
     texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
     texts.append(texts[0])
@@ -541,7 +541,7 @@ def _retrieval_cases(draw):
     query_text = draw(st.one_of(words, st.just("xyz")))
     k = draw(st.integers(1, len(texts) + 3))
     exclude = frozenset(draw(st.lists(st.sampled_from([*ids, "missing"]), max_size=3)))
-    nmin, nmax = draw(st.sampled_from([(1, 2), (2, 3)]))
+    nmin, nmax = draw(st.sampled_from(ngram_ranges))
     return texts, ids, query_text, k, exclude, nmin, nmax
 
 
@@ -665,13 +665,26 @@ def _float_embedder(dim: int):
     return embed
 
 
-@settings(max_examples=150, deadline=None)
+# Spaces and U+3000 split whitespace-mode documents into several tokens, and
+# "a" next to "a\x01" is a token that prefixes another with a character below
+# NGRAM_JOIN.  Words shorter than ngram_min leave documents without grams.
+_BUILD_CASES = _retrieval_cases(
+    alphabet="a \u3000\x01\x1f主谓", ngram_ranges=[(1, 1), (1, 2), (2, 3), (1, 5), (3, 5)]
+)
+# No document has a gram: each is shorter than ngram_min, and in whitespace mode
+# the corpus has no token at all.
+_NO_GRAMS = ([" \u3000", "\x1f", " \u3000"], ["d01", "d00", "d02"], "a", 1, frozenset(), 3, 5)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    _retrieval_cases(),
+    _BUILD_CASES,
     st.sampled_from(RANKINGS),
     st.sampled_from(["character", "whitespace"]),
     st.integers(0, 12),
 )
+@example(_NO_GRAMS, "tfidf_cosine", "character", 0)
+@example(_NO_GRAMS, "bm25", "whitespace", 0)
 def test_build_index_bytes_equal_oracle_build(case, ranking, mode, dim):
     texts, ids, _, _, _, nmin, nmax = case
     corpus = gee_corpus(dict(zip(ids, texts)))
@@ -679,6 +692,27 @@ def test_build_index_bytes_equal_oracle_build(case, ranking, mode, dim):
     embedder = _float_embedder(dim)
     got = dumps_index(build_index(corpus, "explanation", cfg, embedder))
     assert got == dumps_index(oracles.build_index(corpus, "explanation", cfg, embedder))
+
+
+# One token per character, except that "x\x1fy" stays one token: then the
+# 1-gram "a\x1fb" and the 2-gram of the tokens "a" and "b" are equal strings.
+GLUE_CMD = (
+    f"{sys.executable} -u -c \"import re, sys\n"
+    "for line in sys.stdin:\n"
+    "    print(' '.join(re.findall('[^\\x1f]\\x1f[^\\x1f]|.', line.rstrip('\\n'))))\n"
+    "    sys.stdout.flush()\""
+)
+
+
+@pytest.mark.parametrize("ranking", ["tfidf_cosine", "bm25"])
+def test_equal_grams_of_two_lengths_share_a_column(ranking):
+    seg = SegmenterConfig(mode="external", external_command=GLUE_CMD)
+    cfg = IndexConfig(1, 2, ranking, segmenter=seg)
+    corpus = gee_corpus({"d0": "a\x1fbab", "d1": "ab\x1fab", "d2": "ba"})
+    index = build_index(corpus, "explanation", cfg)
+    assert sorted(index.vocabulary) == ["a", "a\x1fb", "a\x1fb\x1fa", "b", "b\x1fa", "b\x1fa\x1fb"]
+    assert index.doc_lengths == [5, 5, 3]
+    assert dumps_index(index) == dumps_index(oracles.build_index(corpus, "explanation", cfg))
 
 
 @pytest.mark.parametrize("ranking", RANKINGS)
