@@ -64,7 +64,6 @@ from .retriever import (
     RetrievalResult,
     build_index,
     load_index,
-    pairwise_similarity,
     query,
     save_index,
 )

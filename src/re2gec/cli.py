@@ -3,23 +3,27 @@
 Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
 keys mirror the subcommand's long flag names (``{"k": 3, "theta": 0.6, ...}``)
 and whose values pass the same type and choice checks as the flags; explicit
-flags override config values, which override built-in defaults.  Exit codes:
-0 on success, 1 on runtime errors (one-line diagnostic on stderr), 2 on
-usage errors.
+flags override config values, which override built-in defaults.  A
+subcommand registers only the options its handler reads, and passes on only
+the options that were set: the config dataclasses and library signatures
+hold every default.  Exit codes: 0 on success, 1 on runtime errors (one-line
+diagnostic on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
-from .corpus import load_corpus, string_fields
+from .corpus import CORPUS_KINDS, load_corpus, string_fields
 from .edit_extract import extract_edits
 from .errors import Re2Error
-from .llm_backend import BackendConfig, DecodingParams
+from .llm_backend import BACKEND_KINDS, BackendConfig, DecodingParams
 from .pipeline import (
+    BASELINE_MODES,
     Re2Config,
     build_sft_data,
     compare_retrievers,
@@ -32,6 +36,8 @@ from .pipeline import (
 )
 from .prompting import load_template_set
 from .retriever import (
+    INDEX_FIELDS,
+    RANKINGS,
     IndexConfig,
     build_index,
     check_corpus,
@@ -40,7 +46,7 @@ from .retriever import (
     save_index,
 )
 from .scorer import detection_metrics, rouge_l, score_corpus, score_sentence
-from .segmentation import SegmenterConfig
+from .segmentation import SEGMENTER_MODES, SegmenterConfig
 
 
 class _UsageError(Exception):
@@ -116,22 +122,35 @@ class _Options:
             raise _UsageError(f"missing required option --{name.replace('_', '-')}")
         return value
 
+    def fields(self, *names: str, **renamed: str) -> dict:
+        """{field: value} of the given options that were set, by flag or manifest.
+
+        ``names`` are options named like their field, and ``renamed`` maps a
+        field to its option.  Unset options are left out, so the defaults of
+        the dataclass or function that takes the fields apply.
+        """
+        pairs = [(name, name) for name in names] + list(renamed.items())
+        return {field: value for field, name in pairs if (value := self.get(name)) is not None}
+
+
+def _default(owner, name: str):
+    """The default of keyword ``name`` of a function or dataclass."""
+    return inspect.signature(owner).parameters[name].default
+
 
 def _segmenter(opts: _Options) -> SegmenterConfig:
     return SegmenterConfig(
-        mode=opts.get("segmenter", "character"),
-        external_command=opts.get("segmenter_cmd"),
-        external_timeout=opts.get("segmenter_timeout", 10.0),
+        **opts.fields(
+            mode="segmenter",
+            external_command="segmenter_cmd",
+            external_timeout="segmenter_timeout",
+        )
     )
 
 
 def _index_config(opts: _Options) -> IndexConfig:
     return IndexConfig(
-        ngram_min=opts.get("ngram_min", 2),
-        ngram_max=opts.get("ngram_max", 3),
-        ranking=opts.get("ranking", "tfidf_cosine"),
-        bm25_k1=opts.get("bm25_k1", 1.5),
-        bm25_b=opts.get("bm25_b", 0.75),
+        **opts.fields("ngram_min", "ngram_max", "ranking", "bm25_k1", "bm25_b"),
         segmenter=_segmenter(opts),
     )
 
@@ -152,35 +171,18 @@ def _backend(opts: _Options, prefix: str = "") -> BackendConfig | None:
         raise _UsageError(f"missing required option {flag}endpoint")
     return BackendConfig(
         kind=kind,
-        endpoint=endpoint,
-        model=opts.get(prefix + "model"),
-        script_path=script,
-        timeout=opts.get(prefix + "timeout", 30.0),
+        **opts.fields(
+            endpoint=prefix + "endpoint",
+            model=prefix + "model",
+            script_path=prefix + "script",
+            timeout=prefix + "timeout",
+        ),
     )
 
 
 # Stands in for backends a flow never calls (prompt construction only);
 # completing against it fails loudly.
 _UNUSED_BACKEND = BackendConfig(kind="mock", script_path="<unused>")
-
-
-def _embedding_backend(opts: _Options) -> BackendConfig | None:
-    if opts.get("embed_backend") is None and opts.get("embed_script") is None:
-        return None
-    return BackendConfig(
-        kind=opts.get("embed_backend", "mock"),
-        endpoint=opts.get("embed_endpoint"),
-        model=opts.get("embed_model"),
-        script_path=opts.get("embed_script"),
-    )
-
-
-def _decoding(opts: _Options) -> DecodingParams:
-    return DecodingParams(
-        sample=opts.get("sample", False),
-        temperature=opts.get("temperature", 1.0),
-        beam_size=opts.get("beam_size", 8),
-    )
 
 
 def _re2_config(
@@ -201,13 +203,10 @@ def _re2_config(
     return Re2Config(
         backend=backend,
         explainer_backend=explainer,
-        k=opts.get("k", 3),
-        theta=opts.get("theta", 0.6),
-        retriever_field=opts.get("field", "explanation"),
-        decoding=_decoding(opts),
-        embedding_backend=_embedding_backend(opts),
+        decoding=DecodingParams(**opts.fields("sample", "temperature", "beam_size")),
+        embedding_backend=_backend(opts, "embed_"),
         index_config=_index_config(opts),
-        templates=opts.get("templates", "default"),
+        **opts.fields("k", "theta", "templates", retriever_field="field"),
     )
 
 
@@ -233,8 +232,8 @@ def _json_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def _load(opts: _Options, name: str, kind: str = "gec"):
-    return load_corpus(opts.require(name), kind=kind, strict=bool(opts.get("strict", False)))
+def _load(opts: _Options, name: str, **kind: str):
+    return load_corpus(opts.require(name), strict=bool(opts.get("strict")), **kind)
 
 
 def _text_lines(path: str) -> list[str]:
@@ -276,24 +275,25 @@ def cmd_build_index(opts: _Options) -> int:
     corpus = _load(opts, "infile", kind=opts.get("kind", "gee"))
     index = build_index(
         corpus,
-        field_name=opts.get("field", "explanation"),
         config=_index_config(opts),
-        embedder=embedder_for(_embedding_backend(opts)),
+        embedder=embedder_for(_backend(opts, "embed_")),
+        **opts.fields(field_name="field"),
     )
     save_index(index, opts.require("out"))
     return 0
 
 
 def cmd_query(opts: _Options) -> int:
+    config = _re2_config(opts, need_correction=False, need_explainer=False)
     index = load_index(opts.require("index"))
     exclude = [x for x in (opts.get("exclude") or "").split(",") if x]
     result = query(
         index,
         opts.require("text"),
-        k=opts.get("k", 3),
-        theta=opts.get("theta", 0.6),
+        k=config.k,
+        theta=config.theta,
         exclude_ids=exclude,
-        embedder=embedder_for(_embedding_backend(opts)),
+        embedder=embedder_for(config.embedding_backend),
     )
     _emit(opts, _json_line(result.to_dict()))
     return 0
@@ -309,7 +309,7 @@ def cmd_explain(opts: _Options) -> int:
     explanations = map_ordered(
         lambda pair: generate_explanation(pair[1], config, template_set),
         pairs,
-        opts.get("jobs", 1),
+        **opts.fields("jobs"),
     )
     _emit(
         opts,
@@ -332,7 +332,7 @@ def cmd_correct(opts: _Options) -> int:
         index,
         train,
         config,
-        jobs=opts.get("jobs", 1),
+        **opts.fields("jobs"),
     )
     _emit(opts, "\n".join(_json_line(o.to_dict()) for o in outcomes))
     return 0
@@ -346,7 +346,7 @@ def cmd_baseline(opts: _Options) -> int:
     source_index = load_index(opts.get("index")) if opts.get("index") else None
     if source_index is not None:
         check_corpus(source_index, train)
-    seed = opts.get("seed", 0)
+    seed = opts.get("seed", _default(run_baseline, "seed"))
     template_set = load_template_set(config.templates)
     outcomes = map_ordered(
         lambda i: run_baseline(
@@ -354,7 +354,7 @@ def cmd_baseline(opts: _Options) -> int:
             seed=seed + i, template_set=template_set,
         ),
         range(len(dev)),
-        opts.get("jobs", 1),
+        **opts.fields("jobs"),
     )
     _emit(opts, "\n".join(_json_line(o.to_dict()) for o in outcomes))
     return 0
@@ -437,7 +437,7 @@ def cmd_sweep_theta(opts: _Options) -> int:
     index = load_index(opts.require("index"))
     check_corpus(index, train)
     thetas = [float(x) for x in opts.require("thetas").split(",")]
-    rows = sweep_threshold(dev, thetas, config, index, train, jobs=opts.get("jobs", 1))
+    rows = sweep_threshold(dev, thetas, config, index, train, **opts.fields("jobs"))
     _emit(opts, json.dumps(rows, ensure_ascii=False))
     return 0
 
@@ -446,8 +446,7 @@ def cmd_compare_retrievers(opts: _Options) -> int:
     config = _re2_config(opts)
     dev = _load(opts, "dev")
     train = _load(opts, "train", kind="gee")
-    rankings = [x for x in opts.require("rankings").split(",") if x]
-    rows = compare_retrievers(dev, rankings, config, train, jobs=opts.get("jobs", 1))
+    rows = compare_retrievers(dev, opts.require("rankings"), config, train, **opts.fields("jobs"))
     _emit(opts, json.dumps(rows, ensure_ascii=False))
     return 0
 
@@ -459,19 +458,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, out_help: str) -> None:
-    sub.add_argument("--config", help="JSON config manifest; flags override its values")
-    sub.add_argument("--out", help=out_help)
-    sub.add_argument("--seed", type=int, help="random seed (default: 0)")
-    sub.add_argument("--jobs", type=_positive_int,
-                     help="threads, each running one input at a time (default: 1)")
-    sub.add_argument("--strict", action="store_const", const=True,
-                     help="reject unknown corpus fields and config keys")
+def _rankings(text: str) -> list[str]:
+    names = [x for x in text.split(",") if x]
+    for name in names:
+        if name not in RANKINGS:
+            raise argparse.ArgumentTypeError(
+                f"unknown ranking {name!r} (choose from {', '.join(RANKINGS)})"
+            )
+    return names
 
 
 def _add_segmenter(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--segmenter", choices=("character", "whitespace", "external"),
-                     help="token segmenter (default: character)")
+    sub.add_argument("--segmenter", choices=SEGMENTER_MODES,
+                     help=f"token segmenter (default: {_default(SegmenterConfig, 'mode')})")
     sub.add_argument("--segmenter-cmd", dest="segmenter_cmd",
                      help="external segmenter command line")
     sub.add_argument("--segmenter-timeout", dest="segmenter_timeout", type=float,
@@ -479,21 +478,20 @@ def _add_segmenter(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_backend(sub: argparse.ArgumentParser, prefix: str = "", what: str = "correction") -> None:
-    flag = "--" + prefix.replace("_", "-") if prefix else "--"
-    dest = prefix
-    sub.add_argument(f"{flag}backend", dest=f"{dest}backend", choices=("http", "mock"),
+    flag = "--" + prefix.replace("_", "-")
+    sub.add_argument(f"{flag}backend", dest=f"{prefix}backend", choices=BACKEND_KINDS,
                      help=f"{what} backend kind")
-    sub.add_argument(f"{flag}endpoint", dest=f"{dest}endpoint",
+    sub.add_argument(f"{flag}endpoint", dest=f"{prefix}endpoint",
                      help=f"{what} backend HTTP endpoint")
-    sub.add_argument(f"{flag}model", dest=f"{dest}model", help=f"{what} backend model name")
-    sub.add_argument(f"{flag}script", dest=f"{dest}script",
+    sub.add_argument(f"{flag}model", dest=f"{prefix}model", help=f"{what} backend model name")
+    sub.add_argument(f"{flag}script", dest=f"{prefix}script",
                      help=f"{what} mock backend script file")
-    sub.add_argument(f"{flag}timeout", dest=f"{dest}timeout", type=float,
+    sub.add_argument(f"{flag}timeout", dest=f"{prefix}timeout", type=float,
                      help=f"{what} backend request timeout in seconds")
 
 
 def _add_embedding(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--embed-backend", dest="embed_backend", choices=("http", "mock"))
+    sub.add_argument("--embed-backend", dest="embed_backend", choices=BACKEND_KINDS)
     sub.add_argument("--embed-endpoint", dest="embed_endpoint")
     sub.add_argument("--embed-model", dest="embed_model")
     sub.add_argument("--embed-script", dest="embed_script")
@@ -502,17 +500,27 @@ def _add_embedding(sub: argparse.ArgumentParser) -> None:
 def _add_index_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ngram-min", dest="ngram_min", type=int)
     sub.add_argument("--ngram-max", dest="ngram_max", type=int)
-    sub.add_argument("--ranking", choices=("tfidf_cosine", "bm25", "embedding"))
+    sub.add_argument("--ranking", choices=RANKINGS)
     sub.add_argument("--bm25-k1", dest="bm25_k1", type=float)
     sub.add_argument("--bm25-b", dest="bm25_b", type=float)
 
 
-def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, help="number of retrieved examples (default: 3)")
-    sub.add_argument("--theta", type=float, help="similarity gate threshold (default: 0.6)")
-    sub.add_argument("--templates", help="template set name or directory (default: default)")
-    sub.add_argument("--field", choices=("explanation", "source"),
-                     help="indexed text field (default: explanation)")
+def _add_field(sub: argparse.ArgumentParser, default: str) -> None:
+    sub.add_argument("--field", choices=INDEX_FIELDS,
+                     help=f"indexed text field (default: {default})")
+
+
+def _add_pipeline_options(sub: argparse.ArgumentParser, *, theta: bool) -> None:
+    sub.add_argument("--k", type=int,
+                     help=f"number of retrieved examples (default: {_default(Re2Config, 'k')})")
+    if theta:
+        sub.add_argument("--theta", type=float, help="similarity gate threshold "
+                         f"(default: {_default(Re2Config, 'theta')})")
+    sub.add_argument("--templates", help="template set name or directory "
+                     f"(default: {_default(Re2Config, 'templates')})")
+
+
+def _add_decoding(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--temperature", type=float)
     sub.add_argument("--beam-size", dest="beam_size", type=int)
     sub.add_argument("--sample", action="store_const", const=True)
@@ -526,11 +534,21 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add(
-        name: str, handler, help_text: str, out_help: str = "output path (default: stdout)"
+        name: str, handler, help_text: str, out_help: str = "output path (default: stdout)",
+        *, seed: bool = False, jobs: bool = False,
     ) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler, parser=sub)
-        _add_common(sub, out_help)
+        sub.add_argument("--config", help="JSON config manifest; flags override its values")
+        sub.add_argument("--out", help=out_help)
+        if seed:
+            sub.add_argument("--seed", type=int,
+                             help=f"random seed (default: {_default(run_baseline, 'seed')})")
+        if jobs:
+            sub.add_argument("--jobs", type=_positive_int, help="threads, each running one "
+                             f"input at a time (default: {_default(map_ordered, 'jobs')})")
+        sub.add_argument("--strict", action="store_const", const=True,
+                         help="reject unknown corpus fields and config keys")
         return sub
 
     sub = add("extract-edits", cmd_extract_edits, "extract edit scripts from sentence pairs")
@@ -542,9 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("build-index", cmd_build_index, "build a similarity index from a corpus",
               out_help="index file to write (required)")
     sub.add_argument("--in", dest="infile", help="corpus JSON-lines file")
-    sub.add_argument("--kind", choices=("gec", "gee", "detection"), help="corpus kind")
-    sub.add_argument("--field", choices=("explanation", "source"),
-                     help="indexed text field (default: explanation)")
+    sub.add_argument("--kind", choices=CORPUS_KINDS, help="corpus kind")
+    _add_field(sub, _default(build_index, "field_name"))
     _add_index_options(sub)
     _add_segmenter(sub)
     _add_embedding(sub)
@@ -557,31 +574,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--exclude", help="comma-separated doc ids to exclude")
     _add_embedding(sub)
 
-    sub = add("explain", cmd_explain, "generate error explanations for inputs")
+    sub = add("explain", cmd_explain, "generate error explanations for inputs", jobs=True)
     sub.add_argument("--in", dest="infile", help="corpus JSON-lines file")
     sub.add_argument("--text", help="single input sentence")
     sub.add_argument("--templates")
     _add_backend(sub, "explainer_", "explainer")
     _add_backend(sub)
-    sub.add_argument("--temperature", type=float)
-    sub.add_argument("--beam-size", dest="beam_size", type=int)
-    sub.add_argument("--sample", action="store_const", const=True)
+    _add_decoding(sub)
 
-    sub = add("correct", cmd_correct, "correct inputs with explanation-retrieved examples")
+    sub = add("correct", cmd_correct, "correct inputs with explanation-retrieved examples",
+              jobs=True)
     sub.add_argument("--in", dest="infile", help="inputs corpus JSON-lines file")
     sub.add_argument("--corpus", help="reference example corpus (resolves retrieved ids)")
     sub.add_argument("--index", help="explanation index file")
-    _add_pipeline_options(sub)
+    _add_pipeline_options(sub, theta=True)
+    _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")
     _add_embedding(sub)
 
-    sub = add("baseline", cmd_baseline, "correct inputs with a baseline example strategy")
-    sub.add_argument("--mode", choices=("zero_shot", "random_k", "textsim"))
+    sub = add("baseline", cmd_baseline, "correct inputs with a baseline example strategy",
+              seed=True, jobs=True)
+    sub.add_argument("--mode", choices=BASELINE_MODES)
     sub.add_argument("--in", dest="infile", help="inputs corpus JSON-lines file")
     sub.add_argument("--corpus", help="example corpus")
     sub.add_argument("--index", help="source-text index (textsim mode)")
-    _add_pipeline_options(sub)
+    _add_pipeline_options(sub, theta=False)
+    _add_decoding(sub)
     _add_backend(sub)
     _add_embedding(sub)
 
@@ -605,26 +624,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("make-sft-data", cmd_make_sft_data, "build fine-tuning prompt/response pairs")
     sub.add_argument("--train", help="training corpus with explanations")
     sub.add_argument("--index", help="explanation index over the training corpus")
-    _add_pipeline_options(sub)
+    _add_pipeline_options(sub, theta=False)
 
-    sub = add("sweep-theta", cmd_sweep_theta, "score the pipeline across gate thresholds")
+    sub = add("sweep-theta", cmd_sweep_theta, "score the pipeline across gate thresholds",
+              jobs=True)
     sub.add_argument("--dev", help="dev corpus")
     sub.add_argument("--train", help="example corpus backing the index")
     sub.add_argument("--index", help="explanation index file")
     sub.add_argument("--thetas", help="comma-separated thresholds")
-    _add_pipeline_options(sub)
+    _add_pipeline_options(sub, theta=False)
+    _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")
     _add_embedding(sub)
 
     sub = add("compare-retrievers", cmd_compare_retrievers,
-              "score the pipeline under different rankings")
+              "score the pipeline under different rankings", jobs=True)
     sub.add_argument("--dev", help="dev corpus")
     sub.add_argument("--train", help="example corpus")
-    sub.add_argument("--rankings", help="comma-separated rankings to compare")
+    sub.add_argument("--rankings", type=_rankings, help="comma-separated rankings to compare")
     _add_index_options(sub)
     _add_segmenter(sub)
-    _add_pipeline_options(sub)
+    _add_pipeline_options(sub, theta=True)
+    _add_field(sub, _default(Re2Config, "retriever_field"))
+    _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")
     _add_embedding(sub)

@@ -35,6 +35,7 @@ from .prompting import (
     render_gee_prompt,
 )
 from .retriever import (
+    INDEX_FIELDS,
     ExplanationIndex,
     Hit,
     IndexConfig,
@@ -67,7 +68,7 @@ class Re2Config:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.retriever_field not in ("explanation", "source"):
+        if self.retriever_field not in INDEX_FIELDS:
             raise ValueError(f"unknown retriever field {self.retriever_field!r}")
 
 
@@ -431,18 +432,18 @@ def compare_retrievers(
     query is timed, so the latency leaves the embedding backend out.
     Explanations and corrections run on ``jobs`` threads.
     """
+    # Every ranking is checked before the first backend call.
+    index_configs = [replace(config.index_config, ranking=ranking) for ranking in rankings]
+    embedder = embedder_for(config.embedding_backend)
+    if "embedding" in rankings and embedder is None:
+        raise PipelineError("compare", "embedding ranking requires an embedding backend")
     template_set = load_template_set(config.templates)
     records = list(dev)
     explanations = map_ordered(
         lambda rec: generate_explanation(rec.source, config, template_set), records, jobs
     )
-    embedder = embedder_for(config.embedding_backend)
     vectors: dict[str, list[float]] = {}
     if "embedding" in rankings:
-        if embedder is None:
-            raise PipelineError(
-                "compare", "embedding ranking requires an embedding backend"
-            )
         distinct = list(dict.fromkeys(explanations))
         if distinct:
             vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
@@ -451,13 +452,9 @@ def compare_retrievers(
     gold = _gold_triples(records)
 
     rows = []
-    for ranking in rankings:
+    for index_config in index_configs:
         index = _stage(
-            "compare",
-            build_index,
-            train,
-            config.retriever_field,
-            replace(config.index_config, ranking=ranking),
+            "compare", build_index, train, config.retriever_field, index_config,
             embedder=embedder,
         )
         # Queries run one at a time so that their timing does not depend on
@@ -480,7 +477,7 @@ def compare_retrievers(
         report = _score_items(records, gold, corrections)
         rows.append(
             {
-                "ranking": ranking,
+                "ranking": index_config.ranking,
                 "precision": report.precision,
                 "recall": report.recall,
                 "f_half": report.f_half,

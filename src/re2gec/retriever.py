@@ -36,7 +36,7 @@ import math
 import struct
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -451,35 +451,16 @@ def build_index(
     )
 
 
-def _tfidf_query_vector(index: ExplanationIndex, text: str) -> dict[int, float]:
-    vocab, counts = index.vocabulary, ngram_counts(text, index.config)
-    return _l2_normalize({vocab[g]: c * index.idf[vocab[g]] for g, c in counts.items() if g in vocab})
-
-
-def pairwise_similarity(index: ExplanationIndex, text_a: str, text_b: str) -> float:
-    """TF-IDF cosine similarity of two texts under this index's idf table, in [0, 1]."""
-    if index.config.ranking != "tfidf_cosine":
-        raise RetrievalError(
-            f"pairwise similarity needs a tfidf_cosine index, got {index.config.ranking!r}"
-        )
-    va = _tfidf_query_vector(index, text_a)
-    vb = _tfidf_query_vector(index, text_b)
-    if len(vb) < len(va):
-        va, vb = vb, va
-    sim = sum(w * vb.get(col, 0.0) for col, w in va.items())
-    return min(1.0, max(0.0, sim))
-
-
 def _query_weights(
     index: ExplanationIndex, text: str, embedder: Embedder | None
 ) -> dict[int, float]:
     """{column: weight} of the query: normalized tf-idf, raw BM25 counts, or embedding."""
-    ranking = index.config.ranking
-    if ranking == "tfidf_cosine":
-        return _tfidf_query_vector(index, text)
-    if ranking == "bm25":
-        counts = ngram_counts(text, index.config)
-        return {index.vocabulary[g]: c for g, c in counts.items() if g in index.vocabulary}
+    ranking, vocab = index.config.ranking, index.vocabulary
+    if ranking != "embedding":
+        counts = {vocab[g]: c for g, c in ngram_counts(text, index.config).items() if g in vocab}
+        if ranking == "bm25":
+            return counts
+        return _l2_normalize({col: c * index.idf[col] for col, c in counts.items()})
     (vec,) = _embed(embedder, [text]).tolist()
     if len(vec) != index.dim:
         raise RetrievalError(
@@ -570,26 +551,14 @@ def dumps_index(index: ExplanationIndex) -> bytes:
     """Serialize to ``RE2IDX 2``; byte-deterministic for equal contents."""
     import numpy as np
 
-    cfg = index.config
     header = {
         "avg_doc_length": index.avg_doc_length,
-        "config": {
-            "ngram_min": cfg.ngram_min,
-            "ngram_max": cfg.ngram_max,
-            "ranking": cfg.ranking,
-            "bm25_k1": cfg.bm25_k1,
-            "bm25_b": cfg.bm25_b,
-            "segmenter": {
-                "mode": cfg.segmenter.mode,
-                "external_command": cfg.segmenter.external_command,
-                "external_timeout": cfg.segmenter.external_timeout,
-            },
-        },
+        "config": asdict(index.config),
         "corpus_sha256": index.corpus_sha256,
         "dim": index.dim,
         "doc_ids": index.doc_ids,
         "field": index.field_name,
-        "vocabulary": sorted(index.vocabulary, key=index.vocabulary.get),
+        "vocabulary": list(index.vocabulary),  # built and loaded in column order
     }
     head = json.dumps(header, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
     head_bytes = head.encode("utf-8")
@@ -610,24 +579,24 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and set(map(type, value)) <= {str}
 
 
+def _config_from(cls, values: dict, **nested):
+    """``cls(**values)`` with ``nested`` replacing fields; ``values`` must name every field."""
+    names, given = {f.name for f in fields(cls)}, set(values)
+    if given != names:
+        raise ValueError(
+            f"{cls.__name__} keys: missing {sorted(names - given)}, unknown {sorted(given - names)}"
+        )
+    return cls(**{**values, **nested})
+
+
 def _parse_header(raw: bytes) -> dict:
     """The header fields, type-checked; the config as an ``IndexConfig``."""
     try:
         header = json.loads(raw)
-        cfg, seg = header["config"], header["config"]["segmenter"]
+        cfg = header["config"]
+        segmenter = _config_from(SegmenterConfig, cfg["segmenter"])
         parsed = {
-            "config": IndexConfig(
-                ngram_min=cfg["ngram_min"],
-                ngram_max=cfg["ngram_max"],
-                ranking=cfg["ranking"],
-                bm25_k1=cfg["bm25_k1"],
-                bm25_b=cfg["bm25_b"],
-                segmenter=SegmenterConfig(
-                    mode=seg["mode"],
-                    external_command=seg["external_command"],
-                    external_timeout=seg["external_timeout"],
-                ),
-            ),
+            "config": _config_from(IndexConfig, cfg, segmenter=segmenter),
             "avg_doc_length": float(header["avg_doc_length"]),
             "corpus_sha256": header["corpus_sha256"],
             "dim": header["dim"],

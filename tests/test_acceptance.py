@@ -27,7 +27,7 @@ from re2gec.edit_extract import apply_edits, extract_edits
 from re2gec.llm_backend import BackendConfig
 from re2gec.pipeline import MODE_WITH, MODE_WITHOUT, Re2Config, build_sft_data, run_re2
 from re2gec.prompting import load_template_set, render_gee_prompt
-from re2gec.retriever import IndexConfig, build_index, pairwise_similarity, query
+from re2gec.retriever import IndexConfig, build_index, query
 from re2gec.scorer import detection_metrics, f_beta, rouge_l, score_corpus, score_sentence
 from re2gec.segmentation import SegmenterConfig
 
@@ -206,8 +206,9 @@ def test_criterion_04_tfidf_normalization():
         norm = sum(w * w for w in vec.values()) ** 0.5
         if abs(norm - 1.0) > 1e-9:
             failures.append(f"{doc_id}: norm {norm}")
-    for text in texts:
-        sim = pairwise_similarity(index, text, text)
+    for doc_id, text in zip(ids, texts):
+        hits = query(index, text, k=len(ids), theta=0.0).hits
+        sim = next((hit.score for hit in hits if hit.doc_id == doc_id), 0.0)
         if abs(sim - 1.0) > 1e-9:
             failures.append(f"self-similarity {sim} for {text!r}")
     report(4, failures, "all doc vectors unit-norm and self-similarity 1.0 within 1e-9")

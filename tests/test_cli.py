@@ -17,6 +17,7 @@ from conftest import (
     TARGET_HIGH,
     TARGET_LOW,
 )
+from test_llm_backend import stub_server
 
 import re2gec
 from re2gec.cli import dispatch
@@ -345,6 +346,62 @@ def test_query_exclude_ids(run, index_file):
     assert ids == ["d2"]
 
 
+# --- embedding backend ---
+
+
+def _vector(text: str) -> list[float]:
+    """A toy embedding: counts of a few characters, plus one."""
+    return [float(text.count(ch)) for ch in "谓序缺"] + [1.0]
+
+
+def test_embedding_index_round_trip_with_mock_script(run, gee_jsonl, write_script, tmp_path):
+    script = write_script({text: _vector(text) for _, text in GEE_DOCS})
+    index = str(tmp_path / "emb.re2idx")
+    code, _, err = run(
+        "build-index", "--in", gee_jsonl, "--ranking", "embedding", "--embed-script", script,
+        "--out", index,
+    )
+    assert code == 0, err
+    code, out, err = run("query", "--index", index, "--text", GEE_DOCS[1][1],
+                         "--theta", "0.0", "--embed-script", script)
+    assert code == 0, err
+    got = json.loads(out)
+    want = lib_query(load_index(index), GEE_DOCS[1][1], k=3, theta=0.0,
+                     embedder=lambda texts: [_vector(t) for t in texts])
+    assert got == want.to_dict()
+    assert got["hits"][0] == ["d1", pytest.approx(1.0)]
+
+
+def test_embed_endpoint_alone_selects_the_http_backend(run, gee_jsonl, tmp_path):
+    def responder(record, _n):
+        texts = record["body"]["input"]
+        return 200, {"data": [{"index": i, "embedding": _vector(t)} for i, t in enumerate(texts)]}
+
+    index = str(tmp_path / "emb.re2idx")
+    with stub_server(responder) as (url, server):
+        code, _, err = run("build-index", "--in", gee_jsonl, "--ranking", "embedding",
+                           "--embed-endpoint", url, "--out", index)
+        assert code == 0, err
+        code, out, err = run("query", "--index", index, "--text", GEE_DOCS[2][1],
+                             "--embed-endpoint", url)
+        assert code == 0, err
+    assert [rec["path"] for rec in server.requests] == ["/embeddings", "/embeddings"]
+    assert json.loads(out)["hits"][0] == ["d2", pytest.approx(1.0)]
+
+
+@pytest.mark.parametrize(
+    "kind, missing", [("mock", "--embed-script"), ("http", "--embed-endpoint")]
+)
+def test_embed_backend_without_its_source_is_usage_error(
+    run, gee_jsonl, tmp_path, kind, missing
+):
+    code, out, err = run("build-index", "--in", gee_jsonl, "--ranking", "embedding",
+                         "--embed-backend", kind, "--out", str(tmp_path / "i"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"usage error: missing required option {missing}"]
+
+
 # --- explain / correct ---
 
 
@@ -657,6 +714,43 @@ def test_compare_retrievers_rows(
         assert set(row) == {"ranking", "precision", "recall", "f_half", "mean_query_ms"}
 
 
+@pytest.mark.parametrize(
+    "rankings, manifest, code, message",
+    [
+        ("tfidf_cosine,bm2", None, 2, "argument --rankings: unknown ranking 'bm2'"),
+        (None, ["tfidf_cosine", "bm2"], 2, "usage error: config key 'rankings'"),
+        ("tfidf_cosine,embedding", None, 1,
+         "error: compare: embedding ranking requires an embedding backend"),
+    ],
+    ids=["flag", "manifest", "embedding without backend"],
+)
+def test_compare_retrievers_rejects_rankings_before_any_backend_call(
+    run, dev_jsonl, gee_jsonl, explainer_script, corrector_script, monkeypatch, tmp_path,
+    rankings, manifest, code, message,
+):
+    backend_calls = []
+    complete = re2gec.pipeline.complete
+    monkeypatch.setattr(
+        re2gec.pipeline, "complete",
+        lambda prompt, *args: backend_calls.append(prompt) or complete(prompt, *args),
+    )
+    argv = ["compare-retrievers", "--dev", dev_jsonl, "--train", gee_jsonl,
+            "--script", corrector_script, "--explainer-script", explainer_script]
+    if rankings:
+        argv += ["--rankings", rankings]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rankings": manifest}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    got, out, err = run(*argv)
+    assert (got, out) == (code, "")
+    assert message in err.splitlines()[-1]
+    assert backend_calls == []
+    # The same run with known rankings does call the backends.
+    assert run(*argv[:7], "--rankings", "tfidf_cosine")[0] == 0
+    assert backend_calls
+
+
 # --- --jobs ---
 
 
@@ -759,27 +853,31 @@ def test_config_manifest_must_be_object(run, index_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "manifest",
+    "command, manifest",
     [
-        pytest.param({"k": [1]}, id="k list"),
-        pytest.param({"k": "three"}, id="k word"),
-        pytest.param({"k": 2.5}, id="k fraction"),
-        pytest.param({"theta": True}, id="theta bool"),
-        pytest.param({"mode": "best"}, id="mode choice"),
-        pytest.param({"field": "target"}, id="field choice"),
-        pytest.param({"sample": "yes"}, id="sample string"),
-        pytest.param({"jobs": 0}, id="jobs zero"),
-        pytest.param({"surprise": 1, "strict": True}, id="strict unknown key"),
+        pytest.param("baseline", {"k": [1]}, id="k list"),
+        pytest.param("baseline", {"k": "three"}, id="k word"),
+        pytest.param("baseline", {"k": 2.5}, id="k fraction"),
+        pytest.param("compare-retrievers", {"theta": True}, id="theta bool"),
+        pytest.param("baseline", {"mode": "best"}, id="mode choice"),
+        pytest.param("compare-retrievers", {"field": "target"}, id="field choice"),
+        pytest.param("baseline", {"sample": "yes"}, id="sample string"),
+        pytest.param("baseline", {"jobs": 0}, id="jobs zero"),
+        pytest.param("baseline", {"surprise": 1, "strict": True}, id="strict unknown key"),
     ],
 )
 def test_bad_config_manifest_is_usage_error(
-    run, dev_jsonl, gee_jsonl, write_script, tmp_path, manifest
+    run, dev_jsonl, gee_jsonl, write_script, tmp_path, command, manifest
 ):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"mode": "zero_shot", **manifest}), encoding="utf-8")
+    inputs = {
+        "baseline": ("--in", dev_jsonl, "--corpus", gee_jsonl),
+        "compare-retrievers": ("--dev", dev_jsonl, "--train", gee_jsonl,
+                               "--rankings", "tfidf_cosine"),
+    }[command]
     code, out, err = run(
-        "baseline", "--config", str(path), "--in", dev_jsonl, "--corpus", gee_jsonl,
-        "--script", write_script({}),
+        command, "--config", str(path), *inputs, "--script", write_script({}),
     )
     assert code == 2
     assert out == ""

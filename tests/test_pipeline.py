@@ -384,9 +384,24 @@ def test_compare_retrievers_extracts_gold_edits_once(
     assert len(calls) == n_refs + len(rankings) * len(dev_corpus)
 
 
-def test_compare_retrievers_embedding_needs_backend(dev_corpus, mini_gee_corpus, sweep_config):
+def test_compare_retrievers_embedding_needs_backend(
+    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(pipeline_module, "complete", lambda *args: calls.append(args))
     with pytest.raises(PipelineError, match="embedding ranking requires"):
         compare_retrievers(dev_corpus, ["embedding"], sweep_config, mini_gee_corpus)
+    assert calls == []  # checked before the first explanation
+
+
+def test_compare_retrievers_checks_rankings_before_any_backend_call(
+    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(pipeline_module, "complete", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="unknown ranking 'bm2'"):
+        compare_retrievers(dev_corpus, ["tfidf_cosine", "bm2"], sweep_config, mini_gee_corpus)
+    assert calls == []
 
 
 def test_compare_retrievers_query_time_leaves_out_embedding(

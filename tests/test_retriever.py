@@ -26,7 +26,6 @@ from re2gec.retriever import (
     load_index,
     loads_index,
     ngram_counts,
-    pairwise_similarity,
     query,
     save_index,
 )
@@ -107,26 +106,6 @@ def test_doc_vectors_match_oracle_and_are_unit_norm():
         assert set(mine) == set(ref)
         for g, w in ref.items():
             assert mine[g] == w
-
-
-def test_self_similarity_is_one():
-    index = build_index(gee_corpus(TEXTS), "explanation", CFG)
-    for text in TEXTS.values():
-        assert pairwise_similarity(index, text, text) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_pairwise_similarity_matches_oracle_cosine():
-    index = build_index(gee_corpus(TEXTS), "explanation", CFG)
-    _, idf = oracles.tfidf_vectors(list(TEXTS.values()))
-    texts = list(TEXTS.values())
-    for a in texts:
-        for b in texts:
-            ref = oracles.cosine(
-                oracles.query_vector(a, idf), oracles.query_vector(b, idf)
-            )
-            assert pairwise_similarity(index, a, b) == pytest.approx(
-                min(ref, 1.0), abs=1e-9
-            )
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -471,6 +450,10 @@ def _corrupted(case: str) -> bytes:
         vocab[1] = vocab[0]
     elif case == "duplicate doc ids":
         ids[1] = ids[0]
+    elif case == "config key missing":
+        del header["config"]["bm25_b"]
+    elif case == "config key unknown":
+        header["config"]["segmenter"]["surprise"] = 1
     elif case != "intact":
         raise AssertionError(case)
     return _assemble(header, blocks)
@@ -505,6 +488,8 @@ def test_reassembled_blob_loads():
         ("unsorted vocabulary", "vocabulary is not sorted"),
         ("duplicate vocabulary", "has duplicates"),
         ("duplicate doc ids", "duplicate doc ids"),
+        ("config key missing", r"bad index header: .*missing \['bm25_b'\]"),
+        ("config key unknown", r"bad index header: .*unknown \['surprise'\]"),
     ],
 )
 def test_corrupt_index_is_a_one_line_error(case, message, tmp_path, capsys):
