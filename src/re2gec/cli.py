@@ -436,7 +436,7 @@ def cmd_sweep_theta(opts: _Options) -> int:
     train = _load(opts, "train", kind="gee")
     index = load_index(opts.require("index"))
     check_corpus(index, train)
-    thetas = [float(x) for x in opts.require("thetas").split(",")]
+    thetas = opts.require("thetas")
     rows = sweep_threshold(dev, thetas, config, index, train, **opts.fields("jobs"))
     _emit(opts, json.dumps(rows, ensure_ascii=False))
     return 0
@@ -466,6 +466,19 @@ def _rankings(text: str) -> list[str]:
                 f"unknown ranking {name!r} (choose from {', '.join(RANKINGS)})"
             )
     return names
+
+
+def _thetas(text: str) -> list[float]:
+    thetas = []
+    for item in text.split(","):
+        try:
+            theta = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+        if not (0.0 <= theta <= 1.0):
+            raise argparse.ArgumentTypeError(f"theta must lie in [0, 1], got {theta}")
+        thetas.append(theta)
+    return thetas
 
 
 def _add_segmenter(sub: argparse.ArgumentParser) -> None:
@@ -500,7 +513,6 @@ def _add_embedding(sub: argparse.ArgumentParser) -> None:
 def _add_index_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ngram-min", dest="ngram_min", type=int)
     sub.add_argument("--ngram-max", dest="ngram_max", type=int)
-    sub.add_argument("--ranking", choices=RANKINGS)
     sub.add_argument("--bm25-k1", dest="bm25_k1", type=float)
     sub.add_argument("--bm25-b", dest="bm25_b", type=float)
 
@@ -537,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         name: str, handler, help_text: str, out_help: str = "output path (default: stdout)",
         *, seed: bool = False, jobs: bool = False,
     ) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=help_text)
+        sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
         sub.set_defaults(handler=handler, parser=sub)
         sub.add_argument("--config", help="JSON config manifest; flags override its values")
         sub.add_argument("--out", help=out_help)
@@ -562,6 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--in", dest="infile", help="corpus JSON-lines file")
     sub.add_argument("--kind", choices=CORPUS_KINDS, help="corpus kind")
     _add_field(sub, _default(build_index, "field_name"))
+    sub.add_argument("--ranking", choices=RANKINGS)
     _add_index_options(sub)
     _add_segmenter(sub)
     _add_embedding(sub)
@@ -631,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dev", help="dev corpus")
     sub.add_argument("--train", help="example corpus backing the index")
     sub.add_argument("--index", help="explanation index file")
-    sub.add_argument("--thetas", help="comma-separated thresholds")
+    sub.add_argument("--thetas", type=_thetas, help="comma-separated thresholds")
     _add_pipeline_options(sub, theta=False)
     _add_decoding(sub)
     _add_backend(sub)

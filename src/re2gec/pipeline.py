@@ -44,7 +44,7 @@ from .retriever import (
     gate_open,
     query,
 )
-from .scorer import EvalReport, edit_triples, score_corpus, score_triples
+from .scorer import edit_triples, score_corpus, score_triples
 
 MODE_WITH = "with_examples"
 MODE_WITHOUT = "without_examples"
@@ -128,12 +128,18 @@ def embedder_for(backend: BackendConfig | None):
     return lambda texts: embed(texts, backend)
 
 
+def _completer(config: Re2Config) -> Callable[[str], str]:
+    """Correction-backend ``complete``, looked up at call time so wrappers see each call."""
+    return lambda prompt: complete(prompt, config.decoding, config.backend)
+
+
 def _cached_completer(config: Re2Config) -> Callable[[str], str]:
     """Correction-backend ``complete`` that sends each distinct prompt once.
 
     Threads may share it: a prompt asked for while its completion is in
     flight waits for that completion rather than sending a second request.
     """
+    send = _completer(config)
     cache: dict[str, Future] = {}
     lock = threading.Lock()
 
@@ -145,7 +151,7 @@ def _cached_completer(config: Re2Config) -> Callable[[str], str]:
                 pending = cache[prompt] = Future()
         if owner:
             try:
-                pending.set_result(complete(prompt, config.decoding, config.backend))
+                pending.set_result(send(prompt))
             except Exception as exc:
                 pending.set_exception(exc)
         return pending.result()
@@ -176,17 +182,11 @@ def _correct(
     explanation: str,
     result: RetrievalResult,
     corpus: Corpus,
-    config: Re2Config,
     template_set: TemplateSet,
     completer: Callable[[str], str],
 ) -> CorrectionOutcome:
-    if result.gate_open and result.hits:
-        examples = _examples_for_hits(result.hits, corpus)
-        prompt = _stage("prompt", render_gec_prompt, input_text, examples, template_set)
-        mode = MODE_WITH
-    else:
-        prompt = _stage("prompt", render_gec_prompt, input_text, [], template_set)
-        mode = MODE_WITHOUT
+    examples = _examples_for_hits(result.hits, corpus) if result.gate_open else []
+    prompt = _stage("prompt", render_gec_prompt, input_text, examples, template_set)
     correction = _stage("correct", lambda: parse_correction(completer(prompt)))
     return CorrectionOutcome(
         input=input_text,
@@ -194,7 +194,7 @@ def _correct(
         hits=result,
         prompt=prompt,
         correction=correction,
-        mode_used=mode,
+        mode_used=MODE_WITH if examples else MODE_WITHOUT,
     )
 
 
@@ -217,9 +217,8 @@ def run_re2(
         config.theta,
         embedder=embedder_for(config.embedding_backend),
     )
-    completer = lambda prompt: complete(prompt, config.decoding, config.backend)
     return _correct(
-        input_text, explanation, result, corpus, config, template_set, completer
+        input_text, explanation, result, corpus, template_set, _completer(config)
     )
 
 
@@ -266,8 +265,7 @@ def run_baseline(
             0.0,
             embedder=embedder_for(config.embedding_backend),
         )
-    completer = lambda prompt: complete(prompt, config.decoding, config.backend)
-    return _correct(input_text, "", result, corpus, config, template_set, completer)
+    return _correct(input_text, "", result, corpus, template_set, _completer(config))
 
 
 def correct_corpus(
@@ -332,38 +330,40 @@ def build_sft_data(
     return out
 
 
-def _corrections(
-    items: Sequence[tuple[SentencePair, str, RetrievalResult]],
-    corpus: Corpus,
-    config: Re2Config,
-    template_set: TemplateSet,
-    completer: Callable[[str], str],
-    jobs: int,
-) -> list[str]:
-    """Corrections for (record, explanation, retrieval result) triples, in order."""
-    return map_ordered(
-        lambda item: _correct(
-            item[0].source, item[1], item[2], corpus, config, template_set, completer
-        ).correction,
-        items,
-        jobs,
+def _dev_scorer(
+    dev: Corpus, train: Corpus, config: Re2Config, jobs: int
+) -> tuple[list[str], Callable[[Sequence[RetrievalResult]], dict]]:
+    """Each dev input's explanation, and a scorer of one retrieval result per input.
+
+    ``score(results)`` corrects every input through ``_correct`` with the
+    examples ``train`` resolves, on ``jobs`` threads and with completions
+    cached per distinct prompt across calls, and returns the precision,
+    recall and F0.5 against the dev targets.  Explanations run on ``jobs``
+    threads, and the gold edits are extracted once, before any hypothesis.
+    """
+    template_set = load_template_set(config.templates)
+    records = list(dev)
+    explanations = map_ordered(
+        lambda rec: generate_explanation(rec.source, config, template_set), records, jobs
     )
+    gold = [[edit_triples(rec.source, t) for t in rec.targets] for rec in records]
+    completer = _cached_completer(config)
 
+    def score(results: Sequence[RetrievalResult]) -> dict:
+        corrections = map_ordered(
+            lambda i: _correct(
+                records[i].source, explanations[i], results[i], train, template_set, completer
+            ).correction,
+            range(len(records)),
+            jobs,
+        )
+        report = score_corpus(
+            score_triples(edit_triples(rec.source, correction), references)
+            for rec, references, correction in zip(records, gold, corrections)
+        )
+        return {"precision": report.precision, "recall": report.recall, "f_half": report.f_half}
 
-def _gold_triples(records: Sequence[SentencePair]) -> list[list[frozenset]]:
-    """Each record's reference edit sets, extracted once for every scoring pass."""
-    return [[edit_triples(rec.source, t) for t in rec.targets] for rec in records]
-
-
-def _score_items(
-    records: Sequence[SentencePair],
-    gold: Sequence[Sequence[frozenset]],
-    corrections: Sequence[str],
-) -> EvalReport:
-    return score_corpus(
-        score_triples(edit_triples(rec.source, correction), references)
-        for rec, references, correction in zip(records, gold, corrections)
-    )
+    return explanations, score
 
 
 def sweep_threshold(
@@ -383,38 +383,23 @@ def sweep_threshold(
     for theta in thetas:
         if not (0.0 <= theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    template_set = load_template_set(config.templates)
+    explanations, score = _dev_scorer(dev, train, config, jobs)
     embedder = embedder_for(config.embedding_backend)
-    records = list(dev)
-
-    def prepare(rec: SentencePair) -> tuple[SentencePair, str, tuple[Hit, ...]]:
-        explanation = generate_explanation(rec.source, config, template_set)
-        result = _stage(
+    hit_lists = map_ordered(
+        lambda explanation: _stage(
             "retrieve", query, index, explanation, config.k, 0.0, embedder=embedder
-        )
-        return rec, explanation, result.hits
-
-    prepared = map_ordered(prepare, records, jobs)
-    completer = _cached_completer(config)
+        ).hits,
+        explanations,
+        jobs,
+    )
     ranking = index.config.ranking
-    gold = _gold_triples(records)
-    rows = []
-    for theta in thetas:
-        gated = [
-            (rec, explanation, RetrievalResult(hits, gate_open(ranking, hits, theta)))
-            for rec, explanation, hits in prepared
-        ]
-        corrections = _corrections(gated, train, config, template_set, completer, jobs)
-        report = _score_items(records, gold, corrections)
-        rows.append(
-            {
-                "theta": theta,
-                "precision": report.precision,
-                "recall": report.recall,
-                "f_half": report.f_half,
-            }
-        )
-    return rows
+    return [
+        {
+            "theta": theta,
+            **score([RetrievalResult(hits, gate_open(ranking, hits, theta)) for hits in hit_lists]),
+        }
+        for theta in thetas
+    ]
 
 
 def compare_retrievers(
@@ -437,19 +422,13 @@ def compare_retrievers(
     embedder = embedder_for(config.embedding_backend)
     if "embedding" in rankings and embedder is None:
         raise PipelineError("compare", "embedding ranking requires an embedding backend")
-    template_set = load_template_set(config.templates)
-    records = list(dev)
-    explanations = map_ordered(
-        lambda rec: generate_explanation(rec.source, config, template_set), records, jobs
-    )
+    explanations, score = _dev_scorer(dev, train, config, jobs)
     vectors: dict[str, list[float]] = {}
     if "embedding" in rankings:
         distinct = list(dict.fromkeys(explanations))
         if distinct:
             vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
     looked_up = lambda texts: [vectors[text] for text in texts]
-    completer = _cached_completer(config)
-    gold = _gold_triples(records)
 
     rows = []
     for index_config in index_configs:
@@ -470,18 +449,11 @@ def compare_retrievers(
                 )
             )
             total_seconds += time.perf_counter() - start
-        corrections = _corrections(
-            list(zip(records, explanations, results)),
-            train, config, template_set, completer, jobs,
-        )
-        report = _score_items(records, gold, corrections)
         rows.append(
             {
                 "ranking": index_config.ranking,
-                "precision": report.precision,
-                "recall": report.recall,
-                "f_half": report.f_half,
-                "mean_query_ms": (total_seconds / len(records) * 1000.0) if records else 0.0,
+                **score(results),
+                "mean_query_ms": (total_seconds / len(results) * 1000.0) if results else 0.0,
             }
         )
     return rows

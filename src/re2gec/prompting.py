@@ -41,7 +41,6 @@ _TEMPLATE_FILES = {
 class PromptTemplate:
     name: str
     body: str
-    required_placeholders: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -52,23 +51,15 @@ class TemplateSet:
     gee_input_only: PromptTemplate
 
 
-def _parse_template(name: str, text: str) -> PromptTemplate:
-    lines = [line for line in text.split("\n") if not line.startswith("#")]
-    while lines and not lines[-1]:
-        lines.pop()
-    body = "\n".join(lines)
-    required = set()
-    for match in _PLACEHOLDER.finditer(body):
-        if match.group(2) is None and match.group(1) not in ("Source #i", "Target #i"):
-            required.add(match.group(1))
-    return PromptTemplate(name=name, body=body, required_placeholders=frozenset(required))
-
-
 def load_template(path: str | Path) -> PromptTemplate:
     path = Path(path)
     if not path.is_file():
         raise TemplateError(f"template file not found: {path}")
-    return _parse_template(path.stem, path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    lines = [line for line in text.split("\n") if not line.startswith("#")]
+    while lines and not lines[-1]:
+        lines.pop()
+    return PromptTemplate(name=path.stem, body="\n".join(lines))
 
 
 def load_template_set(name_or_dir: str = "default") -> TemplateSet:

@@ -149,18 +149,6 @@ class ExplanationIndex:
         """Number of columns: the vocabulary size or the embedding dimension."""
         return len(self.columns.indptr) - 1
 
-    @property
-    def doc_vectors(self) -> list[dict[int, float]]:
-        """Each document's {column: stored weight}, columns ascending; a read-only view."""
-        import numpy as np
-
-        indptr, rows, weights = self.columns
-        cols = np.repeat(np.arange(self.dim), np.diff(indptr))
-        order = np.argsort(rows, kind="stable")
-        ends = np.cumsum(np.bincount(rows, minlength=len(self.doc_ids))).tolist()
-        cols, weights = cols[order].tolist(), weights[order].tolist()
-        return [dict(zip(cols[s:e], weights[s:e])) for s, e in zip([0, *ends], ends)]
-
     def postings(self) -> Postings:
         """The query postings, built once on first use even when threads race for them."""
         if self._postings is None:

@@ -83,6 +83,16 @@ def cosine(va: dict, vb: dict) -> float:
     return sum(w * vb.get(g, 0.0) for g, w in va.items())
 
 
+def doc_vectors(index: ExplanationIndex) -> list[dict[int, float]]:
+    """Each document's {column: stored weight}, read back from the index's columns."""
+    indptr, rows, weights = (array.tolist() for array in index.columns)
+    vectors: list[dict[int, float]] = [{} for _ in index.doc_ids]
+    for col in range(len(indptr) - 1):
+        for pos in range(indptr[col], indptr[col + 1]):
+            vectors[rows[pos]][col] = weights[pos]
+    return vectors
+
+
 def full_scan_topk(
     texts: list[str],
     ids: list[str],

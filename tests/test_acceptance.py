@@ -200,7 +200,7 @@ def test_criterion_04_tfidf_normalization():
     )
     index = build_index(corpus, "explanation", IndexConfig())
     failures = []
-    for doc_id, vec in zip(index.doc_ids, index.doc_vectors):
+    for doc_id, vec in zip(index.doc_ids, oracles.doc_vectors(index)):
         if not vec:
             continue
         norm = sum(w * w for w in vec.values()) ** 0.5

@@ -694,6 +694,8 @@ def test_sweep_theta_rows(
     assert code == 0, err
     rows = json.loads(out)
     assert [row["theta"] for row in rows] == [0.0, 0.6, 1.0]
+    for row in rows:
+        assert list(row) == ["theta", "precision", "recall", "f_half"]
     assert rows[0]["f_half"] == pytest.approx(1.0)
     assert rows[1]["recall"] == pytest.approx(0.5)
     assert rows[2]["recall"] == pytest.approx(0.0)
@@ -711,7 +713,49 @@ def test_compare_retrievers_rows(
     rows = json.loads(out)
     assert [row["ranking"] for row in rows] == ["tfidf_cosine", "bm25"]
     for row in rows:
-        assert set(row) == {"ranking", "precision", "recall", "f_half", "mean_query_ms"}
+        assert list(row) == ["ranking", "precision", "recall", "f_half", "mean_query_ms"]
+
+
+def test_compare_retrievers_has_no_ranking_option(run, dev_jsonl, gee_jsonl, corrector_script):
+    code, out, err = run(
+        "compare-retrievers", "--dev", dev_jsonl, "--train", gee_jsonl,
+        "--rankings", "tfidf_cosine", "--script", corrector_script, "--ranking", "bm25",
+    )
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --ranking bm25" in err
+
+
+@pytest.mark.parametrize(
+    "thetas, manifest, message",
+    [
+        ("0.5,abc", None, "argument --thetas: not a number: 'abc'"),
+        ("1.5", None, "argument --thetas: theta must lie in [0, 1], got 1.5"),
+        ("0.5,,0.6", None, "argument --thetas: not a number: ''"),
+        (None, "0.5,abc", "usage error: config key 'thetas'"),
+        (None, [0.5, 1.5], "usage error: config key 'thetas'"),
+    ],
+    ids=["flag not a number", "flag out of range", "flag empty item", "manifest string",
+         "manifest list"],
+)
+def test_sweep_theta_rejects_thetas_before_reading_files(
+    run, monkeypatch, tmp_path, write_script, thetas, manifest, message
+):
+    loads = []
+    monkeypatch.setattr(re2gec.cli, "load_corpus", lambda *args, **kw: loads.append(args))
+    missing = str(tmp_path / "missing.jsonl")
+    script = write_script({})
+    argv = ["sweep-theta", "--dev", missing, "--train", missing, "--index", missing,
+            "--script", script, "--explainer-script", script]
+    if thetas is not None:
+        argv += ["--thetas", thetas]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"thetas": manifest}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert message in err.splitlines()[-1]
+    assert loads == []
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from re2gec.pipeline import (
     sweep_threshold,
 )
 from re2gec.prompting import load_template_set, render_gec_prompt, render_gee_prompt
-from re2gec.retriever import IndexConfig, build_index, query
+from re2gec.retriever import IndexConfig, RetrievalResult, build_index, query
 
 SET = load_template_set("default")
 
@@ -166,6 +166,16 @@ def test_correct_corpus_parallel_matches_sequential(gee_index, mini_gee_corpus, 
     assert [o.input for o in sequential] == inputs
 
 
+def test_open_gate_without_hits_uses_without_examples(mini_gee_corpus, config):
+    result = RetrievalResult(hits=(), gate_open=True)
+    outcome = pipeline_module._correct(
+        INPUT_LOW, Q_LOW, result, mini_gee_corpus, SET, pipeline_module._completer(config)
+    )
+    assert outcome.mode_used == MODE_WITHOUT
+    assert outcome.prompt == render_gec_prompt(INPUT_LOW, [], SET)
+    assert outcome.hits is result
+
+
 # --- baselines ---
 
 
@@ -294,6 +304,8 @@ def test_sweep_threshold_rows(dev_corpus, gee_index, mini_gee_corpus, sweep_conf
         dev_corpus, [0.0, 0.6, 1.0], sweep_config, gee_index, mini_gee_corpus
     )
     assert [row["theta"] for row in rows] == [0.0, 0.6, 1.0]
+    for row in rows:
+        assert list(row) == ["theta", "precision", "recall", "f_half"]
 
     # theta 0: both gates open, both corrected
     assert rows[0]["precision"] == pytest.approx(1.0)
@@ -367,7 +379,7 @@ def test_compare_retrievers_rows(dev_corpus, mini_gee_corpus, sweep_config):
     )
     assert [row["ranking"] for row in rows] == ["tfidf_cosine", "bm25"]
     for row in rows:
-        assert set(row) == {"ranking", "precision", "recall", "f_half", "mean_query_ms"}
+        assert list(row) == ["ranking", "precision", "recall", "f_half", "mean_query_ms"]
         assert row["mean_query_ms"] >= 0.0
         assert 0.0 <= row["f_half"] <= 1.0
     # tfidf keeps the 0.6 gate: only the high query gets examples

@@ -159,16 +159,16 @@ def test_comments_and_trailing_blanks_stripped(tmp_path):
     path.write_text("# comment\nbody {X}\n# more\nlast\n\n\n", encoding="utf-8")
     template = load_template(path)
     assert template.body == "body {X}\nlast"
-    assert template.required_placeholders == frozenset({"X"})
 
 
 def test_optional_placeholder_not_required(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("a {Must}\nb {Maybe?}\n", encoding="utf-8")
     template = load_template(path)
-    assert template.required_placeholders == frozenset({"Must"})
     assert render(template, {"Must": "1"}) == "a 1"
     assert render(template, {"Must": "1", "Maybe": "2"}) == "a 1\nb 2"
+    with pytest.raises(TemplateError, match="missing placeholder 'Must'"):
+        render(template, {"Maybe": "2"})
 
 
 def test_missing_required_placeholder_raises(tmp_path):
