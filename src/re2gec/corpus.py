@@ -26,8 +26,6 @@ from .errors import CorpusError
 
 logger = logging.getLogger(__name__)
 
-CORPUS_KINDS = ("gec", "gee", "detection")
-
 _REQUIRED_FIELDS = ("id", "source", "targets")
 _OPTIONAL_FIELDS = ("error_types", "edits", "explanation", "rough_explanation")
 _KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
@@ -99,11 +97,6 @@ class SentencePair:
 @dataclass
 class Corpus:
     records: list[SentencePair]
-    kind: str = "gec"
-
-    def __post_init__(self):
-        if self.kind not in CORPUS_KINDS:
-            raise ValueError(f"unknown corpus kind {self.kind!r}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -236,7 +229,7 @@ def string_fields(path: str | Path, names: Sequence[str]) -> list[tuple[str, ...
     return rows
 
 
-def load_corpus(path: str | Path, kind: str = "gec", strict: bool = False) -> Corpus:
+def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
     """Load and validate a JSON-lines corpus file.
 
     Unknown fields are rejected when ``strict`` is true, otherwise ignored
@@ -244,8 +237,6 @@ def load_corpus(path: str | Path, kind: str = "gec", strict: bool = False) -> Co
     malformed JSON, schema violations, duplicate ids, or edit lists that do
     not rebuild their targets.
     """
-    if kind not in CORPUS_KINDS:
-        raise CorpusError(f"unknown corpus kind {kind!r}")
     records = []
     seen = set()
     for line_no, obj in json_objects(path):
@@ -256,7 +247,7 @@ def load_corpus(path: str | Path, kind: str = "gec", strict: bool = False) -> Co
         if rec.edits is not None:
             _check_edits_replay(rec, line_no)
         records.append(rec)
-    return Corpus(records=records, kind=kind)
+    return Corpus(records=records)
 
 
 def record_to_dict(rec: SentencePair) -> dict:

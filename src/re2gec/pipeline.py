@@ -159,6 +159,17 @@ def _cached_completer(config: Re2Config) -> Callable[[str], str]:
     return completer
 
 
+def _retrieve(
+    stage: str, index: ExplanationIndex, text: str, config: Re2Config, theta: float, **kwargs
+) -> RetrievalResult:
+    """``query`` for ``config.k`` hits with ``config``'s embedder, as stage ``stage``.
+
+    ``query`` is looked up at call time, so wrappers see each query.
+    """
+    embedder = embedder_for(config.embedding_backend)
+    return _stage(stage, query, index, text, config.k, theta, embedder=embedder, **kwargs)
+
+
 def generate_explanation(
     input_text: str, config: Re2Config, template_set: TemplateSet
 ) -> str:
@@ -208,15 +219,7 @@ def run_re2(
     """Correct one input sentence with explanation-retrieved examples."""
     template_set = template_set or load_template_set(config.templates)
     explanation = generate_explanation(input_text, config, template_set)
-    result = _stage(
-        "retrieve",
-        query,
-        index,
-        explanation,
-        config.k,
-        config.theta,
-        embedder=embedder_for(config.embedding_backend),
-    )
+    result = _retrieve("retrieve", index, explanation, config, config.theta)
     return _correct(
         input_text, explanation, result, corpus, template_set, _completer(config)
     )
@@ -256,15 +259,7 @@ def run_baseline(
     else:
         if source_index is None:
             raise PipelineError("baseline", "textsim requires a source-text index")
-        result = _stage(
-            "retrieve",
-            query,
-            source_index,
-            input_text,
-            config.k,
-            0.0,
-            embedder=embedder_for(config.embedding_backend),
-        )
+        result = _retrieve("retrieve", source_index, input_text, config, 0.0)
     return _correct(input_text, "", result, corpus, template_set, _completer(config))
 
 
@@ -297,16 +292,7 @@ def build_sft_data(
     for rec in train:
         if not rec.explanation:
             raise PipelineError("sft", f"record {rec.id}: missing explanation")
-        result = _stage(
-            "sft",
-            query,
-            index,
-            rec.explanation,
-            config.k,
-            0.0,
-            exclude_ids={rec.id},
-            embedder=embedder_for(config.embedding_backend),
-        )
+        result = _retrieve("sft", index, rec.explanation, config, 0.0, exclude_ids={rec.id})
         examples = _examples_for_hits(result.hits, train)
         response = rec.targets[0]
         out.append(
@@ -384,11 +370,8 @@ def sweep_threshold(
         if not (0.0 <= theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
     explanations, score = _dev_scorer(dev, train, config, jobs)
-    embedder = embedder_for(config.embedding_backend)
     hit_lists = map_ordered(
-        lambda explanation: _stage(
-            "retrieve", query, index, explanation, config.k, 0.0, embedder=embedder
-        ).hits,
+        lambda explanation: _retrieve("retrieve", index, explanation, config, 0.0).hits,
         explanations,
         jobs,
     )

@@ -58,7 +58,7 @@ def mini_gee_corpus():
         SentencePair(id=doc_id, source=f"原句{i}", targets=[f"改句{i}"], explanation=text)
         for i, (doc_id, text) in enumerate(GEE_DOCS)
     ]
-    return Corpus(records=records, kind="gee")
+    return Corpus(records=records)
 
 
 @pytest.fixture

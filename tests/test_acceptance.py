@@ -156,7 +156,6 @@ def test_criterion_03_retrieval_matches_full_scan_oracle():
             SentencePair(id=i, source="原", targets=["改"], explanation=t)
             for i, t in zip(ids, texts)
         ],
-        kind="gee",
     )
     start = time.perf_counter()
     index = build_index(corpus, "explanation", IndexConfig())
@@ -196,7 +195,6 @@ def test_criterion_04_tfidf_normalization():
             SentencePair(id=i, source="原", targets=["改"], explanation=t)
             for i, t in zip(ids, texts)
         ],
-        kind="gee",
     )
     index = build_index(corpus, "explanation", IndexConfig())
     failures = []
@@ -261,7 +259,7 @@ def test_criterion_06_sft_builder_on_50_records(tmp_path):
         )
         for i in range(50)
     ]
-    train = Corpus(records, kind="gee")
+    train = Corpus(records)
     index = build_index(train, "explanation", IndexConfig())
     unused = BackendConfig(kind="mock", script_path=str(tmp_path / "unused.json"))
     config = Re2Config(backend=unused, explainer_backend=unused, k=3)

@@ -194,6 +194,160 @@ def test_http_backend_without_endpoint_is_usage_error(run, dev_jsonl, gee_jsonl,
     assert "missing required option --endpoint" in err
 
 
+def test_missing_input_names_its_flag(run, write_script):
+    code, _, err = run("explain", "--explainer-script", write_script({}))
+    assert code == 2
+    assert err.splitlines() == ["usage error: missing required option --in"]
+
+
+# --- output ---
+
+TEXT_COMMANDS = [
+    "extract-edits", "query", "explain", "correct", "baseline", "score", "rouge", "detect",
+    "make-sft-data", "sweep-theta", "compare-retrievers",
+]
+
+
+@pytest.fixture
+def text_commands(
+    dev_jsonl, gee_jsonl, index_file, explainer_script, corrector_script, write_corpus, tmp_path
+):
+    """Per command that writes text: the argv of one run and its number of output lines."""
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(f"{TARGET_LOW}\n{INPUT_HIGH}\n", encoding="utf-8")
+    pairs = write_corpus([{"source": "AXB", "target": "AB"}, {"source": "ab", "target": "ba"}])
+    backends = ("--script", corrector_script, "--explainer-script", explainer_script)
+    return {
+        "extract-edits": (("--in", pairs), 2),
+        "query": (("--index", index_file, "--text", Q_HIGH), 1),
+        "explain": (("--in", dev_jsonl, "--explainer-script", explainer_script), 2),
+        "correct": (("--in", dev_jsonl, "--corpus", gee_jsonl, "--index", index_file,
+                     *backends), 2),
+        "baseline": (("--mode", "zero_shot", "--in", dev_jsonl, "--corpus", gee_jsonl,
+                      "--script", corrector_script), 2),
+        "score": (("--src", dev_jsonl, "--hyp", str(hyp)), 1),
+        "rouge": (("--candidate", "ace", "--reference", "abcde"), 1),
+        "detect": (("--src", dev_jsonl, "--hyp", str(hyp)), 1),
+        "make-sft-data": (("--train", gee_jsonl, "--index", index_file), 2 * len(GEE_DOCS)),
+        "sweep-theta": (("--dev", dev_jsonl, "--train", gee_jsonl, "--index", index_file,
+                         "--thetas", "0.0,0.6", *backends), 1),
+        "compare-retrievers": (("--dev", dev_jsonl, "--train", gee_jsonl,
+                                "--rankings", "tfidf_cosine", *backends), 1),
+    }
+
+
+@pytest.mark.parametrize("command", TEXT_COMMANDS)
+def test_stdout_and_out_file_get_the_same_lines(run, text_commands, command, tmp_path):
+    argv, n_lines = text_commands[command]
+    code, stdout, err = run(command, *argv)
+    assert code == 0, err
+    path = tmp_path / "out.txt"
+    assert run(command, *argv, "--out", str(path)) == (0, "", "")
+    written = path.read_bytes().decode("utf-8")
+    for text in (stdout, written):
+        lines = text.split("\n")
+        assert len(lines) == n_lines + 1 and lines[-1] == ""
+        assert all(json.loads(line) is not None for line in lines[:-1])
+    if command == "compare-retrievers":  # mean_query_ms is a timing
+        stdout, written = (
+            [{**row, "mean_query_ms": 0.0} for row in json.loads(text)]
+            for text in (stdout, written)
+        )
+    assert written == stdout
+
+
+@pytest.mark.parametrize("command", ["extract-edits", "explain", "correct", "baseline"])
+def test_empty_input_gives_empty_output(run, text_commands, command, write_corpus, tmp_path):
+    argv = list(text_commands[command][0])
+    argv[argv.index("--in") + 1] = write_corpus([])
+    assert run(command, *argv) == (0, "", "")
+    path = tmp_path / "out.jsonl"
+    assert run(command, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index"])
+def test_out_in_a_missing_directory_fails_before_any_work(
+    run, text_commands, gee_jsonl, write_script, monkeypatch, tmp_path, command
+):
+    if command == "build-index":  # an embedding build calls a backend
+        argv = ("--in", gee_jsonl, "--ranking", "embedding", "--embed-script", write_script({}))
+    else:
+        argv = text_commands[command][0]
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for module, name in [(re2gec.pipeline, "complete"), (re2gec.pipeline, "embed"),
+                         (re2gec.cli, "load_corpus"), (re2gec.cli, "load_index"),
+                         (re2gec.cli, "string_fields")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    out = tmp_path / "missing" / "out.jsonl"
+    code, stdout, err = run(command, *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: --out {str(out)!r}: no directory {str(out.parent)!r}"]
+    assert calls == []
+    assert not out.parent.exists()
+
+
+def test_failed_run_leaves_out_as_it_was(run, text_commands, write_script, tmp_path):
+    argv = list(text_commands["correct"][0])
+    argv[argv.index("--explainer-script") + 1] = write_script({}, fallback="none")
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_bytes(b"old\n")
+    for path in (old, new):
+        code, _, err = run("correct", *argv, "--out", str(path))
+        assert code == 1
+        assert err.startswith("error: explain: mock backend: no scripted response")
+    assert old.read_bytes() == b"old\n"
+    assert not new.exists()
+
+
+def test_out_may_name_an_input_file(run, write_corpus):
+    pairs = write_corpus([{"source": "ab", "target": "ba"}])
+    assert run("extract-edits", "--in", pairs, "--out", pairs) == (0, "", "")
+    assert Path(pairs).read_text(encoding="utf-8") == '[[0,"a",""],[2,"","a"]]\n'
+
+
+@pytest.mark.parametrize(
+    "command, single, files, message",
+    [
+        ("explain", {"text": "句子"}, {"infile": "in.jsonl"}, "--text and --in"),
+        ("extract-edits", {"source": "ab", "target": "ba"}, {"infile": "in.jsonl"},
+         "--source/--target and --in"),
+        ("extract-edits", {"target": "ba"}, {"infile": "in.jsonl"},
+         "--source/--target and --in"),
+        ("rouge", {"candidate": "ace", "reference": "abcde"},
+         {"cand_file": "c.txt", "ref_file": "r.txt"},
+         "--candidate/--reference and --cand-file/--ref-file"),
+        ("rouge", {"reference": "abcde"}, {"cand_file": "c.txt"},
+         "--candidate/--reference and --cand-file/--ref-file"),
+    ],
+    ids=["explain", "extract-edits", "extract-edits target only", "rouge", "rouge one each"],
+)
+@pytest.mark.parametrize("files_via", ["flags", "manifest"])
+def test_single_input_and_file_input_are_mutually_exclusive(
+    run, write_script, tmp_path, command, single, files, message, files_via
+):
+    argv = [command]
+    for name, value in single.items():
+        argv += [f"--{name}", value]
+    # None of the files exists, so reading one would exit 1, not 2.
+    files = {name: str(tmp_path / value) for name, value in files.items()}
+    if files_via == "flags":
+        flags = {"infile": "--in", "cand_file": "--cand-file", "ref_file": "--ref-file"}
+        for name, path in files.items():
+            argv += [flags[name], path]
+    else:
+        manifest = tmp_path / "config.json"
+        manifest.write_text(json.dumps(files), encoding="utf-8")
+        argv += ["--config", str(manifest)]
+    if command == "explain":
+        argv += ["--explainer-script", write_script({})]
+    assert run(*argv) == (2, "", f"usage error: {message} are mutually exclusive\n")
+
+
 # --- edits ---
 
 
@@ -1038,7 +1192,7 @@ def test_numpy_loaded_only_by_index_queries(tmp_path):
         "after_extract = 'numpy' in sys.modules\n"
         "from re2gec import Corpus, SentencePair, build_index, query\n"
         "recs = [SentencePair(id='a', source='s', targets=['t'], explanation='主谓搭配')]\n"
-        "query(build_index(Corpus(recs, kind='gee')), '搭配', k=1, theta=0.0)\n"
+        "query(build_index(Corpus(recs)), '搭配', k=1, theta=0.0)\n"
         "print(json.dumps([code, after_import, after_extract, 'numpy' in sys.modules]))\n"
     )
     proc = subprocess.run(

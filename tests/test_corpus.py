@@ -135,14 +135,6 @@ def test_no_error_record_uses_source_as_target(tmp_path):
     assert corpus.records[0].targets == [corpus.records[0].source]
 
 
-def test_corpus_kind_validation(tmp_path):
-    path = _write_lines(tmp_path, [json.dumps({"id": "a", "source": "s", "targets": ["t"]})])
-    for kind in ("gec", "gee", "detection"):
-        assert load_corpus(path, kind=kind).kind == kind
-    with pytest.raises(CorpusError, match="unknown corpus kind"):
-        load_corpus(path, kind="other")
-
-
 def test_corpus_get_by_id(mini_gee_corpus):
     assert mini_gee_corpus.get("d1").id == "d1"
     with pytest.raises(CorpusError, match="unknown record id"):
@@ -162,10 +154,10 @@ def test_dump_load_roundtrip(tmp_path):
         ),
         SentencePair(id="c", source="", targets=["x"]),
     ]
-    corpus = Corpus(records=records, kind="gee")
+    corpus = Corpus(records=records)
     path = tmp_path / "out.jsonl"
     dump_corpus(corpus, path)
-    reloaded = load_corpus(path, kind="gee")
+    reloaded = load_corpus(path)
     assert reloaded.records == records
 
 
@@ -200,12 +192,12 @@ def _records(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_records(), max_size=6, unique_by=lambda r: r.id), st.sampled_from(["gec", "gee"]))
-def test_roundtrip_property(tmp_path_factory, records, kind):
-    corpus = Corpus(records=records, kind=kind)
+@given(st.lists(_records(), max_size=6, unique_by=lambda r: r.id))
+def test_roundtrip_property(tmp_path_factory, records):
+    corpus = Corpus(records=records)
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
     dump_corpus(corpus, path)
-    assert load_corpus(path, kind=kind).records == records
+    assert load_corpus(path).records == records
 
 
 _VALID_LINE = {"id": "ok", "source": "abcdef", "targets": ["abXdef"], "edits": [[[2, "c", "X"]]]}

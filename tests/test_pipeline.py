@@ -257,7 +257,7 @@ def test_build_sft_data_requires_explanations(gee_index, mini_gee_corpus, config
     records = list(mini_gee_corpus.records) + [
         SentencePair(id="bare", source="原句x", targets=["改句x"])
     ]
-    train = Corpus(records=records, kind="gee")
+    train = Corpus(records=records)
     with pytest.raises(PipelineError, match="record bare: missing explanation"):
         build_sft_data(train, gee_index, config)
 
@@ -279,7 +279,6 @@ def dev_corpus():
             SentencePair(id="devA", source=INPUT_LOW, targets=[TARGET_LOW]),
             SentencePair(id="devB", source=INPUT_HIGH, targets=[TARGET_HIGH]),
         ],
-        kind="gec",
     )
 
 

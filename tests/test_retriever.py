@@ -41,7 +41,7 @@ def gee_record(doc_id: str, explanation: str) -> SentencePair:
 
 
 def gee_corpus(texts: dict[str, str]) -> Corpus:
-    return Corpus([gee_record(i, t) for i, t in texts.items()], kind="gee")
+    return Corpus([gee_record(i, t) for i, t in texts.items()])
 
 
 def to_tuple_vector(index, vec: dict[int, float]) -> dict[tuple, float]:
@@ -166,20 +166,17 @@ def test_query_validation():
 
 def test_empty_index_rejected():
     with pytest.raises(RetrievalError, match="empty"):
-        build_index(Corpus([], kind="gee"), "explanation", CFG)
+        build_index(Corpus([]), "explanation", CFG)
 
 
 def test_missing_field_names_record():
     recs = [gee_record("a", "有解释"), SentencePair(id="b", source="原", targets=["改"])]
     with pytest.raises(RetrievalError, match="record b: missing explanation"):
-        build_index(Corpus(recs, kind="gee"), "explanation", CFG)
+        build_index(Corpus(recs), "explanation", CFG)
 
 
 def test_source_field_indexing():
-    corpus = Corpus(
-        [SentencePair(id=i, source=t, targets=["改"]) for i, t in TEXTS.items()],
-        kind="gec",
-    )
+    corpus = Corpus([SentencePair(id=i, source=t, targets=["改"]) for i, t in TEXTS.items()])
     index = build_index(corpus, "source", CFG)
     result = query(index, TEXTS["d2"], k=1, theta=0.0)
     assert result.hits[0].doc_id == "d2"
@@ -508,7 +505,7 @@ def test_corrupt_index_is_a_one_line_error(case, message, tmp_path, capsys):
 def test_build_rejects_duplicate_ids():
     recs = [gee_record("a", "文本一二三"), gee_record("a", "文本四五六")]
     with pytest.raises(RetrievalError, match="duplicate"):
-        build_index(Corpus(recs, kind="gee"), "explanation", CFG)
+        build_index(Corpus(recs), "explanation", CFG)
 
 
 # --- postings scoring ---
