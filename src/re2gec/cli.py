@@ -1,21 +1,21 @@
 """Command-line interface.
 
 Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
-keys mirror the subcommand's long flag names (``{"k": 3, "theta": 0.6, ...}``)
-and whose values pass the same type and choice checks as the flags; explicit
-flags override config values, which override built-in defaults.  A
-subcommand registers only the options its handler reads, and passes on only
-the options that were set: the config dataclasses and library signatures
-hold every default.  A handler returns its output lines, and ``dispatch``
-writes them to ``--out`` (checked before the handler runs) or stdout.  Exit
-codes: 0 on success, 1 on runtime errors (one-line diagnostic on stderr), 2 on
-usage errors.
+keys are the subcommand's long flag names with dashes as underscores
+(``{"in": "dev.jsonl", "k": 3, "theta": 0.6, ...}``) and whose values pass
+the same type and choice checks as the flags; explicit flags override config
+values, which override built-in defaults.  A subcommand registers only the
+options its handler reads, and passes on only the options that were set: the
+config dataclasses and library signatures hold every default.  A handler
+returns its output lines, and ``dispatch`` encodes them all, then writes them
+to ``--out`` (checked before the handler runs) or stdout.  Exit codes: 0 on
+success, 1 on runtime errors (one-line diagnostic on stderr), 2 on usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
 import json
 import sys
@@ -85,8 +85,9 @@ def _manifest_value(action: argparse.Action, key: str, value):
 class _Options:
     """Flag values overlaid on the optional JSON config manifest.
 
-    Manifest keys are the subcommand's option names; other keys are ignored,
-    or rejected under ``--strict``.
+    Manifest keys are the subcommand's long option names with dashes as
+    underscores (``in`` for ``--in``); other keys are ignored, or rejected
+    under ``--strict``.  Values are stored under the option's dest.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -101,13 +102,18 @@ class _Options:
             raise Re2Error(f"cannot read config {config_path!r}: {exc}") from None
         if not isinstance(manifest, dict):
             raise Re2Error(f"config {config_path!r} must hold a JSON object")
-        actions = {a.dest: a for a in args.parser._actions if a.option_strings}
+        actions = {
+            flag[2:].replace("-", "_"): a
+            for a in args.parser._actions
+            for flag in a.option_strings
+            if flag.startswith("--")
+        }
         unknown = []
         for key, value in manifest.items():
             if key not in actions:
                 unknown.append(key)
             elif value is not None:
-                self._manifest[key] = _manifest_value(actions[key], key, value)
+                self._manifest[actions[key].dest] = _manifest_value(actions[key], key, value)
         if unknown and self.get("strict"):
             raise _UsageError(
                 f"config {config_path!r}: unknown key(s) " + ", ".join(map(repr, unknown))
@@ -658,11 +664,17 @@ def dispatch(argv: list[str] | None = None) -> int:
         out = opts.get("out", "-")
         if out != "-" and not Path(out).parent.is_dir():
             raise Re2Error(f"--out {out!r}: no directory {str(Path(out).parent)!r}")
+        if out != "-" and Path(out).is_dir():
+            raise Re2Error(f"--out {out!r}: is a directory")
         lines = args.handler(opts)
         if lines is not None:
-            stdout = contextlib.nullcontext(sys.stdout)
-            with stdout if out == "-" else open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(line + "\n" for line in lines)
+            text = "".join(line + "\n" for line in lines)
+            # Encoded before --out is opened: a line UTF-8 cannot encode leaves it as it was.
+            data = text.encode("utf-8")
+            if out == "-":
+                sys.stdout.write(text)
+            else:
+                Path(out).write_bytes(data)
         return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

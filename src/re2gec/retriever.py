@@ -18,13 +18,17 @@ BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 An index stores its documents column-major only, as numpy arrays (one
 column per n-gram, or per embedding dimension), built with one sort of
 all documents' entries; every ranking scores through one postings product
-over them.  numpy is imported only by index build, load and query,
+over them.  The vocabulary is the strictly ascending list of n-grams, a
+gram's column is its position, and a query finds its grams' columns by
+bisection.  numpy is imported only by index build, load and query,
 so commands that never touch an index do not load it.
 
 ``save_index``/``load_index`` use the binary ``RE2IDX 2`` format: the magic
 line, a table of section lengths, one JSON header, and the column arrays as
 raw little-endian blocks.  Its bytes are a deterministic function of the
-index contents, and loading reads the blocks without a per-posting loop.
+index contents.  A loaded index holds the header's vocabulary and doc id
+lists, and numpy views into the file bytes for every block: no per-gram
+or per-posting Python object is made.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ import hashlib
 import heapq
 import json
 import math
+import operator
 import struct
 import threading
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -129,12 +135,12 @@ class Postings(NamedTuple):
 
 @dataclass(eq=False)
 class ExplanationIndex:
-    vocabulary: dict[str, int]  # n-gram -> column, in lexicographic n-gram order; empty for embeddings
-    idf: list[float]
-    df: list[int]
+    vocabulary: list[str]       # strictly ascending n-grams, one per column; empty for embeddings
+    idf: np.ndarray             # float64, per column; empty for embeddings
+    df: np.ndarray              # integer, per column; empty for embeddings
     columns: Postings           # the documents; one column per n-gram or embedding dimension
     doc_ids: list[str]
-    doc_lengths: list[int]      # n-gram counts; empty for embeddings
+    doc_lengths: np.ndarray     # integer n-gram counts, per document; empty for embeddings
     avg_doc_length: float
     config: IndexConfig
     field_name: str             # the indexed record field
@@ -177,9 +183,9 @@ def _bm25_gains(
     n_docs = len(index.doc_ids)
     k1, b = index.config.bm25_k1, index.config.bm25_b
     avg = index.avg_doc_length or 1.0
-    idf = np.array([math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in index.df])
+    idf = np.array([math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in index.df.tolist()])
     idf = np.repeat(idf, col_sizes)
-    dl = np.asarray(index.doc_lengths, dtype=np.float64)[rows]
+    dl = index.doc_lengths.astype(np.float64)[rows]
     return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
 
 
@@ -296,7 +302,7 @@ def _gram_slots(
 
 def _ngram_entries(
     texts: Sequence[str], config: IndexConfig
-) -> tuple[dict[str, int], list[int], np.ndarray, np.ndarray, list[int]]:
+) -> tuple[list[str], list[int], np.ndarray, np.ndarray, np.ndarray]:
     """The vocabulary and every document's (column, count) entries, in ``ngram_counts`` order.
 
     One ``sorted`` of the distinct gram strings gives the column order;
@@ -305,16 +311,17 @@ def _ngram_entries(
     (document, column).
 
     Returns the vocabulary, the entries per document, the entry columns
-    (int32) and counts (float64), and the windows per document.
+    (int32) and counts (float64), and the windows per document (int64).
     """
     import numpy as np
 
     strings, slot_grams, doc_lengths = _gram_slots(texts, config)
-    vocab = sorted(strings)
-    vocabulary = dict(zip(vocab, range(len(vocab))))
-    if len(vocabulary) < len(vocab):
-        vocabulary = dict(zip(vocabulary, range(len(vocabulary))))
-    column_of = np.fromiter(map(vocabulary.__getitem__, strings), np.int32, len(strings))
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    ranked = [strings[i] for i in order]
+    # new[i]: ranked[i] differs from the string before it (the first always does).
+    new = list(map(operator.ne, [None, *ranked], ranked))
+    column_of = np.empty(len(strings), dtype=np.int32)
+    column_of[order] = np.cumsum(new, dtype=np.int32) - 1
     cols = column_of[slot_grams]
     slot_docs = np.repeat(np.arange(len(texts), dtype=np.int32), doc_lengths)
     # Sorted unique (column, slot) keys put each (column, document) run in slot order.
@@ -325,7 +332,7 @@ def _ngram_entries(
     counts[slots[runs]] = np.diff(runs, append=n)
     first = counts != 0.0
     sizes = np.bincount(slot_docs[first], minlength=len(texts)).tolist()
-    return vocabulary, sizes, cols[first], counts[first], doc_lengths.tolist()
+    return list(compress(ranked, new)), sizes, cols[first], counts[first], doc_lengths
 
 
 def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
@@ -415,16 +422,19 @@ def build_index(
         matrix = _embed(embedder, texts)
         mask = matrix != 0.0
         sizes, cols, weights = mask.sum(axis=1).tolist(), mask.nonzero()[1], matrix[mask]
-        vocabulary, idf, df, doc_lengths, dim = {}, [], [], [], matrix.shape[1]
+        vocabulary, idf, dim = [], np.zeros(0), matrix.shape[1]
+        df = doc_lengths = np.zeros(0, dtype=np.int64)
     else:
         vocabulary, sizes, cols, weights, doc_lengths = _ngram_entries(texts, config)
         # A document holds each gram once, so df counts the gram's entries.  One
         # math.log per distinct df: numpy's log need not match it to the last bit.
-        df = np.bincount(cols, minlength=len(vocabulary)).tolist()
-        idf_of = {d: math.log((1 + len(texts)) / (1 + d)) + 1.0 for d in set(df)}
-        idf = list(map(idf_of.__getitem__, df))
+        df = np.bincount(cols, minlength=len(vocabulary))
+        distinct, inverse = np.unique(df, return_inverse=True)
+        idf = np.array(
+            [math.log((1 + len(texts)) / (1 + d)) + 1.0 for d in distinct.tolist()]
+        )[inverse]
         if config.ranking == "tfidf_cosine":
-            weights *= np.array(idf)[cols]
+            weights *= idf[cols]
         dim = len(vocabulary)
     return ExplanationIndex(
         vocabulary=vocabulary,
@@ -433,7 +443,7 @@ def build_index(
         columns=_columns(sizes, cols, weights, dim, normalize=config.ranking != "bm25"),
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        avg_doc_length=sum(doc_lengths) / len(texts),
+        avg_doc_length=int(doc_lengths.sum()) / len(texts),
         config=config,
         **provenance,
     )
@@ -445,10 +455,15 @@ def _query_weights(
     """{column: weight} of the query: normalized tf-idf, raw BM25 counts, or embedding."""
     ranking, vocab = index.config.ranking, index.vocabulary
     if ranking != "embedding":
-        counts = {vocab[g]: c for g, c in ngram_counts(text, index.config).items() if g in vocab}
+        counts = {}
+        for gram, count in ngram_counts(text, index.config).items():
+            col = bisect_left(vocab, gram)
+            if col < len(vocab) and vocab[col] == gram:
+                counts[col] = count
         if ranking == "bm25":
             return counts
-        return _l2_normalize({col: c * index.idf[col] for col, c in counts.items()})
+        idf = index.idf[list(counts)].tolist()
+        return _l2_normalize({col: c * w for (col, c), w in zip(counts.items(), idf)})
     (vec,) = _embed(embedder, [text]).tolist()
     if len(vec) != index.dim:
         raise RetrievalError(
@@ -546,7 +561,7 @@ def dumps_index(index: ExplanationIndex) -> bytes:
         "dim": index.dim,
         "doc_ids": index.doc_ids,
         "field": index.field_name,
-        "vocabulary": list(index.vocabulary),  # built and loaded in column order
+        "vocabulary": index.vocabulary,
     }
     head = json.dumps(header, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
     head_bytes = head.encode("utf-8")
@@ -633,8 +648,7 @@ def loads_index(data: bytes) -> ExplanationIndex:
         raise RetrievalError("embedding index has a vocabulary")
     if not embedding and dim != len(vocab):
         raise RetrievalError(f"index has {dim} columns but a vocabulary of {len(vocab)}")
-    vocabulary = dict(zip(vocab, range(len(vocab))))
-    if len(vocabulary) != len(vocab) or vocab != sorted(vocab):
+    if not all(map(operator.lt, vocab, islice(vocab, 1, None))):
         raise RetrievalError("index vocabulary is not sorted or has duplicates")
     if len(set(doc_ids)) != len(doc_ids):
         raise RetrievalError("index has duplicate doc ids")
@@ -671,7 +685,7 @@ def loads_index(data: bytes) -> ExplanationIndex:
         if len(values) and not lo < values.min() <= values.max() < hi:
             raise RetrievalError(f"index has {defect}")
     index = ExplanationIndex(
-        vocabulary=vocabulary, idf=idf.tolist(), df=df.tolist(), doc_lengths=doc_lengths.tolist(),
+        vocabulary=vocab, idf=idf, df=df, doc_lengths=doc_lengths,
         columns=Postings(indptr, rows, weights), **header,
     )
     index.postings()

@@ -12,6 +12,8 @@ reference that a faster rewrite must match exactly.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import Counter
 from itertools import chain
@@ -26,7 +28,6 @@ from re2gec.retriever import (
     ExplanationIndex,
     IndexConfig,
     Postings,
-    _corpus_sha256,
     _field_text,
 )
 from re2gec.segmentation import SegmenterConfig, segment
@@ -81,6 +82,12 @@ def query_vector(
 
 def cosine(va: dict, vb: dict) -> float:
     return sum(w * vb.get(g, 0.0) for g, w in va.items())
+
+
+def corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
+    """sha256 of the compact JSON list of the corpus's ``[id, text]`` pairs, in order."""
+    pairs = [[doc_id, text] for doc_id, text in zip(doc_ids, texts)]
+    return hashlib.sha256(json.dumps(pairs, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
 def doc_vectors(index: ExplanationIndex) -> list[dict[int, float]]:
@@ -268,7 +275,9 @@ def build_index(
     if len(set(doc_ids)) != len(doc_ids):
         raise RetrievalError("corpus has duplicate record ids")
     texts = [_field_text(rec, field_name) for rec in corpus]
-    provenance = {"field_name": field_name, "corpus_sha256": _corpus_sha256(doc_ids, texts)}
+    provenance = {"field_name": field_name, "corpus_sha256": corpus_sha256(doc_ids, texts)}
+
+    import numpy as np
 
     if config.ranking == "embedding":
         if embedder is None:
@@ -282,12 +291,12 @@ def build_index(
         if any(len(vec) != dim for vec in vectors):
             raise RetrievalError("embedder returned vectors of different lengths")
         return ExplanationIndex(
-            vocabulary={},
-            idf=[],
-            df=[],
+            vocabulary=[],
+            idf=np.zeros(0),
+            df=np.zeros(0, dtype=np.int64),
             columns=_to_columns([_embedding_vector(vec) for vec in vectors], dim),
             doc_ids=doc_ids,
-            doc_lengths=[],
+            doc_lengths=np.zeros(0, dtype=np.int64),
             avg_doc_length=0.0,
             config=config,
             **provenance,
@@ -314,12 +323,12 @@ def build_index(
         else:
             doc_vectors.append({vocabulary[g]: float(c) for g, c in counts.items()})
     return ExplanationIndex(
-        vocabulary=vocabulary,
-        idf=idf,
-        df=df,
+        vocabulary=list(vocabulary),
+        idf=np.array(idf),
+        df=np.array(df, dtype=np.int64),
         columns=_to_columns(doc_vectors, len(vocabulary)),
         doc_ids=doc_ids,
-        doc_lengths=doc_lengths,
+        doc_lengths=np.array(doc_lengths, dtype=np.int64),
         avg_doc_length=avg_len,
         config=config,
         **provenance,

@@ -266,14 +266,9 @@ def test_empty_input_gives_empty_output(run, text_commands, command, write_corpu
     assert path.read_bytes() == b""
 
 
-@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index"])
-def test_out_in_a_missing_directory_fails_before_any_work(
-    run, text_commands, gee_jsonl, write_script, monkeypatch, tmp_path, command
-):
-    if command == "build-index":  # an embedding build calls a backend
-        argv = ("--in", gee_jsonl, "--ranking", "embedding", "--embed-script", write_script({}))
-    else:
-        argv = text_commands[command][0]
+@pytest.fixture
+def work_args(text_commands, gee_jsonl, write_script, monkeypatch):
+    """Per command: the argv of one run, and the list of the input reads and backend calls made."""
     calls = []
 
     def counted(name, fn):
@@ -283,12 +278,51 @@ def test_out_in_a_missing_directory_fails_before_any_work(
                          (re2gec.cli, "load_corpus"), (re2gec.cli, "load_index"),
                          (re2gec.cli, "string_fields")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    argvs = {command: argv for command, (argv, _) in text_commands.items()}
+    # An embedding build calls a backend.
+    argvs["build-index"] = (
+        "--in", gee_jsonl, "--ranking", "embedding", "--embed-script", write_script({})
+    )
+    return argvs, calls
+
+
+@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index"])
+def test_out_in_a_missing_directory_fails_before_any_work(run, work_args, tmp_path, command):
+    argvs, calls = work_args
     out = tmp_path / "missing" / "out.jsonl"
-    code, stdout, err = run(command, *argv, "--out", str(out))
+    code, stdout, err = run(command, *argvs[command], "--out", str(out))
     assert (code, stdout) == (1, "")
     assert err.splitlines() == [f"error: --out {str(out)!r}: no directory {str(out.parent)!r}"]
     assert calls == []
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index"])
+def test_out_naming_a_directory_fails_before_any_work(run, work_args, tmp_path, command):
+    argvs, calls = work_args
+    code, stdout, err = run(command, *argvs[command], "--out", str(tmp_path))
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: --out {str(tmp_path)!r}: is a directory"]
+    assert calls == []
+
+
+def test_unencodable_output_line_leaves_out_as_it_was(run, tmp_path):
+    # The JSON escape loads as a lone surrogate, which UTF-8 cannot encode.
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"source": "ab", "target": "ba"}) + "\n"
+        + json.dumps({"source": "a\ud800", "target": "a"}) + "\n",
+        encoding="utf-8",
+    )
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_bytes(b"old\n")
+    for out in (("--out", str(old)), ("--out", str(new)), ()):
+        code, stdout, err = run("extract-edits", "--in", str(pairs), *out)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+    assert old.read_bytes() == b"old\n"
+    assert not new.exists()
 
 
 def test_failed_run_leaves_out_as_it_was(run, text_commands, write_script, tmp_path):
@@ -313,10 +347,10 @@ def test_out_may_name_an_input_file(run, write_corpus):
 @pytest.mark.parametrize(
     "command, single, files, message",
     [
-        ("explain", {"text": "句子"}, {"infile": "in.jsonl"}, "--text and --in"),
-        ("extract-edits", {"source": "ab", "target": "ba"}, {"infile": "in.jsonl"},
+        ("explain", {"text": "句子"}, {"in": "in.jsonl"}, "--text and --in"),
+        ("extract-edits", {"source": "ab", "target": "ba"}, {"in": "in.jsonl"},
          "--source/--target and --in"),
-        ("extract-edits", {"target": "ba"}, {"infile": "in.jsonl"},
+        ("extract-edits", {"target": "ba"}, {"in": "in.jsonl"},
          "--source/--target and --in"),
         ("rouge", {"candidate": "ace", "reference": "abcde"},
          {"cand_file": "c.txt", "ref_file": "r.txt"},
@@ -336,7 +370,7 @@ def test_single_input_and_file_input_are_mutually_exclusive(
     # None of the files exists, so reading one would exit 1, not 2.
     files = {name: str(tmp_path / value) for name, value in files.items()}
     if files_via == "flags":
-        flags = {"infile": "--in", "cand_file": "--cand-file", "ref_file": "--ref-file"}
+        flags = {"in": "--in", "cand_file": "--cand-file", "ref_file": "--ref-file"}
         for name, path in files.items():
             argv += [flags[name], path]
     else:
@@ -1105,6 +1139,17 @@ def test_config_manifest_unknown_keys_and_lists(
     code, from_list, err = run(*argv, "--config", str(path))
     assert code == 0, err
     assert from_list == run(*argv, "--thetas", "0.0,0.6,1.0")[1]
+
+
+def test_manifest_keys_are_long_option_names(run, write_corpus, tmp_path):
+    pairs = write_corpus([{"source": "ab", "target": "ba"}])
+    manifest = tmp_path / "config.json"
+    manifest.write_text(json.dumps({"in": pairs, "segmenter": "whitespace"}), encoding="utf-8")
+    assert run("extract-edits", "--config", str(manifest)) == (0, '[[0,"ab","ba"]]\n', "")
+    # The option's dest is not a key.
+    manifest.write_text(json.dumps({"infile": pairs}), encoding="utf-8")
+    code, _, err = run("extract-edits", "--config", str(manifest), "--strict")
+    assert (code, err) == (2, f"usage error: config {str(manifest)!r}: unknown key(s) 'infile'\n")
 
 
 def test_strict_corpus_loading(run, write_corpus, tmp_path):

@@ -45,8 +45,7 @@ def gee_corpus(texts: dict[str, str]) -> Corpus:
 
 
 def to_tuple_vector(index, vec: dict[int, float]) -> dict[tuple, float]:
-    by_idx = {idx: g for g, idx in index.vocabulary.items()}
-    return {tuple(by_idx[i].split(NGRAM_JOIN)): w for i, w in vec.items()}
+    return {tuple(index.vocabulary[i].split(NGRAM_JOIN)): w for i, w in vec.items()}
 
 
 TEXTS = {
@@ -80,16 +79,16 @@ def test_ngram_counts_equals_oracle_loop(text, mode, ngram_range):
 
 def test_vocabulary_is_sorted_and_indices_dense():
     index = build_index(gee_corpus(TEXTS), "explanation", CFG)
-    grams = list(index.vocabulary)
-    assert grams == sorted(grams)
-    assert sorted(index.vocabulary.values()) == list(range(len(grams)))
+    grams = index.vocabulary
+    assert grams == sorted(set(grams))
+    assert index.dim == len(grams)
 
 
 def test_idf_formula_and_df():
     index = build_index(gee_corpus(TEXTS), "explanation", CFG)
     _, oracle_idf = oracles.tfidf_vectors(list(TEXTS.values()))
     n = len(TEXTS)
-    for gram, idx in index.vocabulary.items():
+    for idx, gram in enumerate(index.vocabulary):
         key = tuple(gram.split(NGRAM_JOIN))
         df = index.df[idx]
         assert index.idf[idx] == pytest.approx(math.log((1 + n) / (1 + df)) + 1.0)
@@ -305,7 +304,7 @@ def test_embedding_index_records_dimension(monkeypatch):
         dumps_index(build_index(gee_corpus(texts), "explanation", cfg, embedder=fake_embedder))
     )
     assert index.dim == 3
-    assert index.doc_lengths == []
+    assert len(index.doc_lengths) == 0
     short = lambda batch: [vec[:2] for vec in fake_embedder(batch)]
     with pytest.raises(RetrievalError, match="2-dimensional vector for an index of dimension 3"):
         query(index, "接近第一篇", k=1, theta=0.0, embedder=short)
@@ -340,8 +339,8 @@ def test_save_load_round_trip(tmp_path):
     save_index(index, path)
     loaded = load_index(path)
     assert loaded.vocabulary == index.vocabulary
-    assert loaded.idf == index.idf
-    assert loaded.df == index.df
+    assert loaded.idf.tolist() == index.idf.tolist()
+    assert loaded.df.tolist() == index.df.tolist()
     assert loaded.doc_ids == index.doc_ids
     assert oracles.doc_vectors(loaded) == oracles.doc_vectors(index)
     assert loaded.config == index.config
@@ -354,7 +353,7 @@ def test_bm25_round_trip_keeps_lengths(tmp_path):
     cfg = IndexConfig(ranking="bm25", ngram_min=1, ngram_max=2)
     index = build_index(gee_corpus(TEXTS), "explanation", cfg)
     loaded = loads_index(dumps_index(index))
-    assert loaded.doc_lengths == index.doc_lengths
+    assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
     assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length)
     assert loaded.config == cfg
     assert dumps_index(loaded) == dumps_index(index)
@@ -620,7 +619,10 @@ def test_dumps_loads_round_trip(case, ranking, dim):
         "vocabulary", "idf", "df", "doc_ids", "doc_lengths", "avg_doc_length",
         "config", "dim", "field_name", "corpus_sha256",
     ):
-        assert getattr(loaded, attr) == getattr(index, attr), attr
+        got, want = getattr(loaded, attr), getattr(index, attr)
+        if isinstance(want, np.ndarray):
+            got, want = got.tolist(), want.tolist()
+        assert got == want, attr
     assert oracles.doc_vectors(loaded) == oracles.doc_vectors(index)
     assert dumps_index(loaded) == blob
     got = query(loaded, query_text, k=k, theta=0.0, exclude_ids=exclude, embedder=embedder)
@@ -694,7 +696,7 @@ def test_equal_grams_of_two_lengths_share_a_column(ranking):
     corpus = gee_corpus({"d0": "a\x1fbab", "d1": "ab\x1fab", "d2": "ba"})
     index = build_index(corpus, "explanation", cfg)
     assert sorted(index.vocabulary) == ["a", "a\x1fb", "a\x1fb\x1fa", "b", "b\x1fa", "b\x1fa\x1fb"]
-    assert index.doc_lengths == [5, 5, 3]
+    assert index.doc_lengths.tolist() == [5, 5, 3]
     assert dumps_index(index) == dumps_index(oracles.build_index(corpus, "explanation", cfg))
 
 
@@ -711,3 +713,34 @@ def test_build_index_bytes_equal_oracle_on_seeded_corpus(ranking):
     embedder = _float_embedder(32)
     got = dumps_index(build_index(gee_corpus(texts), "explanation", cfg, embedder))
     assert got == dumps_index(oracles.build_index(gee_corpus(texts), "explanation", cfg, embedder))
+
+
+# Query grams that sort before the first vocabulary entry or after the last,
+# and grams that prefix entries: "a" next to "a\x1fb" (character mode); the
+# absent token "a" before "a\x01" and "ab" (whitespace mode); the absent token
+# "a" before the token "a\x1fb" (one token under GLUE_CMD).
+@pytest.mark.parametrize(
+    "mode, texts, queries",
+    [
+        ("character", ["ab", "bc", "cab"], ["a", "A", "主", "Aab主", "c", "ca"]),
+        ("whitespace", ["ab c", "a\x01 ab", "c d"], ["a", "A ab", "a\x01 主", "d 主", "a c"]),
+        ("external", ["a\x1fbc", "ca\x1fb", "cc"], ["a", "ac", "a\x1fb", "Ac主", "cc"]),
+    ],
+)
+def test_query_lookup_at_vocabulary_edges_equals_full_scan_oracle(mode, texts, queries):
+    seg = SegmenterConfig(mode=mode, external_command=GLUE_CMD if mode == "external" else None)
+    cfg = IndexConfig(1, 2, segmenter=seg)
+    ids = [f"d{i}" for i in range(len(texts))]
+    built = build_index(gee_corpus(dict(zip(ids, texts))), "explanation", cfg)
+    for index in (built, loads_index(dumps_index(built))):
+        vocab = index.vocabulary
+        for q in queries:
+            grams = ngram_counts(q, cfg)
+            want_cols = [vocab.index(g) for g in grams if g in vocab]
+            assert list(retriever._query_weights(index, q, None)) == want_cols
+            got = query(index, q, k=len(texts), theta=0.0)
+            want = oracles.full_scan_topk(texts, ids, q, len(texts), nmin=1, nmax=2, seg=seg)
+            _assert_same_ranking(got, want)
+    # Each case meets both ends of the vocabulary and a gram missing from it.
+    seen = {g for q in queries for g in ngram_counts(q, cfg)}
+    assert {vocab[0], vocab[-1]} <= seen and seen - set(vocab)
