@@ -2,15 +2,17 @@
 
 Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
 keys are the subcommand's long flag names with dashes as underscores
-(``{"in": "dev.jsonl", "k": 3, "theta": 0.6, ...}``) and whose values pass
-the same type and choice checks as the flags; explicit flags override config
+(``{"in": "dev.jsonl", "k": 3, "theta": 0.6, ...}``).  Each value becomes a
+``--name=value`` token that the same argparse parser reads ahead of the
+flags, so one parser checks every value, and explicit flags override config
 values, which override built-in defaults.  A subcommand registers only the
 options its handler reads, and passes on only the options that were set: the
 config dataclasses and library signatures hold every default.  A handler
 returns its output lines, and ``dispatch`` encodes them all, then writes them
 to ``--out`` (checked before the handler runs) or stdout.  Exit codes: 0 on
-success, 1 on runtime errors (one-line diagnostic on stderr), 2 on usage
-errors.
+success, 1 on runtime errors, 2 on usage errors (a bad flag or manifest
+value, a missing option, or a value a config dataclass rejects).  Either
+error is one line on stderr, ``error: ...`` or ``usage error: ...``.
 """
 
 from __future__ import annotations
@@ -56,78 +58,28 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``_UsageError`` instead of exiting."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 # Options that take a comma-separated list; a manifest may give a JSON list.
 _LIST_OPTIONS = ("thetas", "rankings")
 
 
-def _manifest_value(action: argparse.Action, key: str, value):
-    """A manifest value parsed the way argparse parses the same flag's argument."""
-    if action.nargs == 0:  # an on/off flag
-        if not isinstance(value, bool):
-            raise _UsageError(f"config key {key!r} must be true or false, got {value!r}")
-        return action.const if value else None
-    scalars = value if isinstance(value, list) and key in _LIST_OPTIONS else [value]
-    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in scalars):
-        raise _UsageError(f"config key {key!r}: invalid value {value!r}")
-    text = ",".join(str(v) for v in scalars)
-    try:
-        parsed = action.type(text) if action.type else text
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise _UsageError(f"config key {key!r}: invalid value {value!r}: {exc}") from None
-    if action.choices is not None and parsed not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise _UsageError(
-            f"config key {key!r}: invalid choice {parsed!r} (choose from {choices})"
-        )
-    return parsed
-
-
-class _Options:
-    """Flag values overlaid on the optional JSON config manifest.
-
-    Manifest keys are the subcommand's long option names with dashes as
-    underscores (``in`` for ``--in``); other keys are ignored, or rejected
-    under ``--strict``.  Values are stored under the option's dest.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._manifest = {}
-        config_path = getattr(args, "config", None)
-        if not config_path:
-            return
-        try:
-            manifest = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise Re2Error(f"cannot read config {config_path!r}: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise Re2Error(f"config {config_path!r} must hold a JSON object")
-        actions = {
-            flag[2:].replace("-", "_"): a
-            for a in args.parser._actions
-            for flag in a.option_strings
-            if flag.startswith("--")
-        }
-        unknown = []
-        for key, value in manifest.items():
-            if key not in actions:
-                unknown.append(key)
-            elif value is not None:
-                self._manifest[actions[key].dest] = _manifest_value(actions[key], key, value)
-        if unknown and self.get("strict"):
-            raise _UsageError(
-                f"config {config_path!r}: unknown key(s) " + ", ".join(map(repr, unknown))
-            )
+class _Options(argparse.Namespace):
+    """The parsed options of one subcommand: flags over manifest values."""
 
     def get(self, name: str, default=None):
-        value = getattr(self._args, name, None)
-        if value is not None:
-            return value
-        return self._manifest.get(name, default)
+        value = getattr(self, name, None)
+        return default if value is None else value
 
-    def flag(self, name: str) -> str:
-        """The flag of option ``name``, e.g. ``--in`` for ``infile``."""
-        return next(a.option_strings[0] for a in self._args.parser._actions if a.dest == name)
+    @staticmethod
+    def flag(name: str) -> str:
+        """The flag of option ``name``, e.g. ``--hyp-log`` for ``hyp_log``."""
+        return "--" + name.replace("_", "-")
 
     def require(self, name: str):
         value = self.get(name)
@@ -154,13 +106,69 @@ class _Options:
         return {field: value for field, name in pairs if (value := self.get(name)) is not None}
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> _Options:
+    """Flags of ``argv`` over the values of its ``--config`` manifest, all parsed by ``parser``.
+
+    A manifest value of the right JSON shape becomes a ``--name=value`` token
+    (an on/off ``true`` the bare flag), checked alone and then parsed ahead
+    of ``argv``, where the last value wins.  Keys that name no option,
+    ``help`` among them, are ignored, or rejected under ``--strict``.
+    """
+    args = parser.parse_args(argv, _Options())
+    path = args.get("config")
+    if not path:
+        return args
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise Re2Error(f"cannot read config {path!r}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise Re2Error(f"config {path!r} must hold a JSON object")
+    # Whether each option is an on/off flag, by name.
+    on_off_of = {a.dest: a.nargs == 0 for a in args.parser._actions if a.dest != "help"}
+    tokens, unknown = [], []
+    for key, value in manifest.items():
+        if key not in on_off_of:
+            unknown.append(key)
+            continue
+        flag, on_off = args.flag(key), on_off_of[key]
+        if value is None or (value is False and on_off):
+            continue
+        items = value if isinstance(value, list) and key in _LIST_OPTIONS else [value]
+        if value is True and on_off:
+            token = flag
+        elif not on_off and all(type(v) in (str, int, float) for v in items):
+            token = f"{flag}={','.join(map(str, items))}"
+        else:
+            want = "true or false" if on_off else "a string or number"
+            raise _UsageError(f"config key {key!r}: want {want}, got {json.dumps(value)}")
+        try:
+            parser.parse_args([args.command, token])
+        except _UsageError as exc:
+            raise _UsageError(f"config key {key!r}: {exc}") from None
+        tokens.append(token)
+    args = parser.parse_args([args.command, *tokens, *argv[1:]], _Options())
+    if unknown and args.strict:
+        raise _UsageError(f"config {path!r}: unknown key(s) " + ", ".join(map(repr, unknown)))
+    return args
+
+
 def _default(owner, name: str):
     """The default of keyword ``name`` of a function or dataclass."""
     return inspect.signature(owner).parameters[name].default
 
 
+def _config(cls, **values):
+    """``cls(**values)``: a config whose own checks reject the values is a usage error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _segmenter(opts: _Options) -> SegmenterConfig:
-    return SegmenterConfig(
+    return _config(
+        SegmenterConfig,
         **opts.fields(
             mode="segmenter",
             external_command="segmenter_cmd",
@@ -170,7 +178,8 @@ def _segmenter(opts: _Options) -> SegmenterConfig:
 
 
 def _index_config(opts: _Options) -> IndexConfig:
-    return IndexConfig(
+    return _config(
+        IndexConfig,
         **opts.fields("ngram_min", "ngram_max", "ranking", "bm25_k1", "bm25_b"),
         segmenter=_segmenter(opts),
     )
@@ -183,14 +192,11 @@ def _backend(opts: _Options, prefix: str = "") -> BackendConfig | None:
     script = opts.get(prefix + "script")
     if kind is None and endpoint is None and script is None:
         return None
-    flag = "--" + prefix.replace("_", "-")
     if kind is None:
         kind = "http" if endpoint else "mock"
-    if kind == "mock" and not script:
-        raise _UsageError(f"missing required option {flag}script")
-    if kind == "http" and not endpoint:
-        raise _UsageError(f"missing required option {flag}endpoint")
-    return BackendConfig(
+    opts.require(prefix + ("script" if kind == "mock" else "endpoint"))
+    return _config(
+        BackendConfig,
         kind=kind,
         **opts.fields(
             endpoint=prefix + "endpoint",
@@ -221,10 +227,11 @@ def _re2_config(
                 "missing required option --explainer-script or --explainer-backend"
             )
         explainer = _UNUSED_BACKEND
-    return Re2Config(
+    return _config(
+        Re2Config,
         backend=backend,
         explainer_backend=explainer,
-        decoding=DecodingParams(**opts.fields("sample", "temperature", "beam_size")),
+        decoding=_config(DecodingParams, **opts.fields("sample", "temperature", "beam_size")),
         embedding_backend=_backend(opts, "embed_"),
         index_config=_index_config(opts),
         **opts.fields("k", "theta", "templates", retriever_field="field"),
@@ -279,20 +286,17 @@ def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
 
 def cmd_extract_edits(opts: _Options) -> list[str]:
     cfg = _segmenter(opts)
-    if opts.single_input(("source", "target"), ("infile",)):
+    if opts.single_input(("source", "target"), ("in",)):
         pairs = [(opts.require("source"), opts.require("target"))]
     else:
-        pairs = string_fields(opts.require("infile"), ("source", "target"))
+        pairs = string_fields(opts.require("in"), ("source", "target"))
     return [_json_line([e.to_triple() for e in extract_edits(s, t, cfg)]) for s, t in pairs]
 
 
 def cmd_build_index(opts: _Options) -> None:
-    corpus = _load(opts, "infile")
+    config, embedder = _index_config(opts), embedder_for(_backend(opts, "embed_"))
     index = build_index(
-        corpus,
-        config=_index_config(opts),
-        embedder=embedder_for(_backend(opts, "embed_")),
-        **opts.fields(field_name="field"),
+        _load(opts, "in"), config=config, embedder=embedder, **opts.fields(field_name="field")
     )
     save_index(index, opts.require("out"))
 
@@ -313,13 +317,13 @@ def cmd_query(opts: _Options) -> list[str]:
 
 
 def cmd_explain(opts: _Options) -> list[str]:
-    single = opts.single_input(("text",), ("infile",))
+    single = opts.single_input(("text",), ("in",))
     config = _re2_config(opts, need_correction=False)
     template_set = load_template_set(config.templates)
     if single:
         pairs = [("", opts.get("text"))]
     else:
-        pairs = [(rec.id, rec.source) for rec in _load(opts, "infile")]
+        pairs = [(rec.id, rec.source) for rec in _load(opts, "in")]
     explanations = map_ordered(
         lambda pair: generate_explanation(pair[1], config, template_set),
         pairs,
@@ -333,7 +337,7 @@ def cmd_explain(opts: _Options) -> list[str]:
 
 def cmd_correct(opts: _Options) -> list[str]:
     config = _re2_config(opts)
-    dev = _load(opts, "infile")
+    dev = _load(opts, "in")
     train, index = _corpus_and_index(opts, "corpus")
     outcomes = correct_corpus(
         [rec.source for rec in dev],
@@ -348,7 +352,7 @@ def cmd_correct(opts: _Options) -> list[str]:
 def cmd_baseline(opts: _Options) -> list[str]:
     config = _re2_config(opts, need_explainer=False)
     mode = opts.require("mode")
-    dev = _load(opts, "infile")
+    dev = _load(opts, "in")
     train, source_index = _corpus_and_index(opts, "corpus", index_required=False)
     seed = opts.get("seed", _default(run_baseline, "seed"))
     template_set = load_template_set(config.templates)
@@ -465,37 +469,33 @@ def _thetas(text: str) -> list[float]:
 def _add_segmenter(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--segmenter", choices=SEGMENTER_MODES,
                      help=f"token segmenter (default: {_default(SegmenterConfig, 'mode')})")
-    sub.add_argument("--segmenter-cmd", dest="segmenter_cmd",
-                     help="external segmenter command line")
-    sub.add_argument("--segmenter-timeout", dest="segmenter_timeout", type=float,
+    sub.add_argument("--segmenter-cmd", help="external segmenter command line")
+    sub.add_argument("--segmenter-timeout", type=float,
                      help="external segmenter per-line timeout in seconds")
 
 
 def _add_backend(sub: argparse.ArgumentParser, prefix: str = "", what: str = "correction") -> None:
     flag = "--" + prefix.replace("_", "-")
-    sub.add_argument(f"{flag}backend", dest=f"{prefix}backend", choices=BACKEND_KINDS,
-                     help=f"{what} backend kind")
-    sub.add_argument(f"{flag}endpoint", dest=f"{prefix}endpoint",
-                     help=f"{what} backend HTTP endpoint")
-    sub.add_argument(f"{flag}model", dest=f"{prefix}model", help=f"{what} backend model name")
-    sub.add_argument(f"{flag}script", dest=f"{prefix}script",
-                     help=f"{what} mock backend script file")
-    sub.add_argument(f"{flag}timeout", dest=f"{prefix}timeout", type=float,
+    sub.add_argument(f"{flag}backend", choices=BACKEND_KINDS, help=f"{what} backend kind")
+    sub.add_argument(f"{flag}endpoint", help=f"{what} backend HTTP endpoint")
+    sub.add_argument(f"{flag}model", help=f"{what} backend model name")
+    sub.add_argument(f"{flag}script", help=f"{what} mock backend script file")
+    sub.add_argument(f"{flag}timeout", type=float,
                      help=f"{what} backend request timeout in seconds")
 
 
 def _add_embedding(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--embed-backend", dest="embed_backend", choices=BACKEND_KINDS)
-    sub.add_argument("--embed-endpoint", dest="embed_endpoint")
-    sub.add_argument("--embed-model", dest="embed_model")
-    sub.add_argument("--embed-script", dest="embed_script")
+    sub.add_argument("--embed-backend", choices=BACKEND_KINDS)
+    sub.add_argument("--embed-endpoint")
+    sub.add_argument("--embed-model")
+    sub.add_argument("--embed-script")
 
 
 def _add_index_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ngram-min", dest="ngram_min", type=int)
-    sub.add_argument("--ngram-max", dest="ngram_max", type=int)
-    sub.add_argument("--bm25-k1", dest="bm25_k1", type=float)
-    sub.add_argument("--bm25-b", dest="bm25_b", type=float)
+    sub.add_argument("--ngram-min", type=int)
+    sub.add_argument("--ngram-max", type=int)
+    sub.add_argument("--bm25-k1", type=float)
+    sub.add_argument("--bm25-b", type=float)
 
 
 def _add_field(sub: argparse.ArgumentParser, default: str) -> None:
@@ -515,12 +515,12 @@ def _add_pipeline_options(sub: argparse.ArgumentParser, *, theta: bool) -> None:
 
 def _add_decoding(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--temperature", type=float)
-    sub.add_argument("--beam-size", dest="beam_size", type=int)
+    sub.add_argument("--beam-size", type=int)
     sub.add_argument("--sample", action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="re2gec",
         description="Explanation-retrieved examples for grammatical error correction.",
     )
@@ -547,12 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("extract-edits", cmd_extract_edits, "extract edit scripts from sentence pairs")
     sub.add_argument("--source", help="source sentence")
     sub.add_argument("--target", help="corrected sentence")
-    sub.add_argument("--in", dest="infile", help="JSON-lines file of {source, target} pairs")
+    sub.add_argument("--in", help="JSON-lines file of {source, target} pairs")
     _add_segmenter(sub)
 
     sub = add("build-index", cmd_build_index, "build a similarity index from a corpus",
               out_help="index file to write (required)")
-    sub.add_argument("--in", dest="infile", help="corpus JSON-lines file")
+    sub.add_argument("--in", help="corpus JSON-lines file")
     # Read by nothing: kept, with its old choices, so that existing command
     # lines and manifests that pass it (the benchmark's among them) still parse.
     sub.add_argument("--kind", choices=("gec", "gee", "detection"),
@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding(sub)
 
     sub = add("explain", cmd_explain, "generate error explanations for inputs", jobs=True)
-    sub.add_argument("--in", dest="infile", help="corpus JSON-lines file")
+    sub.add_argument("--in", help="corpus JSON-lines file")
     sub.add_argument("--text", help="single input sentence")
     sub.add_argument("--templates")
     _add_backend(sub, "explainer_", "explainer")
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("correct", cmd_correct, "correct inputs with explanation-retrieved examples",
               jobs=True)
-    sub.add_argument("--in", dest="infile", help="inputs corpus JSON-lines file")
+    sub.add_argument("--in", help="inputs corpus JSON-lines file")
     sub.add_argument("--corpus", help="reference example corpus (resolves retrieved ids)")
     sub.add_argument("--index", help="explanation index file")
     _add_pipeline_options(sub, theta=True)
@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("baseline", cmd_baseline, "correct inputs with a baseline example strategy",
               seed=True, jobs=True)
     sub.add_argument("--mode", choices=BASELINE_MODES)
-    sub.add_argument("--in", dest="infile", help="inputs corpus JSON-lines file")
+    sub.add_argument("--in", help="inputs corpus JSON-lines file")
     sub.add_argument("--corpus", help="example corpus")
     sub.add_argument("--index", help="source-text index (textsim mode)")
     _add_pipeline_options(sub, theta=False)
@@ -604,19 +604,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("score", cmd_score, "edit-overlap precision/recall/F0.5")
     sub.add_argument("--src", help="source corpus JSON-lines file (with reference targets)")
     sub.add_argument("--hyp", help="hypothesis text file, one sentence per line")
-    sub.add_argument("--hyp-log", dest="hyp_log", help="outcome log; corrections are scored")
-    sub.add_argument("--per-sentence", dest="per_sentence", help="write per-sentence TSV here")
+    sub.add_argument("--hyp-log", help="outcome log; corrections are scored")
+    sub.add_argument("--per-sentence", help="write per-sentence TSV here")
 
     sub = add("rouge", cmd_rouge, "character-level ROUGE-L")
     sub.add_argument("--candidate")
     sub.add_argument("--reference")
-    sub.add_argument("--cand-file", dest="cand_file")
-    sub.add_argument("--ref-file", dest="ref_file")
+    sub.add_argument("--cand-file")
+    sub.add_argument("--ref-file")
 
     sub = add("detect", cmd_detect, "sentence- and position-level detection metrics")
     sub.add_argument("--src", help="source corpus JSON-lines file")
     sub.add_argument("--hyp", help="hypothesis text file, one sentence per line")
-    sub.add_argument("--hyp-log", dest="hyp_log")
+    sub.add_argument("--hyp-log")
 
     sub = add("make-sft-data", cmd_make_sft_data, "build fine-tuning prompt/response pairs")
     sub.add_argument("--train", help="training corpus with explanations")
@@ -654,19 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str] | None = None) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        opts = _Options(args)
+        opts = _parse(build_parser(), argv)
         out = opts.get("out", "-")
         if out != "-" and not Path(out).parent.is_dir():
             raise Re2Error(f"--out {out!r}: no directory {str(Path(out).parent)!r}")
         if out != "-" and Path(out).is_dir():
             raise Re2Error(f"--out {out!r}: is a directory")
-        lines = args.handler(opts)
+        lines = opts.handler(opts)
         if lines is not None:
             text = "".join(line + "\n" for line in lines)
             # Encoded before --out is opened: a line UTF-8 cannot encode leaves it as it was.
@@ -676,6 +672,8 @@ def dispatch(argv: list[str] | None = None) -> int:
             else:
                 Path(out).write_bytes(data)
         return 0
+    except SystemExit as exc:  # from --help, once the usage is printed
+        return exc.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 The HTTP backend POSTs the prompt as a single user message to
 ``{endpoint}/chat/completions`` with the decoding parameters attached
-(``beam_size``/``top_k``/``top_p``/``sample`` ride along verbatim as
-extension fields) and reads ``choices[0].message.content`` back.  A bearer
+(``temperature``, plus ``sample`` and ``beam_size`` verbatim as extension
+fields) and reads ``choices[0].message.content`` back.  A bearer
 token is taken from the ``RE2_API_KEY`` environment variable when set.
 Transport errors, 429 and 5xx responses are retried with exponential
 backoff; other failures raise immediately.
@@ -31,7 +31,6 @@ from .errors import BackendError
 
 API_KEY_ENV = "RE2_API_KEY"
 BACKEND_KINDS = ("http", "mock")
-FALLBACK_MODES = ("echo_last_line", "none")
 FALLBACK_KEY = "__fallback__"
 
 
@@ -40,18 +39,12 @@ class DecodingParams:
     sample: bool = False
     temperature: float = 1.0
     beam_size: int = 8
-    top_k: int | None = None
-    top_p: float | None = None
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
-            raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
 
 
 @dataclass(frozen=True)
@@ -175,10 +168,6 @@ def _http_complete(prompt: str, params: DecodingParams, config: BackendConfig) -
         "sample": params.sample,
         "beam_size": params.beam_size,
     }
-    if params.top_k is not None:
-        payload["top_k"] = params.top_k
-    if params.top_p is not None:
-        payload["top_p"] = params.top_p
     url = config.endpoint.rstrip("/") + "/chat/completions"
     data = _post_with_retries(url, payload, config)
     try:

@@ -160,14 +160,14 @@ def render_gee_prompt(pair: SentencePair, variant: str, template_set: TemplateSe
     return render(template_set.gee, bindings)
 
 
-def parse_correction(response: str, labels: Sequence[str] = CORRECTION_LABELS) -> str:
+def parse_correction(response: str) -> str:
     """Extract the corrected sentence from a completion.
 
     Trims surrounding whitespace and strips a leading answer label when
     present.  Raises ParseError when nothing remains.
     """
     text = response.strip()
-    for label in labels:
+    for label in CORRECTION_LABELS:
         if text.startswith(label):
             text = text[len(label) :].strip()
             break

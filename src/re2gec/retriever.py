@@ -335,6 +335,18 @@ def _ngram_entries(
     return list(compress(ranked, new)), sizes, cols[first], counts[first], doc_lengths
 
 
+def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """Smoothed idf ``ln((1 + N) / (1 + df)) + 1`` of each column's non-negative df.
+
+    One ``math.log`` per df value up to the largest: numpy's log need not
+    match it to the last bit.
+    """
+    import numpy as np
+
+    table = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in range(int(df.max(initial=-1)) + 1)]
+    return np.array(table, dtype=np.float64)[df]
+
+
 def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
     norm = math.sqrt(sum(w * w for w in vec.values()))
     if norm == 0.0:
@@ -426,13 +438,9 @@ def build_index(
         df = doc_lengths = np.zeros(0, dtype=np.int64)
     else:
         vocabulary, sizes, cols, weights, doc_lengths = _ngram_entries(texts, config)
-        # A document holds each gram once, so df counts the gram's entries.  One
-        # math.log per distinct df: numpy's log need not match it to the last bit.
+        # A document holds each gram once, so df counts the gram's entries.
         df = np.bincount(cols, minlength=len(vocabulary))
-        distinct, inverse = np.unique(df, return_inverse=True)
-        idf = np.array(
-            [math.log((1 + len(texts)) / (1 + d)) + 1.0 for d in distinct.tolist()]
-        )[inverse]
+        idf = _idf(df, len(texts))
         if config.ranking == "tfidf_cosine":
             weights *= idf[cols]
         dim = len(vocabulary)
@@ -684,6 +692,17 @@ def loads_index(data: bytes) -> ExplanationIndex:
         # A NaN fails every comparison; min and max need no temporary array.
         if len(values) and not lo < values.min() <= values.max() < hi:
             raise RetrievalError(f"index has {defect}")
+    if not embedding:
+        n_docs = len(doc_ids)
+        # An n-gram index's derived blocks must agree with its columns.
+        if not np.array_equal(df, np.diff(indptr)) or df.max(initial=0) > n_docs:
+            raise RetrievalError("index df disagrees with its columns")
+        if not np.array_equal(idf, _idf(df, n_docs)):
+            raise RetrievalError("index idf disagrees with its df")
+        if header["config"].ranking == "bm25" and not np.array_equal(
+            doc_lengths, np.bincount(rows, weights=weights, minlength=n_docs)
+        ):
+            raise RetrievalError("index doc_lengths disagree with its counts")
     index = ExplanationIndex(
         vocabulary=vocab, idf=idf, df=df, doc_lengths=doc_lengths,
         columns=Postings(indptr, rows, weights), **header,

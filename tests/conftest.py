@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from re2gec import Corpus, SentencePair
-from re2gec.llm_backend import FALLBACK_KEY, FALLBACK_MODES, prompt_key
+from re2gec.llm_backend import FALLBACK_KEY, prompt_key
 from re2gec.segmentation import SegmenterConfig, close_external_segmenters
 
 # Three explanation docs with controlled pairwise overlap; the frozen gate
@@ -35,7 +35,7 @@ TARGET_HIGH = "我很喜欢吃苹果"
 
 def script_from_pairs(pairs: dict[str, str], fallback: str = "echo_last_line") -> dict:
     """Build a mock script dict from literal prompt -> response pairs."""
-    if fallback not in FALLBACK_MODES:
+    if fallback not in ("echo_last_line", "none"):
         raise ValueError(f"unknown fallback mode {fallback!r}")
     script = {prompt_key(prompt): response for prompt, response in pairs.items()}
     script[FALLBACK_KEY] = fallback

@@ -121,6 +121,70 @@ def test_unknown_subcommand_is_usage_error(run):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extract-edits", "--segmenter", "bogus"),
+        ("build-index", "--ngram-min", "x"),
+        ("query", "--k", "x"),
+        ("explain", "--jobs", "0"),
+        ("correct", "--k", "x"),
+        ("baseline", "--mode", "best"),
+        ("score", "--src"),
+        ("rouge", "--candidate"),
+        ("detect", "--hyp-log"),
+        ("make-sft-data", "--k", "2.5"),
+        ("sweep-theta", "--thetas", "0.5,abc"),
+        ("compare-retrievers", "--rankings", "bm2"),
+        (),
+        ("frobnicate",),
+    ],
+    ids=lambda argv: argv[0] if argv else "bare",
+)
+def test_parse_error_is_one_usage_line(run, argv):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("usage error:")
+    if argv[1:]:
+        # The same command asked for help prints it and succeeds.
+        code, out, err = run(argv[0], "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: re2gec {argv[0]}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("query", "--k", "0", "--index", "{missing}", "--text", "x"), "k must be >= 1"),
+        (("query", "--theta", "2", "--index", "{missing}", "--text", "x"),
+         "theta must lie in [0, 1]"),
+        (("build-index", "--ngram-min", "0", "--in", "{missing}", "--out", "{out}"),
+         "need 1 <= ngram_min <= ngram_max"),
+        (("explain", "--temperature", "0", "--in", "{missing}", "--explainer-script", "{missing}"),
+         "temperature must be positive"),
+        (("explain", "--explainer-timeout", "0", "--in", "{missing}",
+          "--explainer-script", "{missing}"), "timeout must be positive"),
+        (("build-index", "--segmenter-cmd", "cat", "--in", "{missing}", "--out", "{out}"),
+         "external_command is only valid in external mode"),
+    ],
+    ids=["query k", "query theta", "build-index ngram-min", "explain temperature",
+         "explain explainer-timeout", "build-index segmenter-cmd"],
+)
+def test_value_a_config_rejects_is_usage_error_before_any_input(
+    run, monkeypatch, tmp_path, argv, message
+):
+    reads = []
+    monkeypatch.setattr(re2gec.cli, "load_corpus", lambda *args, **kw: reads.append(args))
+    monkeypatch.setattr(re2gec.cli, "load_index", lambda *args, **kw: reads.append(args))
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
+    code, out, err = run(*(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("usage error: " + message)
+    assert reads == []
+
+
 def test_missing_required_option_is_usage_error(run):
     code, _, err = run("query", "--text", "x")
     assert code == 2
@@ -1150,6 +1214,34 @@ def test_manifest_keys_are_long_option_names(run, write_corpus, tmp_path):
     manifest.write_text(json.dumps({"infile": pairs}), encoding="utf-8")
     code, _, err = run("extract-edits", "--config", str(manifest), "--strict")
     assert (code, err) == (2, f"usage error: config {str(manifest)!r}: unknown key(s) 'infile'\n")
+
+
+def test_manifest_values_reach_the_handler_unchanged(run, write_corpus, tmp_path, monkeypatch):
+    manifest = tmp_path / "config.json"
+    manifest.write_text(json.dumps({"candidate": "", "reference": "abc"}), encoding="utf-8")
+    assert run("rouge", "--config", str(manifest)) == run(
+        "rouge", "--candidate", "", "--reference", "abc"
+    )
+    # Paths with "=" or a leading "-" are values, not options.
+    monkeypatch.chdir(tmp_path)
+    for name in ("a=b.jsonl", "-pairs.jsonl"):
+        write_corpus([{"source": "ab", "target": "ba"}], name=name)
+        manifest.write_text(json.dumps({"in": name}), encoding="utf-8")
+        assert run("extract-edits", "--config", str(manifest)) == (
+            0, '[[0,"a",""],[2,"","a"]]\n', ""
+        )
+
+
+def test_manifest_help_key_is_an_unknown_key(run, tmp_path):
+    manifest = tmp_path / "config.json"
+    manifest.write_text(
+        json.dumps({"help": True, "source": "ab", "target": "ba"}), encoding="utf-8"
+    )
+    argv = ("extract-edits", "--config", str(manifest))
+    assert run(*argv) == (0, '[[0,"a",""],[2,"","a"]]\n', "")
+    assert run(*argv, "--strict") == (
+        2, "", f"usage error: config {str(manifest)!r}: unknown key(s) 'help'\n"
+    )
 
 
 def test_strict_corpus_loading(run, write_corpus, tmp_path):

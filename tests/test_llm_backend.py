@@ -85,13 +85,6 @@ def test_decoding_params_validation():
         DecodingParams(beam_size=0)
     with pytest.raises(ValueError, match="temperature"):
         DecodingParams(temperature=0.0)
-    with pytest.raises(ValueError, match="top_k"):
-        DecodingParams(top_k=0)
-    with pytest.raises(ValueError, match="top_p"):
-        DecodingParams(top_p=0.0)
-    with pytest.raises(ValueError, match="top_p"):
-        DecodingParams(top_p=1.5)
-    assert DecodingParams(top_p=1.0).top_p == 1.0
 
 
 def test_retry_policy_validation():
@@ -210,14 +203,12 @@ def test_http_no_auth_header_without_key(monkeypatch):
 
 def test_http_optional_sampling_fields(monkeypatch):
     monkeypatch.delenv("RE2_API_KEY", raising=False)
-    params = DecodingParams(sample=True, temperature=0.7, top_k=40, top_p=0.9)
+    params = DecodingParams(sample=True, temperature=0.7)
     with stub_server(lambda rec, n: (200, completion("答"))) as (url, server):
         complete("问", params, http_config(url))
     body = server.requests[0]["body"]
     assert body["sample"] is True
     assert body["temperature"] == 0.7
-    assert body["top_k"] == 40
-    assert body["top_p"] == 0.9
 
 
 @pytest.mark.parametrize("retriable", [500, 503, 429])

@@ -403,8 +403,9 @@ def _assemble(header: dict | bytes, blocks: dict) -> bytes:
 
 
 def _corrupted(case: str) -> bytes:
-    """A toy index blob with one defect."""
-    blob = dumps_index(build_index(gee_corpus(TEXTS), "explanation", CFG))
+    """A toy index blob with one defect; a BM25 index for the "bm25 ..." cases."""
+    config = IndexConfig(ranking="bm25") if case.startswith("bm25") else CFG
+    blob = dumps_index(build_index(gee_corpus(TEXTS), "explanation", config))
     if case == "bad magic":
         return b"RE2IDX 9" + blob[len(INDEX_MAGIC):]
     if case == "old format":
@@ -434,6 +435,12 @@ def _corrupted(case: str) -> bytes:
         blocks["idf"][0] = np.inf
     elif case == "negative doc length":
         blocks["doc_lengths"][0] = -1000
+    elif case == "bm25 df not column sizes":
+        blocks["df"][:] = 3
+    elif case == "idf not from df":
+        blocks["idf"][:] = 1.0
+    elif case == "bm25 doc lengths not row counts":
+        blocks["doc_lengths"][0] += 1
     elif case == "NaN avg_doc_length":
         header["avg_doc_length"] = math.nan
     elif case == "infinite avg_doc_length":
@@ -478,6 +485,9 @@ def test_reassembled_blob_loads():
         ("NaN weight", "non-finite weights"),
         ("infinite idf", "non-finite idf values"),
         ("negative doc length", "negative doc lengths"),
+        ("bm25 df not column sizes", "df disagrees with its columns"),
+        ("idf not from df", "idf disagrees with its df"),
+        ("bm25 doc lengths not row counts", "doc_lengths disagree with its counts"),
         ("NaN avg_doc_length", "invalid 'avg_doc_length'"),
         ("infinite avg_doc_length", "invalid 'avg_doc_length'"),
         ("negative avg_doc_length", "invalid 'avg_doc_length'"),
