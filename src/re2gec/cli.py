@@ -11,8 +11,9 @@ config dataclasses and library signatures hold every default.  A handler
 returns its output lines, and ``dispatch`` encodes them all, then writes them
 to ``--out`` (checked before the handler runs) or stdout.  Exit codes: 0 on
 success, 1 on runtime errors, 2 on usage errors (a bad flag or manifest
-value, a missing option, or a value a config dataclass rejects).  Either
-error is one line on stderr, ``error: ...`` or ``usage error: ...``.
+value, a missing option, a backend's model or timeout without that backend,
+or a value a config dataclass rejects, named by its flag).  Either error is
+one line on stderr, ``error: ...`` or ``usage error: ...``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -158,52 +160,62 @@ def _default(owner, name: str):
     return inspect.signature(owner).parameters[name].default
 
 
-def _config(cls, **values):
-    """``cls(**values)``: a config whose own checks reject the values is a usage error."""
+def _config(cls, opts: _Options, *names: str, values: dict | None = None, **renamed: str):
+    """``cls`` from ``values`` and the ``opts.fields`` of ``names`` and ``renamed``.
+
+    A config whose own checks reject the values is a usage error, which
+    names the flag of each set option whose field the message names.
+    """
+    given = opts.fields(*names, **renamed)
     try:
-        return cls(**values)
+        return cls(**given, **(values or {}))
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        options = {**dict(zip(names, names)), **renamed}
+        flags = [opts.flag(options[f]) for f in given if re.search(rf"\b{f}\b", str(exc))]
+        raise _UsageError(f"argument {'/'.join(flags)}: {exc}" if flags else str(exc)) from None
 
 
 def _segmenter(opts: _Options) -> SegmenterConfig:
     return _config(
         SegmenterConfig,
-        **opts.fields(
-            mode="segmenter",
-            external_command="segmenter_cmd",
-            external_timeout="segmenter_timeout",
-        )
+        opts,
+        mode="segmenter",
+        external_command="segmenter_cmd",
+        external_timeout="segmenter_timeout",
     )
 
 
 def _index_config(opts: _Options) -> IndexConfig:
-    return _config(
-        IndexConfig,
-        **opts.fields("ngram_min", "ngram_max", "ranking", "bm25_k1", "bm25_b"),
-        segmenter=_segmenter(opts),
-    )
+    names = ("ngram_min", "ngram_max", "ranking", "bm25_k1", "bm25_b")
+    return _config(IndexConfig, opts, *names, values={"segmenter": _segmenter(opts)})
 
 
 def _backend(opts: _Options, prefix: str = "") -> BackendConfig | None:
-    """Backend from the prefix-scoped options; None when none were given."""
+    """Backend from the prefix-scoped options; None when none were given.
+
+    A model or timeout without a backend, endpoint or script is a usage error.
+    """
     kind = opts.get(prefix + "backend")
     endpoint = opts.get(prefix + "endpoint")
     script = opts.get(prefix + "script")
     if kind is None and endpoint is None and script is None:
+        flag = opts.flag
+        for name in ("model", "timeout"):
+            if opts.get(prefix + name) is not None:
+                raise _UsageError(f"{flag(prefix + name)} needs {flag(prefix + 'backend')}, "
+                                  f"{flag(prefix + 'endpoint')} or {flag(prefix + 'script')}")
         return None
     if kind is None:
         kind = "http" if endpoint else "mock"
     opts.require(prefix + ("script" if kind == "mock" else "endpoint"))
     return _config(
         BackendConfig,
-        kind=kind,
-        **opts.fields(
-            endpoint=prefix + "endpoint",
-            model=prefix + "model",
-            script_path=prefix + "script",
-            timeout=prefix + "timeout",
-        ),
+        opts,
+        values={"kind": kind},
+        endpoint=prefix + "endpoint",
+        model=prefix + "model",
+        script_path=prefix + "script",
+        timeout=prefix + "timeout",
     )
 
 
@@ -227,15 +239,15 @@ def _re2_config(
                 "missing required option --explainer-script or --explainer-backend"
             )
         explainer = _UNUSED_BACKEND
-    return _config(
-        Re2Config,
+    values = dict(
         backend=backend,
         explainer_backend=explainer,
-        decoding=_config(DecodingParams, **opts.fields("sample", "temperature", "beam_size")),
+        decoding=_config(DecodingParams, opts, "sample", "temperature", "beam_size"),
         embedding_backend=_backend(opts, "embed_"),
         index_config=_index_config(opts),
-        **opts.fields("k", "theta", "templates", retriever_field="field"),
     )
+    names = ("k", "theta", "templates")
+    return _config(Re2Config, opts, *names, values=values, retriever_field="field")
 
 
 def _json_line(obj) -> str:

@@ -23,12 +23,16 @@ gram's column is its position, and a query finds its grams' columns by
 bisection.  numpy is imported only by index build, load and query,
 so commands that never touch an index do not load it.
 
-``save_index``/``load_index`` use the binary ``RE2IDX 2`` format: the magic
-line, a table of section lengths, one JSON header, and the column arrays as
-raw little-endian blocks.  Its bytes are a deterministic function of the
-index contents.  A loaded index holds the header's vocabulary and doc id
-lists, and numpy views into the file bytes for every block: no per-gram
-or per-posting Python object is made.
+``save_index``/``load_index`` use the binary ``RE2IDX 3`` format: the magic
+line, a table of section lengths, one JSON header, and the three column
+arrays as raw little-endian blocks.  Every stored weight is the number a
+query weight multiplies: the normalized tf-idf weight, the normalized
+embedding value or the BM25 gain, which the build computes from the raw
+counts.  Its bytes are a deterministic function of the index contents.  A
+loaded index holds the header's vocabulary and doc id lists, and numpy
+views into the file bytes for every block: no per-gram or per-posting
+Python object is made.  Load derives each column's document frequency from
+``indptr`` and, for n-gram indexes, the tf-idf idf from that.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import json
 import math
 import operator
 import struct
-import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -54,7 +57,7 @@ from .segmentation import SegmenterConfig, segment
 if TYPE_CHECKING:
     import numpy as np
 
-INDEX_MAGIC = "RE2IDX 2"
+INDEX_MAGIC = "RE2IDX 3"
 RANKINGS = ("tfidf_cosine", "bm25", "embedding")
 INDEX_FIELDS = ("explanation", "source")
 
@@ -66,14 +69,7 @@ Embedder = Callable[[Sequence[str]], "list[list[float]]"]
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode("ascii")
 # The raw blocks after the header, in file order: the 8-byte ones first, so
 # that every block starts at a multiple of its item size.
-_BLOCKS = (
-    ("indptr", "<i8"),
-    ("weights", "<f8"),
-    ("idf", "<f8"),
-    ("doc_lengths", "<i8"),
-    ("rows", "<i4"),
-    ("df", "<i4"),
-)
+_BLOCKS = (("indptr", "<i8"), ("weights", "<f8"), ("rows", "<i4"))
 # Byte lengths of the header and of each block.
 _LENGTHS = struct.Struct(f"<{1 + len(_BLOCKS)}Q")
 
@@ -122,10 +118,9 @@ class Postings(NamedTuple):
     """Column-major (CSC) document weights.
 
     Column ``c`` holds the entries ``indptr[c]:indptr[c + 1]`` of ``rows``
-    (doc rows, ascending) and ``weights``.  An index stores the normalized
-    tf-idf weight, the raw BM25 count or the normalized embedding value;
-    the query postings of a BM25 index hold instead the query-independent
-    gain ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.
+    (doc rows, ascending) and ``weights``: the normalized tf-idf weight, the
+    normalized embedding value, or the query-independent BM25 gain
+    ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.
     """
 
     indptr: np.ndarray   # int64, number of columns + 1
@@ -136,19 +131,12 @@ class Postings(NamedTuple):
 @dataclass(eq=False)
 class ExplanationIndex:
     vocabulary: list[str]       # strictly ascending n-grams, one per column; empty for embeddings
-    idf: np.ndarray             # float64, per column; empty for embeddings
-    df: np.ndarray              # integer, per column; empty for embeddings
+    idf: np.ndarray             # float64, tf-idf idf per column; empty for embeddings
     columns: Postings           # the documents; one column per n-gram or embedding dimension
     doc_ids: list[str]
-    doc_lengths: np.ndarray     # integer n-gram counts, per document; empty for embeddings
-    avg_doc_length: float
     config: IndexConfig
     field_name: str             # the indexed record field
     corpus_sha256: str          # _corpus_sha256() of the indexed (id, text) pairs
-    _postings: Postings | None = field(default=None, init=False, repr=False)
-    _postings_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
 
     @property
     def dim(self) -> int:
@@ -156,37 +144,8 @@ class ExplanationIndex:
         return len(self.columns.indptr) - 1
 
     def postings(self) -> Postings:
-        """The query postings, built once on first use even when threads race for them."""
-        if self._postings is None:
-            with self._postings_lock:
-                if self._postings is None:
-                    self._postings = _build_postings(self)
-        return self._postings
-
-
-def _build_postings(index: ExplanationIndex) -> Postings:
-    """The stored columns, with BM25 counts turned into gains."""
-    if index.config.ranking != "bm25":
-        return index.columns
-    import numpy as np
-
-    indptr, rows, tf = index.columns
-    return Postings(indptr, rows, _bm25_gains(index, np.diff(indptr), rows, tf))
-
-
-def _bm25_gains(
-    index: ExplanationIndex, col_sizes: np.ndarray, rows: np.ndarray, tf: np.ndarray
-) -> np.ndarray:
-    """Okapi gain of each posting, with the operations in the formula's order."""
-    import numpy as np
-
-    n_docs = len(index.doc_ids)
-    k1, b = index.config.bm25_k1, index.config.bm25_b
-    avg = index.avg_doc_length or 1.0
-    idf = np.array([math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in index.df.tolist()])
-    idf = np.repeat(idf, col_sizes)
-    dl = index.doc_lengths.astype(np.float64)[rows]
-    return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
+        """The query postings: the stored columns."""
+        return self.columns
 
 
 def _columns(
@@ -335,16 +294,36 @@ def _ngram_entries(
     return list(compress(ranked, new)), sizes, cols[first], counts[first], doc_lengths
 
 
-def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
-    """Smoothed idf ``ln((1 + N) / (1 + df)) + 1`` of each column's non-negative df.
+def _per_df(df: np.ndarray, term: Callable[[int], float]) -> np.ndarray:
+    """``term(d)`` of each column's non-negative df ``d``.
 
-    One ``math.log`` per df value up to the largest: numpy's log need not
-    match it to the last bit.
+    One call per df value up to the largest: numpy's log need not match
+    ``math.log`` to the last bit.
     """
     import numpy as np
 
-    table = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in range(int(df.max(initial=-1)) + 1)]
-    return np.array(table, dtype=np.float64)[df]
+    return np.array([term(d) for d in range(int(df.max(initial=-1)) + 1)], dtype=np.float64)[df]
+
+
+def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """Smoothed idf ``ln((1 + N) / (1 + df)) + 1`` of each column."""
+    return _per_df(df, lambda d: math.log((1 + n_docs) / (1 + d)) + 1.0)
+
+
+def _bm25_gains(columns: Postings, doc_lengths: np.ndarray, config: IndexConfig) -> np.ndarray:
+    """Okapi gain of each posting of raw counts, with the operations in the formula's order.
+
+    Its idf is the Lucene-style ``ln(1 + (N - df + 0.5) / (df + 0.5))``.
+    """
+    import numpy as np
+
+    indptr, rows, tf = columns
+    n_docs, k1, b = len(doc_lengths), config.bm25_k1, config.bm25_b
+    avg = int(doc_lengths.sum()) / n_docs or 1.0
+    df = np.diff(indptr)
+    idf = np.repeat(_per_df(df, lambda d: math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5))), df)
+    dl = doc_lengths.astype(np.float64)[rows]
+    return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))
 
 
 def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
@@ -435,24 +414,18 @@ def build_index(
         mask = matrix != 0.0
         sizes, cols, weights = mask.sum(axis=1).tolist(), mask.nonzero()[1], matrix[mask]
         vocabulary, idf, dim = [], np.zeros(0), matrix.shape[1]
-        df = doc_lengths = np.zeros(0, dtype=np.int64)
     else:
         vocabulary, sizes, cols, weights, doc_lengths = _ngram_entries(texts, config)
         # A document holds each gram once, so df counts the gram's entries.
-        df = np.bincount(cols, minlength=len(vocabulary))
-        idf = _idf(df, len(texts))
+        idf = _idf(np.bincount(cols, minlength=len(vocabulary)), len(texts))
         if config.ranking == "tfidf_cosine":
             weights *= idf[cols]
         dim = len(vocabulary)
+    columns = _columns(sizes, cols, weights, dim, normalize=config.ranking != "bm25")
+    if config.ranking == "bm25":
+        columns = columns._replace(weights=_bm25_gains(columns, doc_lengths, config))
     return ExplanationIndex(
-        vocabulary=vocabulary,
-        idf=idf,
-        df=df,
-        columns=_columns(sizes, cols, weights, dim, normalize=config.ranking != "bm25"),
-        doc_ids=doc_ids,
-        doc_lengths=doc_lengths,
-        avg_doc_length=int(doc_lengths.sum()) / len(texts),
-        config=config,
+        vocabulary=vocabulary, idf=idf, columns=columns, doc_ids=doc_ids, config=config,
         **provenance,
     )
 
@@ -559,11 +532,10 @@ def query(
 
 
 def dumps_index(index: ExplanationIndex) -> bytes:
-    """Serialize to ``RE2IDX 2``; byte-deterministic for equal contents."""
+    """Serialize to ``RE2IDX 3``; byte-deterministic for equal contents."""
     import numpy as np
 
     header = {
-        "avg_doc_length": index.avg_doc_length,
         "config": asdict(index.config),
         "corpus_sha256": index.corpus_sha256,
         "dim": index.dim,
@@ -575,8 +547,7 @@ def dumps_index(index: ExplanationIndex) -> bytes:
     head_bytes = head.encode("utf-8")
     # Pad with JSON whitespace so that the blocks start 8-byte aligned.
     head_bytes += b" " * (-(len(_MAGIC_LINE) + _LENGTHS.size + len(head_bytes)) % 8)
-    arrays = {"idf": index.idf, "df": index.df, "doc_lengths": index.doc_lengths}
-    arrays.update(index.columns._asdict())
+    arrays = index.columns._asdict()
     blocks = [np.asarray(arrays[name], dtype=dtype).tobytes() for name, dtype in _BLOCKS]
     lengths = _LENGTHS.pack(len(head_bytes), *map(len, blocks))
     return b"".join([_MAGIC_LINE, lengths, head_bytes, *blocks])
@@ -608,7 +579,6 @@ def _parse_header(raw: bytes) -> dict:
         segmenter = _config_from(SegmenterConfig, cfg["segmenter"])
         parsed = {
             "config": _config_from(IndexConfig, cfg, segmenter=segmenter),
-            "avg_doc_length": float(header["avg_doc_length"]),
             "corpus_sha256": header["corpus_sha256"],
             "dim": header["dim"],
             "doc_ids": header["doc_ids"],
@@ -618,7 +588,6 @@ def _parse_header(raw: bytes) -> dict:
     except (ValueError, KeyError, TypeError) as exc:
         raise RetrievalError(f"bad index header: {exc!r}") from None
     for name, ok in (
-        ("avg_doc_length", 0.0 <= parsed["avg_doc_length"] < math.inf),
         ("corpus_sha256", isinstance(parsed["corpus_sha256"], str)),
         ("dim", type(parsed["dim"]) is int and parsed["dim"] >= 0),
         ("doc_ids", _is_str_list(parsed["doc_ids"])),
@@ -631,10 +600,10 @@ def _parse_header(raw: bytes) -> dict:
 
 
 def loads_index(data: bytes) -> ExplanationIndex:
-    """Read an ``RE2IDX 2`` file; every defect raises a one-line ``RetrievalError``."""
-    if data.startswith(b"RE2IDX 1\n"):
+    """Read an ``RE2IDX 3`` file; every defect raises a one-line ``RetrievalError``."""
+    if data[:9] in (b"RE2IDX 1\n", b"RE2IDX 2\n"):
         raise RetrievalError(
-            "index file has the old RE2IDX 1 format; rebuild it with build-index"
+            f"index file has the old {data[:8].decode()} format; rebuild it with build-index"
         )
     if not data.startswith(_MAGIC_LINE):
         raise RetrievalError(
@@ -677,38 +646,26 @@ def loads_index(data: bytes) -> ExplanationIndex:
         return np.frombuffer(data, dtype=dtype, count=count, offset=at)
 
     indptr = block("indptr", dim + 1)
-    if indptr[0] != 0 or (np.diff(indptr) < 0).any():
+    df = np.diff(indptr)
+    if indptr[0] != 0 or (df < 0).any():
         raise RetrievalError("index indptr is not monotone from 0")
     rows, weights = block("rows", int(indptr[-1])), block("weights", int(indptr[-1]))
-    idf, df = block("idf", len(vocab)), block("df", len(vocab))
-    doc_lengths = block("doc_lengths", 0 if embedding else len(doc_ids))
     for defect, values, lo, hi in (
         ("doc rows out of range", rows, -1, len(doc_ids)),
         ("non-finite weights", weights, -math.inf, math.inf),
-        ("non-finite idf values", idf, -math.inf, math.inf),
-        ("negative document frequencies", df, -1, math.inf),
-        ("negative doc lengths", doc_lengths, -1, math.inf),
     ):
         # A NaN fails every comparison; min and max need no temporary array.
         if len(values) and not lo < values.min() <= values.max() < hi:
             raise RetrievalError(f"index has {defect}")
+    idf = np.zeros(0)
     if not embedding:
-        n_docs = len(doc_ids)
-        # An n-gram index's derived blocks must agree with its columns.
-        if not np.array_equal(df, np.diff(indptr)) or df.max(initial=0) > n_docs:
-            raise RetrievalError("index df disagrees with its columns")
-        if not np.array_equal(idf, _idf(df, n_docs)):
-            raise RetrievalError("index idf disagrees with its df")
-        if header["config"].ranking == "bm25" and not np.array_equal(
-            doc_lengths, np.bincount(rows, weights=weights, minlength=n_docs)
-        ):
-            raise RetrievalError("index doc_lengths disagree with its counts")
-    index = ExplanationIndex(
-        vocabulary=vocab, idf=idf, df=df, doc_lengths=doc_lengths,
-        columns=Postings(indptr, rows, weights), **header,
+        # Checked before _idf makes a table as long as the longest column.
+        if df.max(initial=0) > len(doc_ids):
+            raise RetrievalError("index has a column with more entries than documents")
+        idf = _idf(df, len(doc_ids))
+    return ExplanationIndex(
+        vocabulary=vocab, idf=idf, columns=Postings(indptr, rows, weights), **header
     )
-    index.postings()
-    return index
 
 
 def load_index(path: str | Path) -> ExplanationIndex:

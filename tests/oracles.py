@@ -6,7 +6,7 @@ by those tuples, ranking is a full scan.  Only the segmentation module is
 reused, since token boundaries are part of the shared contract (and are
 tested on their own).
 
-The last sections instead keep earlier package code verbatim, as the
+The last sections instead keep earlier package code, as the
 reference that a faster rewrite must match exactly.
 """
 
@@ -212,9 +212,10 @@ def lcs_pairs(a, b) -> list[tuple[int, int]]:
     return pairs
 
 
-# --- Earlier package code, kept verbatim as the reference. ---
+# --- Earlier package code, kept as the reference. ---
 # The per-document n-gram loop and dict-based index build that preceded the
-# flattened column build in re2gec.retriever.
+# flattened column build in re2gec.retriever, with BM25 counts turned into
+# gains by a per-posting loop.
 
 
 def _to_columns(vectors: list[dict[int, float]], n_cols: int) -> Postings:
@@ -235,6 +236,29 @@ def _to_columns(vectors: list[dict[int, float]], n_cols: int) -> Postings:
         count=n_entries,
     )[order]
     return Postings(indptr, rows, weights)
+
+
+def bm25_gains(
+    columns: Postings, doc_lengths: list[int], k1: float, b: float
+) -> Postings:
+    """The columns with each raw count replaced by its Okapi gain, one posting at a time.
+
+    gain = idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * |d| / avgdl)), with
+    idf = ln(1 + (N - df + 0.5) / (df + 0.5)), in that order of operations.
+    """
+    import numpy as np
+
+    indptr, rows, counts = (array.tolist() for array in columns)
+    n_docs = len(doc_lengths)
+    avgdl = sum(doc_lengths) / n_docs or 1.0
+    gains = []
+    for col in range(len(indptr) - 1):
+        df = indptr[col + 1] - indptr[col]
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for pos in range(indptr[col], indptr[col + 1]):
+            tf, dl = counts[pos], doc_lengths[rows[pos]]
+            gains.append(idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)))
+    return Postings(columns.indptr, columns.rows, np.array(gains, dtype=np.float64))
 
 
 def ngram_counts(text: str, config: IndexConfig) -> Counter:
@@ -293,18 +317,13 @@ def build_index(
         return ExplanationIndex(
             vocabulary=[],
             idf=np.zeros(0),
-            df=np.zeros(0, dtype=np.int64),
             columns=_to_columns([_embedding_vector(vec) for vec in vectors], dim),
             doc_ids=doc_ids,
-            doc_lengths=np.zeros(0, dtype=np.int64),
-            avg_doc_length=0.0,
             config=config,
             **provenance,
         )
 
     doc_counts = [ngram_counts(text, config) for text in texts]
-    doc_lengths = [sum(c.values()) for c in doc_counts]
-    avg_len = sum(doc_lengths) / len(doc_lengths)
     df_counter: Counter = Counter()
     for counts in doc_counts:
         df_counter.update(counts.keys())
@@ -322,14 +341,15 @@ def build_index(
             doc_vectors.append(_l2_normalize(vec))
         else:
             doc_vectors.append({vocabulary[g]: float(c) for g, c in counts.items()})
+    columns = _to_columns(doc_vectors, len(vocabulary))
+    if config.ranking == "bm25":
+        doc_lengths = [sum(c.values()) for c in doc_counts]
+        columns = bm25_gains(columns, doc_lengths, config.bm25_k1, config.bm25_b)
     return ExplanationIndex(
         vocabulary=list(vocabulary),
         idf=np.array(idf),
-        df=np.array(df, dtype=np.int64),
-        columns=_to_columns(doc_vectors, len(vocabulary)),
+        columns=columns,
         doc_ids=doc_ids,
-        doc_lengths=np.array(doc_lengths, dtype=np.int64),
-        avg_doc_length=avg_len,
         config=config,
         **provenance,
     )

@@ -5,12 +5,16 @@ benchmark only prints "traced: not wrapped" and the per-layer metrics fed by
 that wrapper read zero.  So must a refactor that keeps the names but binds a
 function so that its caller no longer looks it up through the wrapped
 attribute: the traced CLI run below must still record a span for each layer.
+The benchmark also calls ``tests/oracles.py`` functions by name for its
+full-scan answers, so a rename there must fail here too, not every run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import oracles
 import pytest
 from conftest import GEE_DOCS, INPUT_HIGH, INPUT_LOW, Q_HIGH, Q_LOW, TARGET_HIGH, TARGET_LOW
 
@@ -20,6 +24,7 @@ from re2gec.prompting import load_template_set, render_gee_prompt
 from re2gec.retriever import ExplanationIndex
 
 TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+RUN = TRACED.with_name("run.py")
 
 
 @pytest.fixture
@@ -39,6 +44,19 @@ def traced(monkeypatch):
 
 def test_traced_install_wraps_every_named_function(traced):
     assert traced.install(traced.Tracer()) == []
+
+
+def test_bench_calls_only_oracles_that_exist():
+    called = {
+        node.func.attr
+        for node in ast.walk(ast.parse(RUN.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "oracles"
+    }
+    assert called  # the benchmark's full-scan answers come from tests/oracles.py
+    assert sorted(name for name in called if not callable(getattr(oracles, name, None))) == []
 
 
 def test_traced_cli_run_records_a_span_for_every_layer(

@@ -156,24 +156,49 @@ def test_parse_error_is_one_usage_line(run, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("query", "--k", "0", "--index", "{missing}", "--text", "x"), "k must be >= 1"),
+        (("query", "--k", "0", "--index", "{missing}", "--text", "x"),
+         "argument --k: k must be >= 1"),
         (("query", "--theta", "2", "--index", "{missing}", "--text", "x"),
-         "theta must lie in [0, 1]"),
+         "argument --theta: theta must lie in [0, 1]"),
         (("build-index", "--ngram-min", "0", "--in", "{missing}", "--out", "{out}"),
-         "need 1 <= ngram_min <= ngram_max"),
+         "argument --ngram-min: need 1 <= ngram_min <= ngram_max"),
         (("explain", "--temperature", "0", "--in", "{missing}", "--explainer-script", "{missing}"),
-         "temperature must be positive"),
+         "argument --temperature: temperature must be positive"),
         (("explain", "--explainer-timeout", "0", "--in", "{missing}",
-          "--explainer-script", "{missing}"), "timeout must be positive"),
+          "--explainer-script", "{missing}"),
+         "argument --explainer-timeout: timeout must be positive"),
+        (("correct", "--explainer-script", "{missing}", "--timeout", "0", "--script", "{missing}",
+          "--in", "{missing}", "--corpus", "{missing}", "--index", "{missing}"),
+         "argument --timeout: timeout must be positive"),
         (("build-index", "--segmenter-cmd", "cat", "--in", "{missing}", "--out", "{out}"),
-         "external_command is only valid in external mode"),
+         "argument --segmenter-cmd: external_command is only valid in external mode"),
+        (("build-index", "--segmenter", "external", "--segmenter-cmd", "cat",
+          "--segmenter-timeout", "0", "--in", "{missing}", "--out", "{out}"),
+         "argument --segmenter-timeout: external_timeout must be positive"),
+        # A backend option whose role has no backend is rejected, not dropped.
+        (("explain", "--text", "他吃饭了", "--script", "{missing}",
+          "--explainer-model", "nosuch", "--explainer-timeout", "0"),
+         "--explainer-model needs --explainer-backend, --explainer-endpoint or "
+         "--explainer-script"),
+        (("explain", "--in", "{missing}", "--script", "{missing}", "--explainer-timeout", "5"),
+         "--explainer-timeout needs --explainer-backend, --explainer-endpoint or "
+         "--explainer-script"),
+        (("correct", "--explainer-script", "{missing}", "--model", "m", "--in", "{missing}",
+          "--corpus", "{missing}", "--index", "{missing}"),
+         "--model needs --backend, --endpoint or --script"),
+        (("build-index", "--in", "{missing}", "--out", "{out}", "--embed-model", "m"),
+         "--embed-model needs --embed-backend, --embed-endpoint or --embed-script"),
     ],
     ids=["query k", "query theta", "build-index ngram-min", "explain temperature",
-         "explain explainer-timeout", "build-index segmenter-cmd"],
+         "explain explainer-timeout", "correct timeout", "build-index segmenter-cmd",
+         "build-index segmenter-timeout", "explain explainer-model without backend",
+         "explain explainer-timeout without backend", "correct model without backend",
+         "build-index embed-model without backend"],
 )
 def test_value_a_config_rejects_is_usage_error_before_any_input(
     run, monkeypatch, tmp_path, argv, message
 ):
+    # The line names the flag that was set, not only the config field.
     reads = []
     monkeypatch.setattr(re2gec.cli, "load_corpus", lambda *args, **kw: reads.append(args))
     monkeypatch.setattr(re2gec.cli, "load_index", lambda *args, **kw: reads.append(args))

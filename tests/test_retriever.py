@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -90,7 +89,7 @@ def test_idf_formula_and_df():
     n = len(TEXTS)
     for idx, gram in enumerate(index.vocabulary):
         key = tuple(gram.split(NGRAM_JOIN))
-        df = index.df[idx]
+        df = index.columns.indptr[idx + 1] - index.columns.indptr[idx]
         assert index.idf[idx] == pytest.approx(math.log((1 + n) / (1 + df)) + 1.0)
         assert index.idf[idx] == pytest.approx(oracle_idf[key], abs=1e-12)
 
@@ -304,7 +303,7 @@ def test_embedding_index_records_dimension(monkeypatch):
         dumps_index(build_index(gee_corpus(texts), "explanation", cfg, embedder=fake_embedder))
     )
     assert index.dim == 3
-    assert len(index.doc_lengths) == 0
+    assert len(index.idf) == 0
     short = lambda batch: [vec[:2] for vec in fake_embedder(batch)]
     with pytest.raises(RetrievalError, match="2-dimensional vector for an index of dimension 3"):
         query(index, "接近第一篇", k=1, theta=0.0, embedder=short)
@@ -340,7 +339,6 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded.vocabulary == index.vocabulary
     assert loaded.idf.tolist() == index.idf.tolist()
-    assert loaded.df.tolist() == index.df.tolist()
     assert loaded.doc_ids == index.doc_ids
     assert oracles.doc_vectors(loaded) == oracles.doc_vectors(index)
     assert loaded.config == index.config
@@ -349,12 +347,12 @@ def test_save_load_round_trip(tmp_path):
     assert got == want
 
 
-def test_bm25_round_trip_keeps_lengths(tmp_path):
+def test_bm25_round_trip_keeps_lengths():
     cfg = IndexConfig(ranking="bm25", ngram_min=1, ngram_max=2)
     index = build_index(gee_corpus(TEXTS), "explanation", cfg)
     loaded = loads_index(dumps_index(index))
-    assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
-    assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length)
+    # Each document's length is stored in its gains, not as a block of its own.
+    assert loaded.columns.weights.tolist() == index.columns.weights.tolist()
     assert loaded.config == cfg
     assert dumps_index(loaded) == dumps_index(index)
 
@@ -382,7 +380,7 @@ def test_loads_rejects_truncated_payload():
 
 
 def _parts(blob: bytes) -> tuple[dict, dict]:
-    """The JSON header and the writable blocks of an ``RE2IDX 2`` blob."""
+    """The JSON header and the writable blocks of an ``RE2IDX 3`` blob."""
     head_len, *block_lens = retriever._LENGTHS.unpack_from(blob, len(retriever._MAGIC_LINE))
     offset = len(retriever._MAGIC_LINE) + retriever._LENGTHS.size
     header = json.loads(blob[offset : offset + head_len])
@@ -410,6 +408,8 @@ def _corrupted(case: str) -> bytes:
         return b"RE2IDX 9" + blob[len(INDEX_MAGIC):]
     if case == "old format":
         return b'RE2IDX 1\n{"section":"config"}\n'
+    if case == "old format 2":
+        return b"RE2IDX 2" + blob[len(INDEX_MAGIC):]
     if case == "truncated":
         return blob[:-1]
     if case == "trailing bytes":
@@ -418,8 +418,8 @@ def _corrupted(case: str) -> bytes:
     vocab, ids, indptr = header["vocabulary"], header["doc_ids"], blocks["indptr"]
     if case == "bad header":
         return _assemble(b"{", blocks)
-    if case == "block length":
-        blocks["idf"] = blocks["idf"][:-1]
+    if case == "rows block length":
+        blocks["rows"] = blocks["rows"][:-1]
     elif case == "non-monotone indptr":
         indptr[1] = indptr[-1]
     elif case == "row out of range":
@@ -427,26 +427,11 @@ def _corrupted(case: str) -> bytes:
     elif case == "column out of range":
         header["dim"] += 1
         blocks["indptr"] = np.append(indptr, indptr[-1])
-    elif case == "negative df":
-        blocks["df"][0] = -1
     elif case == "NaN weight":
         blocks["weights"][0] = np.nan
-    elif case == "infinite idf":
-        blocks["idf"][0] = np.inf
-    elif case == "negative doc length":
-        blocks["doc_lengths"][0] = -1000
-    elif case == "bm25 df not column sizes":
-        blocks["df"][:] = 3
-    elif case == "idf not from df":
-        blocks["idf"][:] = 1.0
-    elif case == "bm25 doc lengths not row counts":
-        blocks["doc_lengths"][0] += 1
-    elif case == "NaN avg_doc_length":
-        header["avg_doc_length"] = math.nan
-    elif case == "infinite avg_doc_length":
-        header["avg_doc_length"] = math.inf
-    elif case == "negative avg_doc_length":
-        header["avg_doc_length"] = -1.0
+    elif case == "column longer than docs":
+        # Monotone, and every row stays in range.
+        indptr[1:-1] = np.maximum(indptr[1:-1], len(ids) + 1)
     elif case == "unsorted vocabulary":
         vocab[0], vocab[1] = vocab[1], vocab[0]
     elif case == "duplicate vocabulary":
@@ -474,23 +459,16 @@ def test_reassembled_blob_loads():
     [
         ("bad magic", "not an index file or unsupported version"),
         ("old format", "old RE2IDX 1 format; rebuild it with build-index"),
+        ("old format 2", "old RE2IDX 2 format; rebuild it with build-index"),
         ("truncated", "truncated index file"),
         ("trailing bytes", "1 trailing bytes"),
         ("bad header", "bad index header"),
-        ("block length", "block 'idf' has .* bytes but the header counts give"),
+        ("rows block length", "block 'rows' has .* bytes but the header counts give"),
         ("non-monotone indptr", "indptr is not monotone"),
         ("row out of range", "doc rows out of range"),
         ("column out of range", "columns but a vocabulary of"),
-        ("negative df", "negative document frequencies"),
         ("NaN weight", "non-finite weights"),
-        ("infinite idf", "non-finite idf values"),
-        ("negative doc length", "negative doc lengths"),
-        ("bm25 df not column sizes", "df disagrees with its columns"),
-        ("idf not from df", "idf disagrees with its df"),
-        ("bm25 doc lengths not row counts", "doc_lengths disagree with its counts"),
-        ("NaN avg_doc_length", "invalid 'avg_doc_length'"),
-        ("infinite avg_doc_length", "invalid 'avg_doc_length'"),
-        ("negative avg_doc_length", "invalid 'avg_doc_length'"),
+        ("column longer than docs", "a column with more entries than documents"),
         ("unsorted vocabulary", "vocabulary is not sorted"),
         ("duplicate vocabulary", "has duplicates"),
         ("duplicate doc ids", "duplicate doc ids"),
@@ -566,17 +544,8 @@ def test_bm25_query_equals_brute_force_oracle(case, k1, b):
     _assert_same_ranking(got, want)
 
 
-def test_postings_built_once_under_concurrent_queries(monkeypatch):
+def test_postings_built_once_under_concurrent_queries():
     index = build_index(gee_corpus(TEXTS), "explanation", CFG)
-    builds = []
-    real_build = retriever._build_postings
-
-    def slow_build(idx):
-        builds.append(threading.get_ident())
-        time.sleep(0.05)  # hold the build open while the other threads arrive
-        return real_build(idx)
-
-    monkeypatch.setattr(retriever, "_build_postings", slow_build)
     n_threads = 8
     barrier = threading.Barrier(n_threads)
     postings = [None] * n_threads
@@ -598,7 +567,6 @@ def test_postings_built_once_under_concurrent_queries(monkeypatch):
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(builds) == 1
     assert all(p is postings[0] for p in postings)
     assert postings[0] is not None
     assert all(r == results[0] and r.hits for r in results)
@@ -626,8 +594,7 @@ def test_dumps_loads_round_trip(case, ranking, dim):
     blob = dumps_index(index)
     loaded = loads_index(blob)
     for attr in (
-        "vocabulary", "idf", "df", "doc_ids", "doc_lengths", "avg_doc_length",
-        "config", "dim", "field_name", "corpus_sha256",
+        "vocabulary", "idf", "doc_ids", "config", "dim", "field_name", "corpus_sha256",
     ):
         got, want = getattr(loaded, attr), getattr(index, attr)
         if isinstance(want, np.ndarray):
@@ -703,10 +670,12 @@ GLUE_CMD = (
 def test_equal_grams_of_two_lengths_share_a_column(ranking):
     seg = SegmenterConfig(mode="external", external_command=GLUE_CMD)
     cfg = IndexConfig(1, 2, ranking, segmenter=seg)
-    corpus = gee_corpus({"d0": "a\x1fbab", "d1": "ab\x1fab", "d2": "ba"})
+    texts = {"d0": "a\x1fbab", "d1": "ab\x1fab", "d2": "ba"}
+    corpus = gee_corpus(texts)
     index = build_index(corpus, "explanation", cfg)
     assert sorted(index.vocabulary) == ["a", "a\x1fb", "a\x1fb\x1fa", "b", "b\x1fa", "b\x1fa\x1fb"]
-    assert index.doc_lengths.tolist() == [5, 5, 3]
+    # A document's length counts every window, even two that share a column.
+    assert retriever._ngram_entries(list(texts.values()), cfg)[-1].tolist() == [5, 5, 3]
     assert dumps_index(index) == dumps_index(oracles.build_index(corpus, "explanation", cfg))
 
 
@@ -721,6 +690,7 @@ def test_build_index_bytes_equal_oracle_on_seeded_corpus(ranking):
     }
     cfg = IndexConfig(1, 3, ranking)
     embedder = _float_embedder(32)
+    # For BM25 the stored weights are the gains of the oracle's per-posting loop.
     got = dumps_index(build_index(gee_corpus(texts), "explanation", cfg, embedder))
     assert got == dumps_index(oracles.build_index(gee_corpus(texts), "explanation", cfg, embedder))
 
