@@ -13,7 +13,9 @@ to ``--out`` (checked before the handler runs) or stdout.  Exit codes: 0 on
 success, 1 on runtime errors, 2 on usage errors (a bad flag or manifest
 value, a missing option, a backend's model or timeout without that backend,
 or a value a config dataclass rejects, named by its flag).  Either error is
-one line on stderr, ``error: ...`` or ``usage error: ...``.
+one line on stderr, ``error: ...`` or ``usage error: ...``.  Inputs are decoded
+where they enter, through ``errors``, so ``dispatch`` catches only ``Re2Error``
+and ``OSError``: any other exception is a bug, and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 from .corpus import load_corpus, string_fields
 from .edit_extract import extract_edits
-from .errors import Re2Error
+from .errors import Re2Error, decode_json, decode_text, encode_text
 from .llm_backend import BACKEND_KINDS, BackendConfig, DecodingParams
 from .pipeline import (
     BASELINE_MODES,
@@ -120,10 +122,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> _Options:
     path = args.get("config")
     if not path:
         return args
-    try:
-        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise Re2Error(f"cannot read config {path!r}: {exc}") from None
+    manifest = decode_json(Path(path).read_bytes(), f"cannot read config {path!r}", Re2Error)
     if not isinstance(manifest, dict):
         raise Re2Error(f"config {path!r} must hold a JSON object")
     # Whether each option is an on/off flag, by name.
@@ -277,8 +276,7 @@ def _text_lines(path: str) -> list[str]:
 
     One \r ending a line is dropped, and a final newline adds no line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+    lines = decode_text(Path(path).read_bytes(), repr(path), Re2Error).split("\n")
     if lines[-1] == "":
         lines.pop()
     return [line[:-1] if line.endswith("\r") else line for line in lines]
@@ -515,14 +513,16 @@ def _add_field(sub: argparse.ArgumentParser, default: str) -> None:
                      help=f"indexed text field (default: {default})")
 
 
-def _add_pipeline_options(sub: argparse.ArgumentParser, *, theta: bool) -> None:
+def _add_pipeline_options(sub: argparse.ArgumentParser, *, theta: bool, templates=True) -> None:
     sub.add_argument("--k", type=int,
                      help=f"number of retrieved examples (default: {_default(Re2Config, 'k')})")
     if theta:
         sub.add_argument("--theta", type=float, help="similarity gate threshold "
-                         f"(default: {_default(Re2Config, 'theta')})")
-    sub.add_argument("--templates", help="template set name or directory "
-                     f"(default: {_default(Re2Config, 'templates')})")
+                         f"(default: {_default(Re2Config, 'theta')}); "
+                         "a BM25 index opens the gate on any hit")
+    if templates:
+        sub.add_argument("--templates", help="template set name or directory "
+                         f"(default: {_default(Re2Config, 'templates')})")
 
 
 def _add_decoding(sub: argparse.ArgumentParser) -> None:
@@ -578,8 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("query", cmd_query, "query an index")
     sub.add_argument("--index", help="index file")
     sub.add_argument("--text", help="query text")
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--theta", type=float)
+    _add_pipeline_options(sub, theta=True, templates=False)
     sub.add_argument("--exclude", help="comma-separated doc ids to exclude")
     _add_embedding(sub)
 
@@ -640,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dev", help="dev corpus")
     sub.add_argument("--train", help="example corpus backing the index")
     sub.add_argument("--index", help="explanation index file")
-    sub.add_argument("--thetas", type=_thetas, help="comma-separated thresholds")
+    sub.add_argument("--thetas", type=_thetas, help="comma-separated thresholds; "
+                     "a BM25 index gives the same row at every theta")
     _add_pipeline_options(sub, theta=False)
     _add_decoding(sub)
     _add_backend(sub)
@@ -678,9 +678,10 @@ def dispatch(argv: list[str] | None = None) -> int:
         if lines is not None:
             text = "".join(line + "\n" for line in lines)
             # Encoded before --out is opened: a line UTF-8 cannot encode leaves it as it was.
-            data = text.encode("utf-8")
+            data = encode_text(text, "output", Re2Error)
             if out == "-":
-                sys.stdout.write(text)
+                sys.stdout.flush()
+                sys.stdout.buffer.write(data)  # UTF-8 whatever the locale, as --out gets
             else:
                 Path(out).write_bytes(data)
         return 0
@@ -689,7 +690,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (Re2Error, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (Re2Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

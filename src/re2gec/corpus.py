@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import CorpusError
+from .errors import CorpusError, EditError, decode_json, decode_text
 
 logger = logging.getLogger(__name__)
 
@@ -188,7 +188,7 @@ def _check_edits_replay(rec: SentencePair, line_no: int) -> None:
     for i, edit_list in enumerate(rec.edits or []):
         try:
             rebuilt = apply_edits(rec.source, edit_list)
-        except Exception as exc:
+        except EditError as exc:
             raise CorpusError(
                 f"line {line_no}: edit/target mismatch id={rec.id}: {exc}"
             ) from None
@@ -201,16 +201,14 @@ def _check_edits_replay(rec: SentencePair, line_no: int) -> None:
 
 def json_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) per non-blank line; CorpusError names any other line."""
-    text = Path(path).read_text(encoding="utf-8")
-    # Records are separated by plain \n; str.splitlines() would also split on
+    where = repr(str(path))
+    text = decode_text(Path(path).read_bytes(), where, CorpusError, universal_newlines=True)
+    # Records end at a newline; str.splitlines() would also split on
     # U+2028-style separators that may appear raw inside JSON strings.
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: invalid JSON: {exc}") from None
+        obj = decode_json(line, f"line {line_no}: invalid JSON in {where}", CorpusError)
         if not isinstance(obj, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         yield line_no, obj

@@ -19,7 +19,6 @@ raises instead.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BackendError
+from .errors import BackendError, decode_json, encode_text
 
 API_KEY_ENV = "RE2_API_KEY"
 BACKEND_KINDS = ("http", "mock")
@@ -82,7 +81,7 @@ class BackendConfig:
 
 def prompt_key(text: str) -> str:
     """Stable content hash used as the mock script lookup key."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(encode_text(text, "prompt", BackendError)).hexdigest()
 
 
 _script_cache: dict[tuple[str, float], dict] = {}
@@ -98,10 +97,7 @@ def _load_script(path: str) -> dict:
     with _script_lock:
         script = _script_cache.get(key)
     if script is None:
-        try:
-            script = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BackendError(f"cannot read mock script {path!r}: {exc}") from None
+        script = decode_json(Path(path).read_bytes(), f"mock script {path!r}", BackendError)
         if not isinstance(script, dict):
             raise BackendError(f"mock script {path!r} must be a JSON object")
         with _script_lock:
@@ -113,6 +109,8 @@ def _mock_complete(prompt: str, config: BackendConfig) -> str:
     script = _load_script(config.script_path)
     key = prompt_key(prompt)
     if key in script:
+        if not isinstance(script[key], str):
+            raise BackendError(f"mock script reply {key[:12]}… is not a string")
         return script[key]
     fallback = script.get(FALLBACK_KEY, "echo_last_line")
     if fallback == "echo_last_line":
@@ -126,6 +124,8 @@ def _headers() -> dict:
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
+        if max(map(ord, api_key)) > 0xFF or not api_key.isprintable():  # as a header takes
+            raise BackendError(f"{API_KEY_ENV} holds a character that is not printable Latin-1")
         headers["Authorization"] = f"Bearer {api_key}"
     return headers
 
@@ -144,10 +144,7 @@ def _post_with_retries(url: str, payload: dict, config: BackendConfig) -> dict:
             last_error = f"transport error: {exc}"
         else:
             if 200 <= response.status_code < 300:
-                try:
-                    return response.json()
-                except ValueError as exc:
-                    raise BackendError(f"non-JSON response from {url}: {exc}") from None
+                return decode_json(response.content, f"non-JSON response from {url}", BackendError)
             body = response.text[:200]
             if response.status_code == 429 or 500 <= response.status_code < 600:
                 last_error = f"HTTP {response.status_code}: {body}"
@@ -202,14 +199,17 @@ def embed(texts: Sequence[str], config: BackendConfig) -> list[list[float]]:
                 raise BackendError(
                     f"mock backend: no scripted embedding for text (key {key[:12]}…)"
                 )
-            vectors.append([float(v) for v in vec])
+            try:
+                vectors.append([float(v) for v in vec])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BackendError(f"mock script embedding {key[:12]}…: {exc}") from None
         return vectors
     url = config.endpoint.rstrip("/") + "/embeddings"
     data = _post_with_retries(url, {"model": config.model, "input": list(texts)}, config)
     try:
         rows = sorted(data["data"], key=lambda row: row["index"])
         vectors = [[float(v) for v in row["embedding"]] for row in rows]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BackendError(f"malformed embedding response from {url}: {exc}") from None
     if len(vectors) != len(texts):
         raise BackendError(

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import SentencePair
-from .errors import ParseError, TemplateError
+from .errors import ParseError, TemplateError, decode_text
 
 GEE_VARIANTS = ("with_edits", "with_rough_explanation", "input_only")
 
@@ -55,7 +55,9 @@ def load_template(path: str | Path) -> PromptTemplate:
     path = Path(path)
     if not path.is_file():
         raise TemplateError(f"template file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = decode_text(
+        path.read_bytes(), f"template {path}", TemplateError, universal_newlines=True
+    )
     lines = [line for line in text.split("\n") if not line.startswith("#")]
     while lines and not lines[-1]:
         lines.pop()

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import RetrievalError
+from .errors import RetrievalError, decode_json, encode_text
 from .segmentation import SegmenterConfig, segment
 
 if TYPE_CHECKING:
@@ -362,12 +362,7 @@ def _check_encodable(doc_ids: Sequence[str], texts: Sequence[str], field_name: s
     """Reject the first record whose id or text holds a lone surrogate: index files are UTF-8."""
     for doc_id, text in zip(doc_ids, texts):
         for what, value in (("id", doc_id), (field_name, text)):
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise RetrievalError(
-                    f"record {doc_id!r}: the {what} has a lone surrogate, which UTF-8 cannot encode"
-                ) from None
+            encode_text(value, f"record {doc_id!r}: the {what}", RetrievalError)
 
 
 def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
@@ -573,8 +568,8 @@ def _config_from(cls, values: dict, **nested):
 
 def _parse_header(raw: bytes) -> dict:
     """The header fields, type-checked; the config as an ``IndexConfig``."""
+    header = decode_json(raw, "bad index header", RetrievalError)
     try:
-        header = json.loads(raw)
         cfg = header["config"]
         segmenter = _config_from(SegmenterConfig, cfg["segmenter"])
         parsed = {

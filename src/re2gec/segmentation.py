@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .errors import SegmentationError
+from .errors import SegmentationError, decode_text, encode_text
 
 SEGMENTER_MODES = ("character", "whitespace", "external")
 
@@ -96,20 +96,22 @@ class ExternalSegmenter:
     def segment_line(self, text: str) -> list[str]:
         if "\n" in text:
             raise SegmentationError("external segmenter input must not contain newlines")
+        data = encode_text(text, f"segmenter input {text!r}", SegmentationError) + b"\n"
         with self._lock:
             if self._proc.poll() is not None:
                 raise SegmentationError(f"segmenter {self.command!r} exited")
             try:
-                self._proc.stdin.write((text + "\n").encode("utf-8"))
+                self._proc.stdin.write(data)
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise SegmentationError(f"segmenter {self.command!r} pipe failed: {exc}") from None
             line = self._read_line(time.monotonic() + self.timeout)
-        tokens = [t for t in line.decode("utf-8").split(" ") if t]
+        output = decode_text(line, f"segmenter output for {text!r}", SegmentationError)
+        tokens = [t for t in output.split(" ") if t]
         if "".join(tokens) != text:
             raise SegmentationError(
                 f"segmenter output does not re-concatenate to the input line: "
-                f"input={text!r} output={line.decode('utf-8', 'replace')!r}"
+                f"input={text!r} output={output!r}"
             )
         return tokens
 

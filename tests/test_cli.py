@@ -2,12 +2,16 @@ import importlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import (
     GEE_DOCS,
     INPUT_HIGH,
@@ -20,6 +24,7 @@ from conftest import (
 from test_llm_backend import stub_server
 
 import re2gec
+from re2gec import retriever
 from re2gec.cli import dispatch
 from re2gec.corpus import SentencePair
 from re2gec.prompting import load_template_set, render_gec_prompt, render_gee_prompt
@@ -409,7 +414,7 @@ def test_unencodable_output_line_leaves_out_as_it_was(run, tmp_path):
         code, stdout, err = run("extract-edits", "--in", str(pairs), *out)
         assert (code, stdout) == (1, "")
         (line,) = err.splitlines()
-        assert line.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+        assert line == "error: output line 2 has a lone surrogate, which UTF-8 cannot encode"
     assert old.read_bytes() == b"old\n"
     assert not new.exists()
 
@@ -431,6 +436,17 @@ def test_out_may_name_an_input_file(run, write_corpus):
     pairs = write_corpus([{"source": "ab", "target": "ba"}])
     assert run("extract-edits", "--in", pairs, "--out", pairs) == (0, "", "")
     assert Path(pairs).read_text(encoding="utf-8") == '[[0,"a",""],[2,"","a"]]\n'
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src_dir, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "re2gec", "extract-edits", "--source", "他打饭", "--target", "他饭"],
+        capture_output=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == '[[1,"打",""]]\n'.encode("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -469,6 +485,144 @@ def test_single_input_and_file_input_are_mutually_exclusive(
     if command == "explain":
         argv += ["--explainer-script", write_script({})]
     assert run(*argv) == (2, "", f"usage error: {message} are mutually exclusive\n")
+
+
+# --- hostile inputs ---
+
+# Values that a JSON input may hold in place of any one of its values.
+_HOSTILE_VALUES = [
+    b"[" * 2000 + b"]" * 2000, b'{"a":' * 2000 + b"0" + b"}" * 2000, b"1" * 5001,
+    b"NaN", b"-Infinity", b'"\\ud800"', b'"a\\u0000b"', b"null", b"true", b"2.5", b"-1",
+    b"[]", b"{}", b'"x"', b'[1, "a"]',
+]
+# Bytes that may land anywhere in any input.
+_HOSTILE_BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00", b"\r", b"\n"]
+_MARK = "@@hostile@@"
+
+
+def _marked(draw, value):
+    """``value`` with the mark in place of itself or of one member, at any depth."""
+    if not isinstance(value, (dict, list)) or not value or draw(st.integers(0, 3)) == 0:
+        return _MARK
+    if isinstance(value, dict):
+        key = draw(st.sampled_from(sorted(value)))
+        return {**value, key: _marked(draw, value[key])}
+    i = draw(st.integers(0, len(value) - 1))
+    return [*value[:i], _marked(draw, value[i]), *value[i + 1:]]
+
+
+@st.composite
+def _hostile(draw, valid: bytes) -> bytes:
+    """``valid`` truncated, with hostile bytes spliced in, or with a JSON value replaced."""
+    how = draw(st.sampled_from(["truncate", "splice", "value"]))
+    try:
+        lines = [json.loads(line) for line in valid.decode("utf-8").split("\n") if line.strip()]
+    except ValueError:  # not JSON lines, or not UTF-8
+        lines = []
+    if how == "truncate":
+        return valid[: draw(st.integers(0, max(len(valid) - 1, 0)))]
+    if how == "splice" or not lines:
+        at = draw(st.integers(0, len(valid)))
+        return valid[:at] + draw(st.sampled_from(_HOSTILE_BYTES + _HOSTILE_VALUES)) + valid[at:]
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = _marked(draw, lines[i])
+    text = "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
+    return text.encode("utf-8").replace(
+        json.dumps(_MARK).encode(), draw(st.sampled_from(_HOSTILE_VALUES))
+    )
+
+
+def _with_header(blob: bytes, head: bytes) -> bytes:
+    """An ``RE2IDX 3`` blob whose header is ``head``, with its length entry to match."""
+    magic, lengths = retriever._MAGIC_LINE, retriever._LENGTHS
+    head_len, *block_lens = lengths.unpack_from(blob, len(magic))
+    blocks = blob[len(magic) + lengths.size + head_len:]
+    return magic + lengths.pack(len(head), *block_lens) + head + blocks
+
+
+@pytest.fixture
+def hostile_inputs(
+    dev_jsonl, gee_jsonl, index_file, explainer_script, corrector_script, write_script,
+    tmp_path,
+):
+    """Per command, the argv of one run, whose ``@name`` items are the files of ``inputs``."""
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(str(resources.files("re2gec"))) / "templates" / "default", templates)
+    embeddings = {text: [1.0, float(i)] for i, (_, text) in enumerate(GEE_DOCS)}
+    inputs = {
+        "corpus": gee_jsonl, "dev": dev_jsonl, "index": index_file,
+        "script": corrector_script, "explainer": explainer_script,
+        "embed": write_script(embeddings),
+        "templates": templates / "gee_input_only.txt",
+    }
+    texts = {
+        "pairs": json.dumps({"source": "AXB", "target": "AB"}) + "\n",
+        "hyp_log": _GOOD_HYP + "\n" + json.dumps({"correction": TARGET_HIGH}) + "\n",
+        "hyp": f"{TARGET_LOW}\r\n{INPUT_HIGH}\n",
+        "cand": "ace\n同一句\n", "ref": "abcde\n同一句\n",
+        "config": '{"strict": false}',
+    }
+    for name, text in texts.items():
+        inputs[name] = tmp_path / f"{name}.in"
+        inputs[name].write_text(text, encoding="utf-8")
+    backends = ["--script", "@script", "--explainer-script", "@explainer"]
+    argvs = {
+        "extract-edits": ["--in", "@pairs"],
+        "build-index": ["--in", "@corpus"],
+        "build-index embedding": ["--in", "@corpus", "--ranking", "embedding",
+                                  "--embed-script", "@embed"],
+        "query": ["--index", "@index", "--text", Q_HIGH],
+        "explain": ["--in", "@dev", "--explainer-script", "@explainer",
+                    "--templates", "@templates"],
+        "correct": ["--in", "@dev", "--corpus", "@corpus", "--index", "@index", *backends],
+        "baseline": ["--mode", "random_k", "--in", "@dev", "--corpus", "@corpus",
+                     "--script", "@script"],
+        "score": ["--src", "@dev", "--hyp-log", "@hyp_log"],
+        "detect": ["--src", "@dev", "--hyp", "@hyp"],
+        "rouge": ["--cand-file", "@cand", "--ref-file", "@ref"],
+        "make-sft-data": ["--train", "@corpus", "--index", "@index"],
+        "sweep-theta": ["--dev", "@dev", "--train", "@corpus", "--index", "@index",
+                        "--thetas", "0.6", *backends],
+        "compare-retrievers": ["--dev", "@dev", "--train", "@corpus",
+                               "--rankings", "tfidf_cosine", *backends],
+    }
+    for argv in argvs.values():
+        argv += ["--config", "@config"]
+    return {name: Path(path) for name, path in inputs.items()}, argvs
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_input_file_is_one_error_line(run, hostile_inputs, tmp_path, data):
+    inputs, argvs = hostile_inputs
+    label = data.draw(st.sampled_from(sorted(argvs)), label="command")
+    argv = argvs[label]
+    name = data.draw(st.sampled_from([a[1:] for a in argv if a.startswith("@")]), label="input")
+    valid = inputs[name].read_bytes()
+    if name == "index":
+        head_len = retriever._LENGTHS.unpack_from(valid, len(retriever._MAGIC_LINE))[0]
+        start = len(retriever._MAGIC_LINE) + retriever._LENGTHS.size
+        head = data.draw(_hostile(valid[start:start + head_len]), label="header")
+        hostile = _with_header(valid, head)
+    else:
+        hostile = data.draw(_hostile(valid), label="bytes")
+    out = tmp_path / "out"
+    out.write_bytes(b"old\n")
+    inputs[name].write_bytes(hostile)
+    try:
+        # A template set is named by its directory.
+        files = {**inputs, "templates": inputs["templates"].parent}
+        paths = [str(files[a[1:]]) if a.startswith("@") else a for a in argv]
+        code, stdout, err = run(label.split()[0], *paths, "--out", str(out))
+    finally:
+        inputs[name].write_bytes(valid)
+    if code == 0:
+        return
+    assert (code, stdout) in ((1, ""), (2, ""))
+    (line,) = err.splitlines()
+    assert line.startswith("error: " if code == 1 else "usage error: ")
+    assert out.read_bytes() == b"old\n"
 
 
 # --- edits ---
@@ -522,10 +676,14 @@ _GOOD_HYP = json.dumps({"id": "devA", "correction": TARGET_LOW})
         ("score", "[1]", "record must be a JSON object"),
         ("score", '{"id": "devB"}', "missing required field 'correction'"),
         ("score", '{"id": "devB", "correction": 5}', "correction must be a string"),
+        ("extract-edits", "[" * 2000 + "]" * 2000, "invalid JSON in '.*': nested too deeply"),
+        ("score", '{"correction": ' * 2000 + '""' + "}" * 2000,
+         "invalid JSON in '.*': nested too deeply"),
     ],
     ids=[
         "pair not an object", "source not a string", "target missing", "pair bad JSON",
         "log line not an object", "correction missing", "correction not a string",
+        "pair nested too deeply", "log line nested too deeply",
     ],
 )
 def test_bad_scoring_input_line_is_one_error_line(
@@ -541,7 +699,7 @@ def test_bad_scoring_input_line_is_one_error_line(
     assert code == 1
     assert out == ""
     (line,) = err.splitlines()
-    assert line.startswith(f"error: line 2: {message}")
+    assert re.match(f"error: line 2: {message}", line)
 
 
 def test_score_per_sentence_scores_each_sentence_once(run, write_corpus, tmp_path, monkeypatch):

@@ -88,6 +88,25 @@ def test_load_reports_malformed_json_line_number(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone cr"])
+def test_records_end_at_each_newline_of_text_mode(tmp_path, eol):
+    # A corpus reads as a text-mode file does: \r\n and a lone \r end a line too.
+    lines = [json.dumps({"id": i, "source": "s", "targets": ["t"]}) for i in "aba"]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes((eol.join(lines[:2]) + eol).encode("utf-8"))
+    assert [rec.id for rec in load_corpus(path)] == ["a", "b"]
+    path.write_bytes(eol.join(lines).encode("utf-8"))
+    with pytest.raises(CorpusError, match="^line 3: duplicate id 'a'$"):
+        load_corpus(path)
+
+
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "a", "source": "s", "targets": ["t"]}\n{"id": "\xff"}\n')
+    with pytest.raises(CorpusError, match=r"^'.*c\.jsonl': line 2 is not UTF-8 \(invalid start"):
+        load_corpus(path)
+
+
 def test_load_rejects_duplicate_id(tmp_path):
     line = json.dumps({"id": "a", "source": "s", "targets": ["t"]})
     with pytest.raises(CorpusError, match="line 2: duplicate id 'a'"):

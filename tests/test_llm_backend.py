@@ -158,6 +158,22 @@ def test_mock_script_must_be_object(tmp_path):
         complete("任意", PARAMS, config)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"__fallback__": "\xff"}', r"line 1 is not UTF-8 \(invalid start byte\)"),
+        (b"[" * 2000 + b"]" * 2000, "nested too deeply"),
+    ],
+    ids=["not UTF-8", "nested too deeply"],
+)
+def test_mock_script_must_be_utf8_json(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    config = BackendConfig(kind="mock", script_path=str(path))
+    with pytest.raises(BackendError, match=rf"^mock script '.*bad.json': {message}$"):
+        complete("任意", PARAMS, config)
+
+
 def test_mock_script_missing_file(tmp_path):
     config = BackendConfig(kind="mock", script_path=str(tmp_path / "nope.json"))
     with pytest.raises(BackendError, match="cannot read"):
@@ -192,6 +208,16 @@ def test_http_payload_and_auth_header(monkeypatch):
         "sample": False,
         "beam_size": 8,
     }
+
+
+@pytest.mark.parametrize("key", ["sk-密钥", "sk-secret\n"], ids=["not latin-1", "newline"])
+def test_api_key_a_header_cannot_carry_is_named_not_shown(monkeypatch, key):
+    monkeypatch.setenv("RE2_API_KEY", key)
+    with stub_server(lambda rec, n: (200, completion("答"))) as (url, server):
+        with pytest.raises(BackendError) as info:
+            complete("问", PARAMS, http_config(url))
+    assert str(info.value) == "RE2_API_KEY holds a character that is not printable Latin-1"
+    assert server.requests == []
 
 
 def test_http_no_auth_header_without_key(monkeypatch):
@@ -305,6 +331,16 @@ def test_embed_mock(tmp_path):
     assert embed(["甲", "乙"], config) == [[1.0, 0.5], [0.0, 2.0]]
     with pytest.raises(BackendError, match="no scripted embedding"):
         embed(["丙"], config)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({prompt_key("丙"): [1, "x"]}), encoding="utf-8")
+    with pytest.raises(BackendError, match="embedding .*: could not convert string to float"):
+        embed(["丙"], BackendConfig(kind="mock", script_path=str(bad)))
+
+
+def test_mock_reply_must_be_a_string(tmp_path):
+    config = mock_config(tmp_path, {"提示": 7})
+    with pytest.raises(BackendError, match="^mock script reply .* is not a string$"):
+        complete("提示", PARAMS, config)
 
 
 def test_embed_http_sorts_by_index():

@@ -418,6 +418,8 @@ def _corrupted(case: str) -> bytes:
     vocab, ids, indptr = header["vocabulary"], header["doc_ids"], blocks["indptr"]
     if case == "bad header":
         return _assemble(b"{", blocks)
+    if case == "nested header":
+        return _assemble(b"[" * 2000 + b"]" * 2000, blocks)
     if case == "rows block length":
         blocks["rows"] = blocks["rows"][:-1]
     elif case == "non-monotone indptr":
@@ -463,6 +465,7 @@ def test_reassembled_blob_loads():
         ("truncated", "truncated index file"),
         ("trailing bytes", "1 trailing bytes"),
         ("bad header", "bad index header"),
+        ("nested header", "bad index header: nested too deeply"),
         ("rows block length", "block 'rows' has .* bytes but the header counts give"),
         ("non-monotone indptr", "indptr is not monotone"),
         ("row out of range", "doc rows out of range"),
