@@ -633,6 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--train", help="training corpus with explanations")
     sub.add_argument("--index", help="explanation index over the training corpus")
     _add_pipeline_options(sub, theta=False)
+    _add_embedding(sub)
 
     sub = add("sweep-theta", cmd_sweep_theta, "score the pipeline across gate thresholds",
               jobs=True)

@@ -115,12 +115,18 @@ class Corpus:
             raise CorpusError(f"unknown record id {record_id!r}") from None
 
 
-def _parse_record(obj: dict, line_no: int, strict: bool) -> SentencePair:
+def _parse_record(
+    obj: dict, line_no: int, strict: bool, unknown: list[tuple[int, str]]
+) -> SentencePair:
+    """The record of ``obj``; a lenient parse appends (line, name) per unknown field to ``unknown``.
+
+    The caller logs them once the whole file has loaded.
+    """
     for name in obj:
         if name not in _KNOWN_FIELDS:
             if strict:
                 raise CorpusError(f"line {line_no}: unknown field {name!r}")
-            logger.warning("line %d: ignoring unknown field %r", line_no, name)
+            unknown.append((line_no, name))
     for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise CorpusError(f"line {line_no}: missing required field {name!r}")
@@ -231,20 +237,23 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
     """Load and validate a JSON-lines corpus file.
 
     Unknown fields are rejected when ``strict`` is true, otherwise ignored
-    with a warning.  Raises CorpusError with the offending line number on
+    with a warning each, logged once the whole file has loaded: a load that
+    fails logs none.  Raises CorpusError with the offending line number on
     malformed JSON, schema violations, duplicate ids, or edit lists that do
     not rebuild their targets.
     """
-    records = []
+    records, unknown = [], []
     seen = set()
     for line_no, obj in json_objects(path):
-        rec = _parse_record(obj, line_no, strict)
+        rec = _parse_record(obj, line_no, strict, unknown)
         if rec.id in seen:
             raise CorpusError(f"line {line_no}: duplicate id {rec.id!r}")
         seen.add(rec.id)
         if rec.edits is not None:
             _check_edits_replay(rec, line_no)
         records.append(rec)
+    for line_no, name in unknown:
+        logger.warning("line %d: ignoring unknown field %r", line_no, name)
     return Corpus(records=records)
 
 

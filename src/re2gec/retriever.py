@@ -17,21 +17,24 @@ BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 
 An index stores its documents column-major only, as numpy arrays (one
 column per n-gram, or per embedding dimension), built with one sort of
-all documents' entries; every ranking scores through one postings product
-over them.  The vocabulary is the strictly ascending list of n-grams, a
-gram's column is its position, and a query finds its grams' columns by
-bisection.  numpy is imported only by index build, load and query,
-so commands that never touch an index do not load it.
+all documents' entries; every ranking scores by adding the query's columns,
+one after another, into one score per document.  The vocabulary is a numpy
+array of the strictly ascending n-grams, fixed-width code points (``<U``)
+as wide as the longest gram; a gram's column is its position, and a query
+finds all its grams' columns with one ``searchsorted``.  numpy compares
+such strings as if padded with U+0000, so indexed text may not hold that
+character.  numpy is imported only by index build, load and query, so
+commands that never touch an index do not load it.
 
-``save_index``/``load_index`` use the binary ``RE2IDX 3`` format: the magic
+``save_index``/``load_index`` use the binary ``RE2IDX 4`` format: the magic
 line, a table of section lengths, one JSON header, and the three column
-arrays as raw little-endian blocks.  Every stored weight is the number a
-query weight multiplies: the normalized tf-idf weight, the normalized
-embedding value or the BM25 gain, which the build computes from the raw
-counts.  Its bytes are a deterministic function of the index contents.  A
-loaded index holds the header's vocabulary and doc id lists, and numpy
-views into the file bytes for every block: no per-gram or per-posting
-Python object is made.  Load derives each column's document frequency from
+arrays and the vocabulary as raw little-endian blocks.  Every stored weight
+is the number a query weight multiplies: the normalized tf-idf weight, the
+normalized embedding value or the BM25 gain, which the build computes from
+the raw counts.  Its bytes are a deterministic function of the index
+contents.  A loaded index holds the header's doc id list, and numpy views
+into the file bytes for every block: no per-gram or per-posting Python
+object is made.  Load derives each column's document frequency from
 ``indptr`` and, for n-gram indexes, the tf-idf idf from that.
 """
 
@@ -43,7 +46,6 @@ import json
 import math
 import operator
 import struct
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, compress, islice
@@ -57,19 +59,23 @@ from .segmentation import SegmenterConfig, segment
 if TYPE_CHECKING:
     import numpy as np
 
-INDEX_MAGIC = "RE2IDX 3"
+INDEX_MAGIC = "RE2IDX 4"
 RANKINGS = ("tfidf_cosine", "bm25", "embedding")
 INDEX_FIELDS = ("explanation", "source")
 
 # Joining n-gram member tokens with U+001F keeps multi-token grams unambiguous.
 NGRAM_JOIN = "\x1f"
+# The most code points an n-gram may have: every vocabulary row is as wide as
+# the longest gram, so one long token would widen them all.
+MAX_GRAM_WIDTH = 64
 
 Embedder = Callable[[Sequence[str]], "list[list[float]]"]
 
 _MAGIC_LINE = (INDEX_MAGIC + "\n").encode("ascii")
 # The raw blocks after the header, in file order: the 8-byte ones first, so
-# that every block starts at a multiple of its item size.
-_BLOCKS = (("indptr", "<i8"), ("weights", "<f8"), ("rows", "<i4"))
+# that every block starts at a multiple of its item size.  The vocabulary's
+# rows are 4-byte code points, as many per row as the longest gram has.
+_BLOCKS = (("indptr", "<i8"), ("weights", "<f8"), ("rows", "<i4"), ("vocabulary", "<U"))
 # Byte lengths of the header and of each block.
 _LENGTHS = struct.Struct(f"<{1 + len(_BLOCKS)}Q")
 
@@ -120,7 +126,9 @@ class Postings(NamedTuple):
     Column ``c`` holds the entries ``indptr[c]:indptr[c + 1]`` of ``rows``
     (doc rows, ascending) and ``weights``: the normalized tf-idf weight, the
     normalized embedding value, or the query-independent BM25 gain
-    ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.
+    ``idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avg))``.  A
+    query reads its columns as slices of these arrays, one column at a
+    time (``_postings_scores``), and copies none of them.
     """
 
     indptr: np.ndarray   # int64, number of columns + 1
@@ -130,7 +138,7 @@ class Postings(NamedTuple):
 
 @dataclass(eq=False)
 class ExplanationIndex:
-    vocabulary: list[str]       # strictly ascending n-grams, one per column; empty for embeddings
+    vocabulary: np.ndarray      # <U: strictly ascending n-grams by column; empty for embeddings
     idf: np.ndarray             # float64, tf-idf idf per column; empty for embeddings
     columns: Postings           # the documents; one column per n-gram or embedding dimension
     doc_ids: list[str]
@@ -269,8 +277,9 @@ def _ngram_entries(
     (column, slot) keys then finds the first slot and the count of each
     (document, column).
 
-    Returns the vocabulary, the entries per document, the entry columns
-    (int32) and counts (float64), and the windows per document (int64).
+    Returns the vocabulary (``<U``, as wide as its longest gram), the
+    entries per document, the entry columns (int32) and counts (float64),
+    and the windows per document (int64).
     """
     import numpy as np
 
@@ -291,7 +300,8 @@ def _ngram_entries(
     counts[slots[runs]] = np.diff(runs, append=n)
     first = counts != 0.0
     sizes = np.bincount(slot_docs[first], minlength=len(texts)).tolist()
-    return list(compress(ranked, new)), sizes, cols[first], counts[first], doc_lengths
+    vocabulary = np.array(list(compress(ranked, new)), dtype=str)
+    return vocabulary, sizes, cols[first], counts[first], doc_lengths
 
 
 def _per_df(df: np.ndarray, term: Callable[[int], float]) -> np.ndarray:
@@ -359,10 +369,33 @@ def _field_text(rec, field_name: str) -> str:
 
 
 def _check_encodable(doc_ids: Sequence[str], texts: Sequence[str], field_name: str) -> None:
-    """Reject the first record whose id or text holds a lone surrogate: index files are UTF-8."""
+    """Reject the first record whose id or text holds a lone surrogate, or whose text holds U+0000.
+
+    Index files are UTF-8, and the vocabulary block pads its rows with U+0000.
+    """
     for doc_id, text in zip(doc_ids, texts):
         for what, value in (("id", doc_id), (field_name, text)):
             encode_text(value, f"record {doc_id!r}: the {what}", RetrievalError)
+        if "\0" in text:
+            raise RetrievalError(f"record {doc_id!r}: the {field_name} holds U+0000")
+
+
+def _check_width(
+    vocabulary: np.ndarray, doc_ids: Sequence[str], texts: Sequence[str], config: IndexConfig
+) -> None:
+    """Reject a vocabulary with a gram over ``MAX_GRAM_WIDTH``, naming the gram's first record."""
+    if vocabulary.dtype.itemsize <= 4 * MAX_GRAM_WIDTH:
+        return
+    doc_id, gram = next(
+        (doc_id, gram)
+        for doc_id, text in zip(doc_ids, texts)
+        for gram in ngram_counts(text, config)
+        if len(gram) > MAX_GRAM_WIDTH
+    )
+    raise RetrievalError(
+        f"record {doc_id!r}: the n-gram {gram[:20]!r}... has {len(gram)} characters, "
+        f"more than the {MAX_GRAM_WIDTH} an index allows; use shorter tokens or n-grams"
+    )
 
 
 def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
@@ -408,9 +441,10 @@ def build_index(
         matrix = _embed(embedder, texts)
         mask = matrix != 0.0
         sizes, cols, weights = mask.sum(axis=1).tolist(), mask.nonzero()[1], matrix[mask]
-        vocabulary, idf, dim = [], np.zeros(0), matrix.shape[1]
+        vocabulary, idf, dim = np.array([], dtype=str), np.zeros(0), matrix.shape[1]
     else:
         vocabulary, sizes, cols, weights, doc_lengths = _ngram_entries(texts, config)
+        _check_width(vocabulary, doc_ids, texts, config)
         # A document holds each gram once, so df counts the gram's entries.
         idf = _idf(np.bincount(cols, minlength=len(vocabulary)), len(texts))
         if config.ranking == "tfidf_cosine":
@@ -428,18 +462,33 @@ def build_index(
 def _query_weights(
     index: ExplanationIndex, text: str, embedder: Embedder | None
 ) -> dict[int, float]:
-    """{column: weight} of the query: normalized tf-idf, raw BM25 counts, or embedding."""
+    """{column: weight} of the query: normalized tf-idf, raw BM25 counts, or embedding.
+
+    The n-gram columns keep ``ngram_counts`` order, the order in which
+    scores add.  A gram wider than the vocabulary's rows matches none, and
+    leaving it out keeps ``searchsorted`` from widening the whole
+    vocabulary; the others keep their own width.  The match is exact
+    Python string equality, so a gram ending in U+0000 matches nothing.
+    """
+    import numpy as np
+
     ranking, vocab = index.config.ranking, index.vocabulary
     if ranking != "embedding":
-        counts = {}
-        for gram, count in ngram_counts(text, index.config).items():
-            col = bisect_left(vocab, gram)
-            if col < len(vocab) and vocab[col] == gram:
-                counts[col] = count
+        counts = ngram_counts(text, index.config)
+        width = vocab.dtype.itemsize // 4 if len(vocab) else 0
+        grams = [gram for gram in counts if len(gram) <= width]
+        found = {}
+        if grams:
+            cols = np.minimum(np.searchsorted(vocab, grams), len(vocab) - 1)
+            found = {
+                col: counts[gram]
+                for col, gram, row in zip(cols.tolist(), grams, vocab[cols].tolist())
+                if row == gram
+            }
         if ranking == "bm25":
-            return counts
-        idf = index.idf[list(counts)].tolist()
-        return _l2_normalize({col: c * w for (col, c), w in zip(counts.items(), idf)})
+            return found
+        idf = index.idf[list(found)].tolist()
+        return _l2_normalize({col: c * w for (col, c), w in zip(found.items(), idf)})
     (vec,) = _embed(embedder, [text]).tolist()
     if len(vec) != index.dim:
         raise RetrievalError(
@@ -455,11 +504,13 @@ def _postings_scores(
     """(row, score) of the documents that can rank in the top ``keep``.
 
     A score is the sum over the query's columns, in query order, of query
-    weight times posting weight (tf-idf cosine is clamped to 1).
-    ``bincount`` adds each document's terms in that same order, so scores
-    equal those of a plain per-posting loop to the last bit.  Only positive
-    scores at or above the ``keep``-th largest are returned, so every
-    document tied with it stays for the tie-break by id.
+    weight times posting weight (tf-idf cosine is clamped to 1).  Each
+    column in turn is added into one score vector that starts at 0.0;
+    ``np.add.at`` adds unbuffered and in order, so scores equal those of a
+    plain per-posting loop to the last bit.  Beside the scores, only one
+    column's products are ever allocated, never a copy of all the query's
+    postings.  Only positive scores at or above the ``keep``-th largest are
+    returned, so every document tied with it stays for the tie-break by id.
     """
     if not query_weights:
         return ()
@@ -467,12 +518,11 @@ def _postings_scores(
 
     post = index.postings()
     cols = np.fromiter(query_weights, dtype=np.int64, count=len(query_weights))
-    spans = list(zip(post.indptr[cols].tolist(), post.indptr[cols + 1].tolist()))
-    rows = np.concatenate([post.rows[start:end] for start, end in spans])
-    weights = np.concatenate(
-        [post.weights[start:end] * w for (start, end), w in zip(spans, query_weights.values())]
-    )
-    scores = np.bincount(rows, weights=weights, minlength=len(index.doc_ids))
+    scores = np.zeros(len(index.doc_ids))
+    for start, end, w in zip(
+        post.indptr[cols].tolist(), post.indptr[cols + 1].tolist(), query_weights.values()
+    ):
+        np.add.at(scores, post.rows[start:end], post.weights[start:end] * w)
     if index.config.ranking == "tfidf_cosine":
         np.minimum(scores, 1.0, out=scores)
     hit_rows = np.flatnonzero(scores > 0.0)
@@ -527,7 +577,7 @@ def query(
 
 
 def dumps_index(index: ExplanationIndex) -> bytes:
-    """Serialize to ``RE2IDX 3``; byte-deterministic for equal contents."""
+    """Serialize to ``RE2IDX 4``; byte-deterministic for equal contents."""
     import numpy as np
 
     header = {
@@ -536,13 +586,12 @@ def dumps_index(index: ExplanationIndex) -> bytes:
         "dim": index.dim,
         "doc_ids": index.doc_ids,
         "field": index.field_name,
-        "vocabulary": index.vocabulary,
     }
     head = json.dumps(header, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
     head_bytes = head.encode("utf-8")
     # Pad with JSON whitespace so that the blocks start 8-byte aligned.
     head_bytes += b" " * (-(len(_MAGIC_LINE) + _LENGTHS.size + len(head_bytes)) % 8)
-    arrays = index.columns._asdict()
+    arrays = {**index.columns._asdict(), "vocabulary": index.vocabulary}
     blocks = [np.asarray(arrays[name], dtype=dtype).tobytes() for name, dtype in _BLOCKS]
     lengths = _LENGTHS.pack(len(head_bytes), *map(len, blocks))
     return b"".join([_MAGIC_LINE, lengths, head_bytes, *blocks])
@@ -578,7 +627,6 @@ def _parse_header(raw: bytes) -> dict:
             "dim": header["dim"],
             "doc_ids": header["doc_ids"],
             "field_name": header["field"],
-            "vocabulary": header["vocabulary"],
         }
     except (ValueError, KeyError, TypeError) as exc:
         raise RetrievalError(f"bad index header: {exc!r}") from None
@@ -587,7 +635,6 @@ def _parse_header(raw: bytes) -> dict:
         ("dim", type(parsed["dim"]) is int and parsed["dim"] >= 0),
         ("doc_ids", _is_str_list(parsed["doc_ids"])),
         ("field", parsed["field_name"] in INDEX_FIELDS),
-        ("vocabulary", _is_str_list(parsed["vocabulary"])),
     ):
         if not ok:
             raise RetrievalError(f"bad index header: invalid {name!r}")
@@ -595,8 +642,8 @@ def _parse_header(raw: bytes) -> dict:
 
 
 def loads_index(data: bytes) -> ExplanationIndex:
-    """Read an ``RE2IDX 3`` file; every defect raises a one-line ``RetrievalError``."""
-    if data[:9] in (b"RE2IDX 1\n", b"RE2IDX 2\n"):
+    """Read an ``RE2IDX 4`` file; every defect raises a one-line ``RetrievalError``."""
+    if data[:9] in (b"RE2IDX 1\n", b"RE2IDX 2\n", b"RE2IDX 3\n"):
         raise RetrievalError(
             f"index file has the old {data[:8].decode()} format; rebuild it with build-index"
         )
@@ -614,14 +661,7 @@ def loads_index(data: bytes) -> ExplanationIndex:
             raise RetrievalError("truncated index file")
         raise RetrievalError(f"index file has {len(data) - end} trailing bytes")
     header = _parse_header(data[start : start + head_len])
-    vocab, doc_ids, dim = header.pop("vocabulary"), header["doc_ids"], header.pop("dim")
-    embedding = header["config"].ranking == "embedding"
-    if embedding and vocab:
-        raise RetrievalError("embedding index has a vocabulary")
-    if not embedding and dim != len(vocab):
-        raise RetrievalError(f"index has {dim} columns but a vocabulary of {len(vocab)}")
-    if not all(map(operator.lt, vocab, islice(vocab, 1, None))):
-        raise RetrievalError("index vocabulary is not sorted or has duplicates")
+    doc_ids, dim = header["doc_ids"], header.pop("dim")
     if len(set(doc_ids)) != len(doc_ids):
         raise RetrievalError("index has duplicate doc ids")
 
@@ -640,6 +680,16 @@ def loads_index(data: bytes) -> ExplanationIndex:
             )
         return np.frombuffer(data, dtype=dtype, count=count, offset=at)
 
+    # The vocabulary's width is its block's bytes per n-gram column.
+    embedding = header["config"].ranking == "embedding"
+    n_grams = 0 if embedding else dim
+    _, at, vocab_bytes = blocks["vocabulary"]
+    width = vocab_bytes // (4 * n_grams) if n_grams else 1
+    if vocab_bytes != 4 * width * n_grams or not width:
+        if embedding:
+            raise RetrievalError("embedding index has a vocabulary")
+        raise RetrievalError(f"index has {dim} columns but a vocabulary of {vocab_bytes} bytes")
+    vocab = np.frombuffer(data, dtype=f"<U{width}", count=n_grams, offset=at)
     indptr = block("indptr", dim + 1)
     df = np.diff(indptr)
     if indptr[0] != 0 or (df < 0).any():
@@ -648,10 +698,13 @@ def loads_index(data: bytes) -> ExplanationIndex:
     for defect, values, lo, hi in (
         ("doc rows out of range", rows, -1, len(doc_ids)),
         ("non-finite weights", weights, -math.inf, math.inf),
+        ("vocabulary values that are not code points", vocab.view("<u4"), -1, 0x110000),
     ):
         # A NaN fails every comparison; min and max need no temporary array.
         if len(values) and not lo < values.min() <= values.max() < hi:
             raise RetrievalError(f"index has {defect}")
+    if not (vocab[1:] > vocab[:-1]).all():
+        raise RetrievalError("index vocabulary is not sorted or has duplicates")
     idf = np.zeros(0)
     if not embedding:
         # Checked before _idf makes a table as long as the longest column.

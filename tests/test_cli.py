@@ -262,6 +262,49 @@ def test_lone_surrogate_record_is_one_error_line(run, tmp_path, record, message)
     assert not (tmp_path / "i").exists()
 
 
+@pytest.mark.parametrize(
+    "explanation, options, message",
+    [
+        ("主谓\0搭配", [], "record 'd1': the explanation holds U+0000"),
+        ("a " + "b" * 65, ["--segmenter", "whitespace", "--ngram-min", "1"],
+         f"record 'd1': the n-gram {'b' * 20!r}... has 65 characters, "
+         "more than the 64 an index allows; use shorter tokens or n-grams"),
+    ],
+    ids=["U+0000", "over-wide gram"],
+)
+def test_text_an_index_cannot_store_is_one_error_line(
+    run, write_corpus, tmp_path, explanation, options, message
+):
+    records = [{"id": "d0", "explanation": "正常的解释"}, {"id": "d1", "explanation": explanation}]
+    infile = write_corpus([{"source": "s", "targets": ["t"], **r} for r in records])
+    code, out, err = run("build-index", "--in", infile, "--out", str(tmp_path / "i"), *options)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "i").exists()
+
+
+def test_failed_lenient_load_prints_only_its_error(tmp_path):
+    # In a process of its own: pytest's logging plugin would catch the warnings.
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    line = json.dumps({"id": "a", "source": "s", "targets": ["t"], "explanation": "主谓", "zz": 1})
+    (tmp_path / "good.jsonl").write_text(line + "\n", encoding="utf-8")
+    (tmp_path / "bad.jsonl").write_text(line + "\n{\n", encoding="utf-8")
+    stderr = {}
+    for name in ("good", "bad"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "re2gec", "build-index", "--in", f"{name}.jsonl",
+             "--out", f"{name}.idx"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        stderr[name] = (proc.returncode, proc.stderr.splitlines())
+    assert stderr["good"] == (0, ["line 1: ignoring unknown field 'zz'"])
+    code, lines = stderr["bad"]
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: line 2: invalid JSON in 'bad.jsonl'")
+
+
 def test_correct_without_backend_is_usage_error(run, dev_jsonl, gee_jsonl, index_file):
     code, _, err = run(
         "correct", "--in", dev_jsonl, "--corpus", gee_jsonl, "--index", index_file
@@ -533,7 +576,7 @@ def _hostile(draw, valid: bytes) -> bytes:
 
 
 def _with_header(blob: bytes, head: bytes) -> bytes:
-    """An ``RE2IDX 3`` blob whose header is ``head``, with its length entry to match."""
+    """An index blob whose header is ``head``, with its length entry to match."""
     magic, lengths = retriever._MAGIC_LINE, retriever._LENGTHS
     head_len, *block_lens = lengths.unpack_from(blob, len(magic))
     blocks = blob[len(magic) + lengths.size + head_len:]
@@ -805,6 +848,30 @@ def test_embedding_index_round_trip_with_mock_script(run, gee_jsonl, write_scrip
                      embedder=lambda texts: [_vector(t) for t in texts])
     assert got == want.to_dict()
     assert got["hits"][0] == ["d1", pytest.approx(1.0)]
+
+
+def test_make_sft_data_with_an_embedding_index(run, gee_jsonl, write_script, tmp_path):
+    script = write_script({text: _vector(text) for _, text in GEE_DOCS})
+    index = str(tmp_path / "emb.re2idx")
+    code, _, err = run(
+        "build-index", "--in", gee_jsonl, "--ranking", "embedding", "--embed-script", script,
+        "--out", index,
+    )
+    assert code == 0, err
+    code, out, err = run(
+        "make-sft-data", "--train", gee_jsonl, "--index", index, "--k", "2",
+        "--embed-script", script,
+    )
+    assert code == 0, err
+    got = [json.loads(line)["meta"] for line in out.splitlines()[::2]]
+    loaded, embedder = load_index(index), lambda texts: [_vector(t) for t in texts]
+    want = [
+        lib_query(loaded, text, k=2, theta=0.0, exclude_ids={doc_id}, embedder=embedder)
+        for doc_id, text in GEE_DOCS
+    ]
+    assert [meta["id"] for meta in got] == [doc_id for doc_id, _ in GEE_DOCS]
+    assert [meta["example_ids"] for meta in got] == [[h.doc_id for h in r.hits] for r in want]
+    assert all(len(meta["example_ids"]) == 2 for meta in got)
 
 
 def test_embed_endpoint_alone_selects_the_http_backend(run, gee_jsonl, tmp_path):

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ def test_ngram_counts_equals_oracle_loop(text, mode, ngram_range):
 
 def test_vocabulary_is_sorted_and_indices_dense():
     index = build_index(gee_corpus(TEXTS), "explanation", CFG)
-    grams = index.vocabulary
+    grams = index.vocabulary.tolist()
     assert grams == sorted(set(grams))
     assert index.dim == len(grams)
 
@@ -337,7 +339,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "toy.re2idx"
     save_index(index, path)
     loaded = load_index(path)
-    assert loaded.vocabulary == index.vocabulary
+    assert loaded.vocabulary.tolist() == index.vocabulary.tolist()
     assert loaded.idf.tolist() == index.idf.tolist()
     assert loaded.doc_ids == index.doc_ids
     assert oracles.doc_vectors(loaded) == oracles.doc_vectors(index)
@@ -365,6 +367,32 @@ def test_serialization_is_byte_deterministic():
     assert blob_a.startswith(INDEX_MAGIC.encode("utf-8"))
 
 
+def test_vocabulary_is_one_fixed_width_block():
+    built = build_index(gee_corpus(TEXTS), "explanation", CFG)
+    blob = dumps_index(built)
+    loaded = loads_index(blob)
+    # Character 3-grams are the longest: three characters and two joins.
+    assert built.vocabulary.dtype == loaded.vocabulary.dtype == np.dtype("<U5")
+    assert loaded.vocabulary.tolist() == built.vocabulary.tolist()
+    assert not loaded.vocabulary.flags.writeable  # a view into the blob
+    assert dumps_index(loaded) == blob
+    cfg = IndexConfig(ranking="embedding")
+    embedded = build_index(gee_corpus(TEXTS), "explanation", cfg, embedder=_hash_embedder(4))
+    for index in (embedded, loads_index(dumps_index(embedded))):
+        assert isinstance(index.vocabulary, np.ndarray) and index.vocabulary.size == 0
+
+
+def test_query_gram_ending_in_u0000_matches_nothing():
+    # numpy compares "ab\0" equal to the indexed token "ab"; "cde" makes the
+    # vocabulary wide enough to hold it.
+    cfg = IndexConfig(1, 1, segmenter=SegmenterConfig(mode="whitespace"))
+    built = build_index(gee_corpus({"d0": "ab cd", "d1": "cde"}), "explanation", cfg)
+    for index in (built, loads_index(dumps_index(built))):
+        assert retriever._query_weights(index, "ab\0 zz", None) == {}
+        assert query(index, "ab\0", k=2, theta=0.0).hits == ()
+        assert [h.doc_id for h in query(index, "ab", k=2, theta=0.0).hits] == ["d0"]
+
+
 def test_loads_rejects_wrong_magic():
     with pytest.raises(RetrievalError, match="not an index file or unsupported version"):
         loads_index(b"RE2IDX 9\n{}\n{}\n{}\n{}\n{}\n")
@@ -380,22 +408,28 @@ def test_loads_rejects_truncated_payload():
 
 
 def _parts(blob: bytes) -> tuple[dict, dict]:
-    """The JSON header and the writable blocks of an ``RE2IDX 3`` blob."""
+    """The JSON header and the writable blocks of an ``RE2IDX 4`` blob.
+
+    The vocabulary block is a list of strings.
+    """
     head_len, *block_lens = retriever._LENGTHS.unpack_from(blob, len(retriever._MAGIC_LINE))
     offset = len(retriever._MAGIC_LINE) + retriever._LENGTHS.size
     header = json.loads(blob[offset : offset + head_len])
     offset += head_len
     blocks = {}
     for (name, dtype), size in zip(retriever._BLOCKS, block_lens):
+        if name == "vocabulary":
+            dtype = f"<U{size // 4 // max(header['dim'], 1)}"
         count = size // np.dtype(dtype).itemsize
         blocks[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).copy()
         offset += size
+    blocks["vocabulary"] = blocks["vocabulary"].tolist()
     return header, blocks
 
 
 def _assemble(header: dict | bytes, blocks: dict) -> bytes:
     head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
-    raw = [blocks[name].astype(dtype).tobytes() for name, dtype in retriever._BLOCKS]
+    raw = [np.asarray(blocks[name], dtype=dtype).tobytes() for name, dtype in retriever._BLOCKS]
     lengths = retriever._LENGTHS.pack(len(head), *map(len, raw))
     return retriever._MAGIC_LINE + lengths + head + b"".join(raw)
 
@@ -410,12 +444,14 @@ def _corrupted(case: str) -> bytes:
         return b'RE2IDX 1\n{"section":"config"}\n'
     if case == "old format 2":
         return b"RE2IDX 2" + blob[len(INDEX_MAGIC):]
+    if case == "old format 3":
+        return b"RE2IDX 3" + blob[len(INDEX_MAGIC):]
     if case == "truncated":
         return blob[:-1]
     if case == "trailing bytes":
         return blob + b"\0"
     header, blocks = _parts(blob)
-    vocab, ids, indptr = header["vocabulary"], header["doc_ids"], blocks["indptr"]
+    vocab, ids, indptr = blocks["vocabulary"], header["doc_ids"], blocks["indptr"]
     if case == "bad header":
         return _assemble(b"{", blocks)
     if case == "nested header":
@@ -438,6 +474,13 @@ def _corrupted(case: str) -> bytes:
         vocab[0], vocab[1] = vocab[1], vocab[0]
     elif case == "duplicate vocabulary":
         vocab[1] = vocab[0]
+    elif case == "vocabulary block length":
+        blocks["vocabulary"] = np.asarray(vocab, dtype="<U")[:-1]
+    elif case == "not a code point":
+        blocks["vocabulary"] = np.asarray(vocab, dtype="<U")
+        blocks["vocabulary"].view("<u4")[-1] = 0x110000
+    elif case == "embedding vocabulary":
+        header["config"]["ranking"] = "embedding"
     elif case == "duplicate doc ids":
         ids[1] = ids[0]
     elif case == "config key missing":
@@ -462,6 +505,7 @@ def test_reassembled_blob_loads():
         ("bad magic", "not an index file or unsupported version"),
         ("old format", "old RE2IDX 1 format; rebuild it with build-index"),
         ("old format 2", "old RE2IDX 2 format; rebuild it with build-index"),
+        ("old format 3", "old RE2IDX 3 format; rebuild it with build-index"),
         ("truncated", "truncated index file"),
         ("trailing bytes", "1 trailing bytes"),
         ("bad header", "bad index header"),
@@ -474,6 +518,9 @@ def test_reassembled_blob_loads():
         ("column longer than docs", "a column with more entries than documents"),
         ("unsorted vocabulary", "vocabulary is not sorted"),
         ("duplicate vocabulary", "has duplicates"),
+        ("vocabulary block length", r"columns but a vocabulary of \d+ bytes$"),
+        ("not a code point", "vocabulary values that are not code points"),
+        ("embedding vocabulary", "embedding index has a vocabulary"),
         ("duplicate doc ids", "duplicate doc ids"),
         ("config key missing", r"bad index header: .*missing \['bm25_b'\]"),
         ("config key unknown", r"bad index header: .*unknown \['surprise'\]"),
@@ -573,6 +620,29 @@ def test_postings_built_once_under_concurrent_queries():
     assert all(p is postings[0] for p in postings)
     assert postings[0] is not None
     assert all(r == results[0] and r.hits for r in results)
+
+
+def test_query_allocates_no_copy_of_its_postings():
+    # Documents over "abcd" hold most of the 340 grams of lengths 1-4, and
+    # the query holds them all, so it touches almost every posting.
+    rng = random.Random(3)
+    texts = {f"d{i:04d}": "".join(rng.choices("abcd", k=100)) for i in range(1000)}
+    index = build_index(gee_corpus(texts), "explanation", IndexConfig(1, 4))
+    text = "".join(map("".join, itertools.product("abcd", repeat=4)))
+    post = index.postings()
+    cols = list(retriever._query_weights(index, text, None))
+    touched = int((post.indptr[np.array(cols) + 1] - post.indptr[cols]).sum()) * (
+        post.rows.itemsize + post.weights.itemsize
+    )
+    assert touched >= 1 << 20
+    tracemalloc.start()
+    try:
+        result = query(index, text, k=3, theta=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.hits) == 3
+    assert peak < touched / 10
 
 
 def _hash_embedder(dim: int):
@@ -716,7 +786,7 @@ def test_query_lookup_at_vocabulary_edges_equals_full_scan_oracle(mode, texts, q
     ids = [f"d{i}" for i in range(len(texts))]
     built = build_index(gee_corpus(dict(zip(ids, texts))), "explanation", cfg)
     for index in (built, loads_index(dumps_index(built))):
-        vocab = index.vocabulary
+        vocab = index.vocabulary.tolist()
         for q in queries:
             grams = ngram_counts(q, cfg)
             want_cols = [vocab.index(g) for g in grams if g in vocab]
