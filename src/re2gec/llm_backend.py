@@ -5,8 +5,13 @@ The HTTP backend POSTs the prompt as a single user message to
 (``temperature``, plus ``sample`` and ``beam_size`` verbatim as extension
 fields) and reads ``choices[0].message.content`` back.  A bearer
 token is taken from the ``RE2_API_KEY`` environment variable when set.
-Transport errors, 429 and 5xx responses are retried with exponential
-backoff; other failures raise immediately.
+Requests go through the standard library's ``urllib.request``: proxies come
+from ``http_proxy``/``https_proxy``/``no_proxy``, https is verified against
+the system CA store, and no redirect is followed.
+Transport errors, 429 and 5xx responses are retried after a "full jitter"
+delay, uniform in ``[0, base_delay * factor**(n - 1)]`` before retry ``n``;
+a 429 or 503 reply's ``Retry-After`` of whole seconds, capped by the timeout,
+replaces that delay.  Other failures raise immediately.
 
 The mock backend resolves prompts through a JSON script file mapping
 ``sha256(prompt)`` hex digests to response strings.  The reserved
@@ -18,10 +23,15 @@ raises instead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
+import math
 import os
+import random
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -42,8 +52,8 @@ class DecodingParams:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:  # a request body holds no NaN or infinity
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,26 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http backend requires an endpoint")
+        if self.kind == "http" and not _is_http_url(self.endpoint):
+            raise ValueError(
+                "endpoint must be an http:// or https:// URL of printable ASCII, "
+                f"got {self.endpoint!r}"
+            )
         if self.kind == "mock" and not self.script_path:
             raise ValueError("mock backend requires a script_path")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+
+
+def _is_http_url(text: str) -> bool:
+    """Whether ``text`` is an http(s) URL with a host that ``urlopen`` can send as written."""
+    try:
+        parts = urllib.parse.urlsplit(text)
+        parts.port  # raises ValueError on a port that is not a number
+    except ValueError:
+        return False
+    printable = text.isascii() and text.isprintable() and " " not in text
+    return printable and parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def prompt_key(text: str) -> str:
@@ -130,28 +156,67 @@ def _headers() -> dict:
     return headers
 
 
-def _post_with_retries(url: str, payload: dict, config: BackendConfig) -> dict:
-    import requests  # here, not at the top: it costs ~100 ms of startup
+# Module attributes, so tests can replace them.
+_sleep = time.sleep
+_uniform = random.uniform
 
+
+@functools.cache
+def _opener():
+    """``urlopen``'s handlers, except that a redirect fails as its 3xx status.
+
+    urllib would follow a 301, 302 or 303 to any host, Authorization header and all.
+    """
+    import urllib.request  # here, not at the top: ~25 ms of startup only HTTP backends need
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    return urllib.request.build_opener(NoRedirect)
+
+
+def _post_once(url: str, body: bytes, timeout: float) -> tuple[int, bytes, str]:
+    """Status, body and ``Retry-After`` header (or "") of one POST, whatever the status."""
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, body, _headers(), method="POST")
+    try:
+        with _opener().open(request, timeout=timeout) as response:
+            return response.status, response.read(), ""
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read(), exc.headers.get("Retry-After", "")
+
+
+def _post_with_retries(url: str, payload: dict, config: BackendConfig) -> dict:
+    from http.client import HTTPException  # a reply cut short raises one that is no OSError
+    from urllib.error import URLError
+
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     policy = config.retry
     last_error = None
     for attempt in range(1, policy.max_attempts + 1):
+        wait = None
         try:
-            response = requests.post(
-                url, json=payload, headers=_headers(), timeout=config.timeout
-            )
-        except requests.RequestException as exc:
-            last_error = f"transport error: {exc}"
+            status, data, retry_after = _post_once(url, body, config.timeout)
+        except (OSError, HTTPException) as exc:
+            last_error = f"transport error: {exc.reason if isinstance(exc, URLError) else exc}"
         else:
-            if 200 <= response.status_code < 300:
-                return decode_json(response.content, f"non-JSON response from {url}", BackendError)
-            body = response.text[:200]
-            if response.status_code == 429 or 500 <= response.status_code < 600:
-                last_error = f"HTTP {response.status_code}: {body}"
+            if 200 <= status < 300:
+                return decode_json(data, f"non-JSON response from {url}", BackendError)
+            text = data.decode("utf-8", "replace")[:200]
+            if status == 429 or 500 <= status < 600:
+                last_error = f"HTTP {status}: {text}"
+                if status in (429, 503) and retry_after.strip().isdecimal():
+                    wait = min(float(retry_after), config.timeout)  # RFC 9110 §10.2.3
             else:
-                raise BackendError(f"HTTP {response.status_code} from {url}: {body}")
+                raise BackendError(f"HTTP {status} from {url}: {text}")
         if attempt < policy.max_attempts:
-            time.sleep(policy.base_delay * policy.factor ** (attempt - 1))
+            if wait is None:  # "full jitter" (Brooker, Exponential Backoff and Jitter, 2015)
+                wait = _uniform(0.0, policy.base_delay * policy.factor ** (attempt - 1))
+            _sleep(wait)
     raise BackendError(
         f"request to {url} failed after {policy.max_attempts} attempts: {last_error}"
     )

@@ -169,6 +169,14 @@ def test_parse_error_is_one_usage_line(run, argv):
          "argument --ngram-min: need 1 <= ngram_min <= ngram_max"),
         (("explain", "--temperature", "0", "--in", "{missing}", "--explainer-script", "{missing}"),
          "argument --temperature: temperature must be positive"),
+        (("explain", "--temperature", "nan", "--in", "{missing}",
+          "--explainer-script", "{missing}"),
+         "argument --temperature: temperature must be positive and finite, got nan"),
+        # Not retried for seconds, and never opened as a file:// or ftp:// URL.
+        (("explain", "--explainer-endpoint", "localhost:9/v1", "--in", "{missing}"),
+         "argument --explainer-endpoint: endpoint must be an http:// or https:// URL"),
+        (("build-index", "--embed-endpoint", "file:///etc", "--in", "{missing}", "--out", "{out}"),
+         "argument --embed-endpoint: endpoint must be an http:// or https:// URL"),
         (("explain", "--explainer-timeout", "0", "--in", "{missing}",
           "--explainer-script", "{missing}"),
          "argument --explainer-timeout: timeout must be positive"),
@@ -195,6 +203,7 @@ def test_parse_error_is_one_usage_line(run, argv):
          "--embed-model needs --embed-backend, --embed-endpoint or --embed-script"),
     ],
     ids=["query k", "query theta", "build-index ngram-min", "explain temperature",
+         "explain temperature nan", "explain explainer-endpoint", "build-index embed-endpoint",
          "explain explainer-timeout", "correct timeout", "build-index segmenter-cmd",
          "build-index segmenter-timeout", "explain explainer-model without backend",
          "explain explainer-timeout without backend", "correct model without backend",

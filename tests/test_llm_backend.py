@@ -1,14 +1,20 @@
 import json
+import math
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from conftest import script_from_pairs
 
+import re2gec
+from re2gec import llm_backend
 from re2gec.errors import BackendError
 from re2gec.llm_backend import (
     BackendConfig,
@@ -28,16 +34,22 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, factor=1.0)
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        record = {"path": self.path, "headers": dict(self.headers), "body": body}
+        raw = self.rfile.read(length)
+        body = json.loads(raw) if length else {}
+        record = {"path": self.path, "headers": dict(self.headers), "body": body, "raw": raw}
         self.server.requests.append(record)
         status, payload = self.server.responder(record, len(self.server.requests))
+        if status is None:  # the whole reply as given, status line and all; b"" sends none
+            self.wfile.write(payload)
+            return
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # so a followed redirect shows in ``requests``
 
     def log_message(self, *_args):
         pass
@@ -85,6 +97,9 @@ def test_decoding_params_validation():
         DecodingParams(beam_size=0)
     with pytest.raises(ValueError, match="temperature"):
         DecodingParams(temperature=0.0)
+    for value in (math.nan, math.inf):  # neither has a JSON form
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            DecodingParams(temperature=value)
 
 
 def test_retry_policy_validation():
@@ -105,6 +120,23 @@ def test_backend_config_validation():
         BackendConfig(kind="mock")
     with pytest.raises(ValueError, match="timeout"):
         BackendConfig(kind="mock", script_path="s", timeout=0.0)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["localhost:9/v1", "file:///etc/passwd", "ftp://host/v1", "http://", "http://host:8x/v1",
+     "http://host:99999/v1", "http://[::1/v1", "http://host/v1 beta", "http://host/模型",
+     "http://host/v1\n"],
+)
+def test_http_endpoint_must_be_an_http_url(endpoint):
+    # urlopen would open file:// and ftp:// URLs, and raise ValueError on the rest.
+    with pytest.raises(ValueError, match="^endpoint must be an http:// or https:// URL"):
+        BackendConfig(kind="http", endpoint=endpoint)
+
+
+def test_http_endpoint_accepts_http_and_https_urls():
+    for endpoint in ("http://127.0.0.1:8000/v1", "https://api.example.com/v1/", "http://[::1]:80"):
+        assert BackendConfig(kind="http", endpoint=endpoint).endpoint == endpoint
 
 
 def test_prompt_key_is_utf8_sha256():
@@ -263,6 +295,19 @@ def test_http_client_error_is_not_retried():
         assert len(server.requests) == 1
 
 
+@pytest.mark.parametrize("status", [302, 307])
+def test_http_redirect_is_not_followed(monkeypatch, status):
+    # urllib would follow a 302 as a GET to any host, bearer token and all.
+    monkeypatch.setenv("RE2_API_KEY", "sk-test-123")
+    with stub_server(lambda rec, n: (200, completion("答"))) as (elsewhere, target):
+        reply = f"HTTP/1.0 {status} Moved\r\nLocation: {elsewhere}/x\r\n\r\n".encode()
+        with stub_server(lambda rec, n: (None, reply)) as (url, server):
+            with pytest.raises(BackendError, match=f"^HTTP {status} from {url}/chat/completions"):
+                complete("问", PARAMS, http_config(url))
+    assert len(server.requests) == 1
+    assert target.requests == []
+
+
 def test_http_non_json_success_body():
     with stub_server(lambda rec, n: (200, b"plain text")) as (url, _):
         with pytest.raises(BackendError, match="non-JSON response"):
@@ -279,6 +324,103 @@ def test_http_malformed_completion_shape():
     ):
         with pytest.raises(BackendError, match="malformed completion response"):
             complete("问", PARAMS, http_config(url))
+
+
+def test_http_body_is_what_requests_json_sent(monkeypatch):
+    monkeypatch.delenv("RE2_API_KEY", raising=False)
+    with stub_server(lambda rec, n: (200, completion("答"))) as (url, server):
+        complete("这句有错 \u2028", PARAMS, http_config(url))
+    (request,) = server.requests
+    payload = {
+        "model": "m",
+        "messages": [{"role": "user", "content": "这句有错 \u2028"}],
+        "temperature": 1.0,
+        "sample": False,
+        "beam_size": 8,
+    }
+    assert request["raw"] == json.dumps(payload, allow_nan=False).encode()
+    assert request["headers"]["Content-Type"] == "application/json"
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"", "IncompleteRead"),
+        (b"", "Remote end closed connection without response"),
+    ],
+    ids=["content-length past the body", "closed with no reply"],
+)
+def test_http_broken_reply_is_a_retried_transport_error(reply, error):
+    with stub_server(lambda rec, n: (None, reply)) as (url, server):
+        with pytest.raises(BackendError) as info:
+            complete("问", PARAMS, http_config(url))
+    assert len(server.requests) == 3
+    assert f"failed after 3 attempts: transport error: {error}" in str(info.value)
+
+
+def _waits(monkeypatch):
+    """The delays slept between attempts; the jitter draws its upper bound."""
+    slept = []
+    monkeypatch.setattr(llm_backend, "_sleep", slept.append)
+    monkeypatch.setattr(llm_backend, "_uniform", lambda low, high: ("jitter", low, high))
+    return slept
+
+
+def test_http_retry_delay_is_full_jitter(monkeypatch):
+    slept = _waits(monkeypatch)
+    with stub_server(lambda rec, n: (500, {"error": "down"})) as (url, _):
+        with pytest.raises(BackendError, match="failed after 4 attempts.*HTTP 500"):
+            complete("问", PARAMS, http_config(url, retry=RetryPolicy(4, 0.5, 3.0)))
+    assert slept == [("jitter", 0.0, 0.5), ("jitter", 0.0, 1.5), ("jitter", 0.0, 4.5)]
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, waited",
+    [
+        (429, "2", 2.0),
+        (503, " 3 ", 3.0),
+        (503, "120", 5.0),  # capped by the timeout
+        (503, "9" * 5000, 5.0),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", ("jitter", 0.0, 1.0)),  # dates are not honoured
+        (429, "1.5", ("jitter", 0.0, 1.0)),
+        (500, "2", ("jitter", 0.0, 1.0)),  # only 429 and 503 carry it
+    ],
+    ids=["429", "503 padded", "503 capped", "503 past int's digit limit", "http-date",
+         "fraction", "500"],
+)
+def test_http_retry_after_replaces_the_jitter(monkeypatch, status, retry_after, waited):
+    slept = _waits(monkeypatch)
+    reply = (f"HTTP/1.0 {status} Busy\r\nRetry-After: {retry_after}\r\n"
+             "Content-Length: 4\r\n\r\nbusy").encode()
+
+    def responder(_rec, n):
+        return (None, reply) if n == 1 else (200, completion("成功"))
+
+    with stub_server(responder) as (url, server):
+        assert complete("问", PARAMS, http_config(url, retry=RetryPolicy(2, 1.0, 2.0))) == "成功"
+    assert len(server.requests) == 2
+    assert slept == [waited]
+
+
+def test_http_client_loads_neither_requests_nor_urllib3(tmp_path):
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    with stub_server(lambda rec, n: (200, completion("答"))) as (url, server):
+        child = (
+            "import json, sys\n"
+            "from re2gec.llm_backend import BackendConfig, DecodingParams, complete\n"
+            f"config = BackendConfig(kind='http', endpoint={url!r}, model='m')\n"
+            "reply = complete('问', DecodingParams(), config)\n"
+            "print(json.dumps([reply, sorted({'requests', 'urllib3'} & set(sys.modules))]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["答", []]
+    assert len(server.requests) == 1
 
 
 def test_http_transport_error_reports_attempts():
