@@ -9,15 +9,8 @@ all.  Edit extraction, prompt construction, completion backends, fine-tuning
 data construction, and edit-overlap evaluation round out the pipeline.
 """
 
-from .corpus import (
-    Corpus,
-    Edit,
-    ErrorType,
-    SentencePair,
-    dump_corpus,
-    load_corpus,
-)
-from .edit_extract import apply_edits, char_level_edits, extract_edits
+from .corpus import Corpus, ErrorType, SentencePair, dump_corpus, load_corpus
+from .edit_extract import Edit, apply_edits, char_level_edits, extract_edits
 from .errors import (
     BackendError,
     CorpusError,

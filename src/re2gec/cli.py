@@ -9,10 +9,11 @@ values, which override built-in defaults.  A subcommand registers only the
 options its handler reads, and passes on only the options that were set: the
 config dataclasses and library signatures hold every default.  A handler
 returns its output lines, and ``dispatch`` encodes them all, then writes them
-to ``--out`` (checked before the handler runs) or stdout.  Exit codes: 0 on
-success, 1 on runtime errors, 2 on usage errors (a bad flag or manifest
-value, a missing option, a backend's model or timeout without that backend,
-or a value a config dataclass rejects, named by its flag).  Either error is
+to ``--out`` or stdout; ``--out`` and ``score --per-sentence`` are checked
+before the handler runs.  Exit codes: 0 on success, 1 on runtime errors, 2
+on usage errors (a bad flag or manifest value, a missing option, a backend's
+model or timeout without that backend, or a value a config dataclass
+rejects, named by its flag).  Either error is
 one line on stderr, ``error: ...`` or ``usage error: ...``.  Inputs are decoded
 where they enter, through ``errors``, so ``dispatch`` catches only ``Re2Error``
 and ``OSError``: any other exception is a bug, and keeps its traceback.
@@ -300,7 +301,7 @@ def cmd_extract_edits(opts: _Options) -> list[str]:
         pairs = [(opts.require("source"), opts.require("target"))]
     else:
         pairs = string_fields(opts.require("in"), ("source", "target"))
-    return [_json_line([e.to_triple() for e in extract_edits(s, t, cfg)]) for s, t in pairs]
+    return [_json_line(extract_edits(s, t, cfg)) for s, t in pairs]
 
 
 def cmd_build_index(opts: _Options) -> None:
@@ -494,13 +495,6 @@ def _add_backend(sub: argparse.ArgumentParser, prefix: str = "", what: str = "co
                      help=f"{what} backend request timeout in seconds")
 
 
-def _add_embedding(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--embed-backend", choices=BACKEND_KINDS)
-    sub.add_argument("--embed-endpoint")
-    sub.add_argument("--embed-model")
-    sub.add_argument("--embed-script")
-
-
 def _add_index_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ngram-min", type=int)
     sub.add_argument("--ngram-max", type=int)
@@ -573,14 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ranking", choices=RANKINGS)
     _add_index_options(sub)
     _add_segmenter(sub)
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     sub = add("query", cmd_query, "query an index")
     sub.add_argument("--index", help="index file")
     sub.add_argument("--text", help="query text")
     _add_pipeline_options(sub, theta=True, templates=False)
     sub.add_argument("--exclude", help="comma-separated doc ids to exclude")
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     sub = add("explain", cmd_explain, "generate error explanations for inputs", jobs=True)
     sub.add_argument("--in", help="corpus JSON-lines file")
@@ -599,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     sub = add("baseline", cmd_baseline, "correct inputs with a baseline example strategy",
               seed=True, jobs=True)
@@ -610,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_options(sub, theta=False)
     _add_decoding(sub)
     _add_backend(sub)
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     sub = add("score", cmd_score, "edit-overlap precision/recall/F0.5")
     sub.add_argument("--src", help="source corpus JSON-lines file (with reference targets)")
@@ -633,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--train", help="training corpus with explanations")
     sub.add_argument("--index", help="explanation index over the training corpus")
     _add_pipeline_options(sub, theta=False)
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     sub = add("sweep-theta", cmd_sweep_theta, "score the pipeline across gate thresholds",
               jobs=True)
@@ -646,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     sub = add("compare-retrievers", cmd_compare_retrievers,
               "score the pipeline under different rankings", jobs=True)
@@ -660,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")
-    _add_embedding(sub)
+    _add_backend(sub, "embed_", "embedding")
 
     return parser
 
@@ -671,10 +665,14 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         opts = _parse(build_parser(), argv)
         out = opts.get("out", "-")
-        if out != "-" and not Path(out).parent.is_dir():
-            raise Re2Error(f"--out {out!r}: no directory {str(Path(out).parent)!r}")
-        if out != "-" and Path(out).is_dir():
-            raise Re2Error(f"--out {out!r}: is a directory")
+        files = [("--out", out)] if out != "-" else []
+        if opts.get("per_sentence"):
+            files.append(("--per-sentence", opts.per_sentence))
+        for flag, path in files:
+            if not Path(path).parent.is_dir():
+                raise Re2Error(f"{flag} {path!r}: no directory {str(Path(path).parent)!r}")
+            if Path(path).is_dir():
+                raise Re2Error(f"{flag} {path!r}: is a directory")
         lines = opts.handler(opts)
         if lines is not None:
             text = "".join(line + "\n" for line in lines)

@@ -10,7 +10,11 @@ A corpus file holds one JSON object per line:
 non-empty; a sentence without errors carries ``targets == [source]``.
 ``edits`` is optional and, when present, holds one edit list per target,
 each edit a ``[offset, original, replacement]`` triple over 0-based
-character offsets into ``source``.
+character offsets into ``source``.  ``Edit`` is that triple as a tuple, and
+``edit_extract`` owns it.  Every check on a file's ``edits`` value runs in
+``_parse_edits``, as the record loads: its shape, each edit's types, a
+non-negative offset, an edit that changes something, and each list
+rebuilding its target.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .edit_extract import Edit, apply_edits
 from .errors import CorpusError, EditError, decode_json, decode_text
 
 logger = logging.getLogger(__name__)
@@ -48,37 +53,6 @@ class ErrorType(Enum):
             return cls(code)
         except ValueError:
             raise CorpusError(f"unknown error type {code!r}") from None
-
-
-@dataclass(frozen=True)
-class Edit:
-    """One span substitution: replace source[offset:offset+len(original)] with replacement."""
-
-    offset: int
-    original: str
-    replacement: str
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError(f"edit offset must be >= 0, got {self.offset}")
-        if not self.original and not self.replacement:
-            raise ValueError("edit must change something: original and replacement both empty")
-
-    def to_triple(self) -> list:
-        return [self.offset, self.original, self.replacement]
-
-    @classmethod
-    def from_triple(cls, triple) -> "Edit":
-        if (
-            not isinstance(triple, (list, tuple))
-            or len(triple) != 3
-            or not isinstance(triple[0], int)
-            or isinstance(triple[0], bool)
-            or not isinstance(triple[1], str)
-            or not isinstance(triple[2], str)
-        ):
-            raise ValueError(f"edit must be [offset, original, replacement], got {triple!r}")
-        return cls(triple[0], triple[1], triple[2])
 
 
 @dataclass
@@ -153,22 +127,11 @@ def _parse_record(
             raise CorpusError(f"line {line_no}: {exc}") from None
 
     edits = None
-    if "edits" in obj and obj["edits"] is not None:
-        raw = obj["edits"]
-        if not isinstance(raw, list):
-            raise CorpusError(f"line {line_no}: edits must be a list of edit lists")
-        if len(raw) != len(targets):
-            raise CorpusError(
-                f"line {line_no}: edits has {len(raw)} lists for {len(targets)} targets"
-            )
-        edits = []
-        for triples in raw:
-            if not isinstance(triples, list):
-                raise CorpusError(f"line {line_no}: edits must be a list of edit lists")
-            try:
-                edits.append([Edit.from_triple(t) for t in triples])
-            except ValueError as exc:
-                raise CorpusError(f"line {line_no}: {exc}") from None
+    if obj.get("edits") is not None:
+        try:
+            edits = _parse_edits(obj["edits"], source, targets, rec_id)
+        except CorpusError as exc:
+            raise CorpusError(f"line {line_no}: {exc}") from None
 
     explanation = obj.get("explanation")
     rough = obj.get("rough_explanation")
@@ -187,22 +150,42 @@ def _parse_record(
     )
 
 
-def _check_edits_replay(rec: SentencePair, line_no: int) -> None:
-    # Deferred import: edit application lives with edit extraction.
-    from .edit_extract import apply_edits
-
-    for i, edit_list in enumerate(rec.edits or []):
+def _parse_edits(raw, source: str, targets: list[str], rec_id: str) -> list[list[Edit]]:
+    """A record's ``edits`` value as one edit list per target, each checked to rebuild it."""
+    if not isinstance(raw, list):
+        raise CorpusError("edits must be a list of edit lists")
+    if len(raw) != len(targets):
+        raise CorpusError(f"edits has {len(raw)} lists for {len(targets)} targets")
+    edits = []
+    for i, (triples, target) in enumerate(zip(raw, targets)):
+        if not isinstance(triples, list):
+            raise CorpusError("edits must be a list of edit lists")
+        for t in triples:
+            if not (
+                isinstance(t, list)
+                and len(t) == 3
+                and type(t[0]) is int
+                and isinstance(t[1], str)
+                and isinstance(t[2], str)
+            ):
+                raise CorpusError(f"edit must be [offset, original, replacement], got {t!r}")
+            if t[0] < 0:
+                raise CorpusError(f"edit offset must be >= 0, got {t[0]}")
+            if not t[1] and not t[2]:
+                raise CorpusError(
+                    "edit must change something: original and replacement both empty"
+                )
+        edit_list = [Edit(*t) for t in triples]
         try:
-            rebuilt = apply_edits(rec.source, edit_list)
+            rebuilt = apply_edits(source, edit_list)
         except EditError as exc:
+            raise CorpusError(f"edit/target mismatch id={rec_id}: {exc}") from None
+        if rebuilt != target:
             raise CorpusError(
-                f"line {line_no}: edit/target mismatch id={rec.id}: {exc}"
-            ) from None
-        if rebuilt != rec.targets[i]:
-            raise CorpusError(
-                f"line {line_no}: edit/target mismatch id={rec.id}: "
-                f"edits for target {i} rebuild {rebuilt!r}"
+                f"edit/target mismatch id={rec_id}: edits for target {i} rebuild {rebuilt!r}"
             )
+        edits.append(edit_list)
+    return edits
 
 
 def json_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -249,8 +232,6 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
         if rec.id in seen:
             raise CorpusError(f"line {line_no}: duplicate id {rec.id!r}")
         seen.add(rec.id)
-        if rec.edits is not None:
-            _check_edits_replay(rec, line_no)
         records.append(rec)
     for line_no, name in unknown:
         logger.warning("line %d: ignoring unknown field %r", line_no, name)
@@ -263,7 +244,7 @@ def record_to_dict(rec: SentencePair) -> dict:
     if rec.error_types:
         obj["error_types"] = [t.value for t in rec.error_types]
     if rec.edits is not None:
-        obj["edits"] = [[e.to_triple() for e in edit_list] for edit_list in rec.edits]
+        obj["edits"] = [list(edit_list) for edit_list in rec.edits]
     if rec.explanation is not None:
         obj["explanation"] = rec.explanation
     if rec.rough_explanation is not None:

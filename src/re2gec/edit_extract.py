@@ -24,15 +24,28 @@ lengths off its rows over the reversed sequences by popcount.
 Offsets are 0-based Unicode character offsets into the source sentence, and
 ``apply_edits(source, extract_edits(source, target, cfg)) == target`` holds
 for every segmenter mode.
+
+This module owns ``Edit``: a plain ``(offset, original, replacement)``
+tuple, so an edit is already the triple that a corpus file, the
+``extract-edits`` output, an explanation prompt and the scorer's edit sets
+hold.  Building one checks nothing; ``corpus`` checks each edit a file
+holds, and ``apply_edits`` rejects a script that does not fit its source.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus import Edit
 from .errors import EditError
 from .segmentation import SegmenterConfig, segment
+
+
+class Edit(NamedTuple):
+    """One span substitution: replace source[offset:offset+len(original)] with replacement."""
+
+    offset: int
+    original: str
+    replacement: str
 
 
 def _lcs_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
@@ -180,6 +193,8 @@ def apply_edits(source: str, edits: Sequence[Edit]) -> str:
     """Apply a sorted, non-overlapping edit script by right-to-left span substitution."""
     prev_end = 0
     for e in edits:
+        if e.offset < 0:
+            raise EditError(f"edit offset must be >= 0, got {e.offset}")
         if e.offset < prev_end:
             raise EditError(f"edits overlap or are unsorted at offset {e.offset}")
         end = e.offset + len(e.original)

@@ -126,15 +126,7 @@ def render_gec_prompt(
 
 def format_edits(edits) -> str:
     """Edit list as '[offset, "original", "replacement"]' segments."""
-    return ", ".join(
-        "[%d, %s, %s]"
-        % (
-            e.offset,
-            json.dumps(e.original, ensure_ascii=False),
-            json.dumps(e.replacement, ensure_ascii=False),
-        )
-        for e in edits
-    )
+    return ", ".join(json.dumps(edit, ensure_ascii=False) for edit in edits)
 
 
 def render_gee_prompt(pair: SentencePair, variant: str, template_set: TemplateSet) -> str:

@@ -44,9 +44,7 @@ def _prf(tp: int, fp: int, fn: int, beta: float) -> tuple[float, float, float]:
 
 def edit_triples(source: str, text: str) -> frozenset[tuple[int, str, str]]:
     """(offset, original, replacement) of each character-level edit from source to text."""
-    return frozenset(
-        (e.offset, e.original, e.replacement) for e in char_level_edits(source, text)
-    )
+    return frozenset(char_level_edits(source, text))
 
 
 @dataclass(frozen=True)

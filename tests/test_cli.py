@@ -201,13 +201,19 @@ def test_parse_error_is_one_usage_line(run, argv):
          "--model needs --backend, --endpoint or --script"),
         (("build-index", "--in", "{missing}", "--out", "{out}", "--embed-model", "m"),
          "--embed-model needs --embed-backend, --embed-endpoint or --embed-script"),
+        (("build-index", "--embed-timeout", "0", "--embed-script", "{missing}",
+          "--in", "{missing}", "--out", "{out}"),
+         "argument --embed-timeout: timeout must be positive"),
+        (("build-index", "--in", "{missing}", "--out", "{out}", "--embed-timeout", "3"),
+         "--embed-timeout needs --embed-backend, --embed-endpoint or --embed-script"),
     ],
     ids=["query k", "query theta", "build-index ngram-min", "explain temperature",
          "explain temperature nan", "explain explainer-endpoint", "build-index embed-endpoint",
          "explain explainer-timeout", "correct timeout", "build-index segmenter-cmd",
          "build-index segmenter-timeout", "explain explainer-model without backend",
          "explain explainer-timeout without backend", "correct model without backend",
-         "build-index embed-model without backend"],
+         "build-index embed-model without backend", "build-index embed-timeout",
+         "build-index embed-timeout without backend"],
 )
 def test_value_a_config_rejects_is_usage_error_before_any_input(
     run, monkeypatch, tmp_path, argv, message
@@ -432,23 +438,28 @@ def work_args(text_commands, gee_jsonl, write_script, monkeypatch):
     return argvs, calls
 
 
-@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index"])
+# "score --per-sentence" checks that output file the way --out is checked.
+@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index", "score --per-sentence"])
 def test_out_in_a_missing_directory_fails_before_any_work(run, work_args, tmp_path, command):
     argvs, calls = work_args
+    command, _, flag = command.partition(" ")
+    flag = flag or "--out"
     out = tmp_path / "missing" / "out.jsonl"
-    code, stdout, err = run(command, *argvs[command], "--out", str(out))
+    code, stdout, err = run(command, *argvs[command], flag, str(out))
     assert (code, stdout) == (1, "")
-    assert err.splitlines() == [f"error: --out {str(out)!r}: no directory {str(out.parent)!r}"]
+    assert err.splitlines() == [f"error: {flag} {str(out)!r}: no directory {str(out.parent)!r}"]
     assert calls == []
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index"])
+@pytest.mark.parametrize("command", [*TEXT_COMMANDS, "build-index", "score --per-sentence"])
 def test_out_naming_a_directory_fails_before_any_work(run, work_args, tmp_path, command):
     argvs, calls = work_args
-    code, stdout, err = run(command, *argvs[command], "--out", str(tmp_path))
+    command, _, flag = command.partition(" ")
+    flag = flag or "--out"
+    code, stdout, err = run(command, *argvs[command], flag, str(tmp_path))
     assert (code, stdout) == (1, "")
-    assert err.splitlines() == [f"error: --out {str(tmp_path)!r}: is a directory"]
+    assert err.splitlines() == [f"error: {flag} {str(tmp_path)!r}: is a directory"]
     assert calls == []
 
 
@@ -1603,9 +1614,10 @@ def test_numpy_loaded_only_by_index_queries(tmp_path):
     assert after_query is True  # the probe does see numpy once a query loads it
 
 
-def test_requests_loaded_only_by_http_backends(tmp_path):
-    # requests (with urllib3 and charset_normalizer) is about half of the
-    # CLI's import time; only an HTTP backend's POST may import it.
+def test_http_clients_loaded_only_by_http_backends(tmp_path):
+    # Only an HTTP backend's POST may import an HTTP client. requests (with
+    # urllib3 and charset_normalizer) is imported by nothing; urllib.request
+    # and http.client cost import time that an offline command never needs.
     src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
@@ -1617,13 +1629,14 @@ def test_requests_loaded_only_by_http_backends(tmp_path):
     child = (
         "import json, sys\n"
         "import re2gec.cli\n"
-        "seen = ['requests' in sys.modules]\n"
+        "names = ('requests', 'urllib.request', 'http.client')\n"
+        "seen = [[name for name in names if name in sys.modules]]\n"
         "codes = []\n"
         "for argv in (['score', '--src', 'src.jsonl', '--hyp', 'hyp.txt'],\n"
         "             ['rouge', '--candidate', 'ab', '--reference', 'abc'],\n"
         "             ['extract-edits', '--source', 'ab', '--target', 'ba']):\n"
         "    codes.append(re2gec.cli.dispatch(argv))\n"
-        "    seen.append('requests' in sys.modules)\n"
+        "    seen.append([name for name in names if name in sys.modules])\n"
         "print(json.dumps([codes, seen]))\n"
     )
     proc = subprocess.run(
@@ -1633,4 +1646,4 @@ def test_requests_loaded_only_by_http_backends(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, seen = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0]
-    assert seen == [False, False, False, False]
+    assert seen == [[], [], [], []]

@@ -31,20 +31,6 @@ def test_error_type_parse_rejects_unknown():
         ErrorType.parse("XYZ")
 
 
-def test_edit_rejects_negative_offset_and_double_empty():
-    with pytest.raises(ValueError):
-        Edit(-1, "a", "b")
-    with pytest.raises(ValueError):
-        Edit(0, "", "")
-
-
-def test_edit_from_triple_type_checks():
-    assert Edit.from_triple([3, "a", ""]) == Edit(3, "a", "")
-    for bad in ([3, "a"], ["3", "a", "b"], [3, 1, "b"], [True, "a", "b"], "nope"):
-        with pytest.raises(ValueError):
-            Edit.from_triple(bad)
-
-
 def _write_lines(tmp_path, lines, name="corpus.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -222,6 +208,12 @@ def test_roundtrip_property(tmp_path_factory, records):
 _VALID_LINE = {"id": "ok", "source": "abcdef", "targets": ["abXdef"], "edits": [[[2, "c", "X"]]]}
 
 
+def _one_edit(edit, reason, name):
+    """A planted violation: a record whose only edit is ``edit``."""
+    record = {"id": "a", "source": "abcd", "targets": ["abcd"], "edits": [[edit]]}
+    return pytest.param(record, reason, id=name)
+
+
 @pytest.mark.parametrize(
     "record, reason",
     [
@@ -257,6 +249,40 @@ _VALID_LINE = {"id": "ok", "source": "abcdef", "targets": ["abXdef"], "edits": [
             {"id": "a", "source": "abcd", "targets": ["abcd"], "edits": [[[0, "a", "x"]]]},
             "rebuild 'xbcd'",
             id="replay mismatch",
+        ),
+        _one_edit([-1, "a", "b"], "line 2: edit offset must be >= 0, got -1", "negative offset"),
+        _one_edit(
+            [0, "", ""],
+            "line 2: edit must change something: original and replacement both empty",
+            "changes nothing",
+        ),
+        *(
+            _one_edit(
+                bad, f"line 2: edit must be [offset, original, replacement], got {bad!r}", name
+            )
+            for bad, name in [
+                (["3", "a", "b"], "string offset"),
+                ([True, "a", "b"], "boolean offset"),
+                ([3, 1, "b"], "integer original"),
+                ([3, "a"], "two fields"),
+                ("nope", "not a list"),
+                ({"offset": 3}, "object"),
+            ]
+        ),
+        pytest.param(
+            {"id": "a", "source": "ab", "targets": ["ab"], "edits": {}},
+            "line 2: edits must be a list of edit lists",
+            id="edits not a list",
+        ),
+        pytest.param(
+            {"id": "a", "source": "ab", "targets": ["ab"], "edits": [[0, "a", "b"]]},
+            "line 2: edit must be [offset, original, replacement], got 0",
+            id="edit list not nested",
+        ),
+        pytest.param(
+            {"id": "a", "source": "ab", "targets": ["ab"], "edits": [{}]},
+            "line 2: edits must be a list of edit lists",
+            id="edit list not a list",
         ),
     ],
 )

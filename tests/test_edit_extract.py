@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import oracles
 import re2gec.edit_extract as edit_extract
 from oracles import lcs_len, lcs_pairs
-from re2gec.corpus import Edit
 from re2gec.edit_extract import (
+    Edit,
     _lcs_pairs,
     _match_pairs,
     apply_edits,
@@ -24,7 +24,7 @@ WS = SegmenterConfig(mode="whitespace")
 
 
 def triples(edits):
-    return [e.to_triple() for e in edits]
+    return [list(e) for e in edits]
 
 
 def assert_canonical_shape(source, edits):
@@ -93,6 +93,17 @@ def test_deterministic():
 
 
 # --- apply_edits contract ---
+
+
+def test_apply_rejects_negative_offset():
+    # Building an Edit checks nothing; applying one does.
+    with pytest.raises(EditError, match="^edit offset must be >= 0, got -1$"):
+        apply_edits("ab", [Edit(-1, "", "x")])
+
+
+def test_edit_is_its_triple():
+    edit = Edit(3, "a", "")
+    assert edit == (3, "a", "") and (edit.offset, edit.original, edit.replacement) == edit
 
 
 def test_apply_rejects_overlapping_edits():

@@ -60,7 +60,8 @@ def stub_server(responder):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.responder = responder
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll, 0.5 s apart by default.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}", server
