@@ -9,11 +9,15 @@ values, which override built-in defaults.  A subcommand registers only the
 options its handler reads, and passes on only the options that were set: the
 config dataclasses and library signatures hold every default.  A handler
 returns its output lines, and ``dispatch`` encodes them all, then writes them
-to ``--out`` or stdout; ``--out`` and ``score --per-sentence`` are checked
-before the handler runs.  Exit codes: 0 on success, 1 on runtime errors, 2
-on usage errors (a bad flag or manifest value, a missing option, a backend's
-model or timeout without that backend, or a value a config dataclass
-rejects, named by its flag).  Either error is
+to stdout or, through ``replace_file``, whole to ``--out``; ``--out`` and
+``score --per-sentence`` are checked before the handler runs.  ``explain``,
+``correct``, ``baseline`` and ``make-sft-data`` run their inputs through
+``pipeline.map_ordered``, and ``_input_lines`` gives a failed input one error
+line in place of its output; ``dispatch`` writes every line and then fails
+with one line counting the failed inputs.  Exit codes: 0 on success, 1 on
+runtime errors and failed inputs, 2 on usage errors (a bad flag or manifest
+value, a missing option, a backend's model or timeout without that backend,
+or a value a config dataclass rejects, named by its flag).  Either error is
 one line on stderr, ``error: ...`` or ``usage error: ...``.  Inputs are decoded
 where they enter, through ``errors``, so ``dispatch`` catches only ``Re2Error``
 and ``OSError``: any other exception is a bug, and keeps its traceback.
@@ -28,23 +32,23 @@ import re
 import sys
 from pathlib import Path
 
-from .corpus import load_corpus, string_fields
+from .corpus import SentencePair, load_corpus, string_fields
 from .edit_extract import extract_edits
-from .errors import Re2Error, decode_json, decode_text, encode_text
+from .errors import Re2Error, decode_json, decode_text, encode_text, replace_file
 from .llm_backend import BACKEND_KINDS, BackendConfig, DecodingParams
 from .pipeline import (
     BASELINE_MODES,
     Re2Config,
-    build_sft_data,
+    check_baseline,
     compare_retrievers,
     correct_corpus,
     embedder_for,
     generate_explanation,
     map_ordered,
     run_baseline,
+    sft_examples,
     sweep_threshold,
 )
-from .prompting import load_template_set
 from .retriever import (
     INDEX_FIELDS,
     RANKINGS,
@@ -61,6 +65,14 @@ from .segmentation import SEGMENTER_MODES, SegmenterConfig
 
 class _UsageError(Exception):
     pass
+
+
+class _InputsFailed(Re2Error):
+    """Inputs of a per-input command failed; ``lines`` holds every input's lines."""
+
+    def __init__(self, message: str, lines: list[str]):
+        super().__init__(message)
+        self.lines = lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,6 +266,28 @@ def _json_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _input_lines(
+    records, results: list, to_dicts=lambda rec, result: [result.to_dict()]
+) -> list[str]:
+    """The lines of ``to_dicts(record, result)`` per record and its ``map_ordered`` result.
+
+    A record that failed gives one error line in their place, from its
+    ``PipelineError``; then ``_InputsFailed`` carries every line to ``dispatch``.
+    """
+    lines, failed = [], []
+    for rec, result in zip(records, results):
+        if isinstance(result, Re2Error):
+            error = {"stage": result.stage, "message": result.message}
+            failed.append(f"{rec.id} at {result.stage}: {result.message}")
+            lines.append(_json_line({"id": rec.id, "input": rec.source, "error": error}))
+        else:
+            lines += map(_json_line, to_dicts(rec, result))
+    if failed:
+        message = f"{len(failed)} of {len(records)} inputs failed (first: {failed[0]})"
+        raise _InputsFailed(message, lines)
+    return lines
+
+
 def _load(opts: _Options, name: str):
     return load_corpus(opts.require(name), strict=bool(opts.get("strict")))
 
@@ -330,20 +364,16 @@ def cmd_query(opts: _Options) -> list[str]:
 def cmd_explain(opts: _Options) -> list[str]:
     single = opts.single_input(("text",), ("in",))
     config = _re2_config(opts, need_correction=False)
-    template_set = load_template_set(config.templates)
     if single:
-        pairs = [("", opts.get("text"))]
+        records = [SentencePair(id="", source=opts.text, targets=[opts.text])]
     else:
-        pairs = [(rec.id, rec.source) for rec in _load(opts, "in")]
+        records = _load(opts, "in").records
     explanations = map_ordered(
-        lambda pair: generate_explanation(pair[1], config, template_set),
-        pairs,
-        **opts.fields("jobs"),
+        lambda rec: generate_explanation(rec.source, config), records, **opts.fields("jobs")
     )
-    return [
-        _json_line({"id": rec_id, "source": source, "explanation": explanation})
-        for (rec_id, source), explanation in zip(pairs, explanations)
-    ]
+    return _input_lines(records, explanations, lambda rec, explanation: [
+        {"id": rec.id, "source": rec.source, "explanation": explanation}
+    ])
 
 
 def cmd_correct(opts: _Options) -> list[str]:
@@ -357,7 +387,7 @@ def cmd_correct(opts: _Options) -> list[str]:
         config,
         **opts.fields("jobs"),
     )
-    return [_json_line(o.to_dict()) for o in outcomes]
+    return _input_lines(dev.records, outcomes)
 
 
 def cmd_baseline(opts: _Options) -> list[str]:
@@ -365,17 +395,14 @@ def cmd_baseline(opts: _Options) -> list[str]:
     mode = opts.require("mode")
     dev = _load(opts, "in")
     train, source_index = _corpus_and_index(opts, "corpus", index_required=False)
+    check_baseline(mode, train, source_index, config)
     seed = opts.get("seed", _default(run_baseline, "seed"))
-    template_set = load_template_set(config.templates)
     outcomes = map_ordered(
-        lambda i: run_baseline(
-            dev.records[i].source, mode, train, source_index, config,
-            seed=seed + i, template_set=template_set,
-        ),
-        range(len(dev)),
+        lambda item: run_baseline(item[1].source, mode, train, source_index, config, item[0]),
+        list(enumerate(dev, seed)),  # input i draws with seed + i
         **opts.fields("jobs"),
     )
-    return [_json_line(o.to_dict()) for o in outcomes]
+    return _input_lines(dev.records, outcomes)
 
 
 def cmd_score(opts: _Options) -> list[str]:
@@ -383,10 +410,10 @@ def cmd_score(opts: _Options) -> list[str]:
     report = score_corpus(scores)
     per_sentence = opts.get("per_sentence")
     if per_sentence:
-        with open(per_sentence, "w", encoding="utf-8") as fh:
-            fh.write("index\ttp\tfp\tfn\tchosen_reference\n")
-            for i, s in enumerate(scores):
-                fh.write(f"{i}\t{s.tp}\t{s.fp}\t{s.fn}\t{s.chosen_reference}\n")
+        rows = ["index\ttp\tfp\tfn\tchosen_reference\n"]
+        rows += (f"{i}\t{s.tp}\t{s.fp}\t{s.fn}\t{s.chosen_reference}\n"
+                 for i, s in enumerate(scores))
+        replace_file(per_sentence, "".join(rows).encode())
     fields = {
         "tp": report.tp,
         "fp": report.fp,
@@ -427,7 +454,8 @@ def cmd_detect(opts: _Options) -> list[str]:
 def cmd_make_sft_data(opts: _Options) -> list[str]:
     config = _re2_config(opts, need_correction=False, need_explainer=False)
     train, index = _corpus_and_index(opts, "train")
-    return [_json_line(ex.to_dict()) for ex in build_sft_data(train, index, config)]
+    pairs = map_ordered(lambda rec: sft_examples(rec, index, train, config), train.records)
+    return _input_lines(train.records, pairs, lambda rec, pair: [ex.to_dict() for ex in pair])
 
 
 def cmd_sweep_theta(opts: _Options) -> list[str]:
@@ -673,16 +701,21 @@ def dispatch(argv: list[str] | None = None) -> int:
                 raise Re2Error(f"{flag} {path!r}: no directory {str(Path(path).parent)!r}")
             if Path(path).is_dir():
                 raise Re2Error(f"{flag} {path!r}: is a directory")
-        lines = opts.handler(opts)
+        try:
+            lines, failed = opts.handler(opts), None
+        except _InputsFailed as exc:
+            lines, failed = exc.lines, exc
         if lines is not None:
             text = "".join(line + "\n" for line in lines)
-            # Encoded before --out is opened: a line UTF-8 cannot encode leaves it as it was.
+            # Encoded before --out is touched: a line UTF-8 cannot encode leaves it as it was.
             data = encode_text(text, "output", Re2Error)
             if out == "-":
                 sys.stdout.flush()
                 sys.stdout.buffer.write(data)  # UTF-8 whatever the locale, as --out gets
             else:
-                Path(out).write_bytes(data)
+                replace_file(out, data)
+        if failed:
+            raise failed
         return 0
     except SystemExit as exc:  # from --help, once the usage is printed
         return exc.code

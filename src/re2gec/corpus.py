@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .edit_extract import Edit, apply_edits
-from .errors import CorpusError, EditError, decode_json, decode_text
+from .errors import CorpusError, EditError, decode_json, decode_text, replace_file
 
 logger = logging.getLogger(__name__)
 
@@ -258,6 +258,4 @@ def dumps_record(rec: SentencePair) -> str:
 
 def dump_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus back to JSON-lines; load_corpus(dump_corpus(c)) round-trips."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in corpus.records:
-            fh.write(dumps_record(rec) + "\n")
+    replace_file(path, "".join(dumps_record(rec) + "\n" for rec in corpus.records).encode())

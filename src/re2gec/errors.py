@@ -1,9 +1,12 @@
 """Exception hierarchy, and the one place outside bytes become values and values bytes.
 
-Each helper raises the caller's ``Re2Error`` subclass, naming ``where`` and, if known, the line.
+Each decoding helper raises the caller's ``Re2Error`` subclass, naming ``where`` and, if
+known, the line.  ``replace_file`` is the one way the package writes a file.
 """
 
 import json
+import os
+import stat
 
 
 class Re2Error(Exception):
@@ -44,6 +47,7 @@ class PipelineError(Re2Error):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+        self.message = message
 
 
 def decode_text(data: bytes, where: str, error: type[Re2Error], universal_newlines=False) -> str:
@@ -78,3 +82,30 @@ def encode_text(text: str, where: str, error: type[Re2Error]) -> bytes:
             line = text.count("\n", 0, exc.start) + 1
             where = f"{where} line {line}"
         raise error(f"{where} has a lone surrogate, which UTF-8 cannot encode") from None
+
+
+def replace_file(path: str | os.PathLike, data: bytes) -> None:
+    """Make ``data`` the whole of file ``path`` (a symlink's target), or leave it as it was.
+
+    The bytes go to a sibling file, which ``os.replace`` moves over the target with the
+    mode ``open(path, "wb")`` would give; a failure deletes the sibling instead.  A
+    target that is no regular file (``/dev/null``, a FIFO) is written in place.
+    """
+    target = os.path.realpath(path)
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
+    sibling = f"{target}.{os.urandom(6).hex()}.tmp"
+    # Created as open() creates a file: mode 0o666 less the umask.
+    fd = os.open(sibling, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write(data)
+        os.replace(sibling, target)
+    except BaseException:
+        os.unlink(sibling)
+        raise

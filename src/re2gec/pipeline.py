@@ -13,10 +13,17 @@ The main correction flow for one input sentence:
 Also here: the zero-shot / random-k / text-similarity baselines, supervised
 fine-tuning pair construction, the theta ablation sweep, and the ranking
 comparison harness.
+
+Many inputs run through one driver, ``map_ordered``: in input order, each
+input gives its result or the ``Re2Error`` it raised, so one bad input costs
+only its own result.  The theta sweep and the ranking comparison score whole
+sets, so they raise the first error instead.  A ``Re2Config`` loads its
+template set once, when it is made, and every prompt of a run renders from it.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 import threading
 import time
@@ -46,6 +53,8 @@ from .retriever import (
 )
 from .scorer import edit_triples, score_corpus, score_triples
 
+logger = logging.getLogger(__name__)
+
 MODE_WITH = "with_examples"
 MODE_WITHOUT = "without_examples"
 BASELINE_MODES = ("zero_shot", "random_k", "textsim")
@@ -70,6 +79,8 @@ class Re2Config:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.retriever_field not in INDEX_FIELDS:
             raise ValueError(f"unknown retriever field {self.retriever_field!r}")
+        # Loaded once, before any input: every prompt of a run renders from this set.
+        object.__setattr__(self, "template_set", load_template_set(self.templates))
 
 
 @dataclass(frozen=True)
@@ -110,15 +121,31 @@ def _stage(stage: str, fn: Callable, *args, **kwargs):
 
 
 def map_ordered(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """``[fn(item) for item in items]``, on ``jobs`` threads when ``jobs > 1``.
+    """``fn(item)`` per item, in input order, on ``jobs`` threads when ``jobs > 1``.
 
-    Results keep input order, and the first input (in order) whose call
-    raises ends the map with that exception.
+    An item whose call raises ``Re2Error`` gives that error in place of its
+    result, and the other items still run.  Any other exception is a bug, and
+    propagates.
     """
+
+    def attempt(item):
+        try:
+            return fn(item)
+        except Re2Error as exc:
+            return exc
+
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [attempt(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(attempt, items))
+
+
+def _all_or_raise(results: list) -> list:
+    """``results`` of ``map_ordered``, or the first error among them raised."""
+    for result in results:
+        if isinstance(result, Re2Error):
+            raise result
+    return results
 
 
 def embedder_for(backend: BackendConfig | None):
@@ -170,15 +197,14 @@ def _retrieve(
     return _stage(stage, query, index, text, config.k, theta, embedder=embedder, **kwargs)
 
 
-def generate_explanation(
-    input_text: str, config: Re2Config, template_set: TemplateSet
-) -> str:
+def generate_explanation(input_text: str, config: Re2Config) -> str:
     """Explanation of a bare input sentence, via the explainer backend."""
     pair = SentencePair(id="", source=input_text, targets=[input_text])
-    prompt = render_gee_prompt(pair, "input_only", template_set)
-    return _stage(
-        "explain", complete, prompt, config.decoding, config.explainer_backend
-    ).strip()
+    return _stage("explain", lambda: complete(
+        render_gee_prompt(pair, "input_only", config.template_set),
+        config.decoding,
+        config.explainer_backend,
+    )).strip()
 
 
 def _examples_for_hits(
@@ -214,15 +240,28 @@ def run_re2(
     index: ExplanationIndex,
     corpus: Corpus,
     config: Re2Config,
-    template_set: TemplateSet | None = None,
 ) -> CorrectionOutcome:
     """Correct one input sentence with explanation-retrieved examples."""
-    template_set = template_set or load_template_set(config.templates)
-    explanation = generate_explanation(input_text, config, template_set)
+    explanation = generate_explanation(input_text, config)
     result = _retrieve("retrieve", index, explanation, config, config.theta)
     return _correct(
-        input_text, explanation, result, corpus, template_set, _completer(config)
+        input_text, explanation, result, corpus, config.template_set, _completer(config)
     )
+
+
+def check_baseline(
+    mode: str, corpus: Corpus, source_index: ExplanationIndex | None, config: Re2Config
+) -> None:
+    """Raise the ``PipelineError`` of a baseline run that fails whatever its input."""
+    if mode not in BASELINE_MODES:
+        problem = f"unknown baseline mode {mode!r}"
+    elif mode == "random_k" and len(corpus) < config.k:
+        problem = f"corpus has {len(corpus)} records, need k={config.k}"
+    elif mode == "textsim" and source_index is None:
+        problem = "textsim requires a source-text index"
+    else:
+        return
+    raise PipelineError("baseline", problem)
 
 
 def run_baseline(
@@ -232,7 +271,6 @@ def run_baseline(
     source_index: ExplanationIndex | None,
     config: Re2Config,
     seed: int = 0,
-    template_set: TemplateSet | None = None,
 ) -> CorrectionOutcome:
     """Correct one input with a baseline example-selection strategy.
 
@@ -240,16 +278,10 @@ def run_baseline(
     a seeded RNG (the seed alone determines the draw); ``textsim`` retrieves
     by source-text similarity with no theta gate.
     """
-    if mode not in BASELINE_MODES:
-        raise PipelineError("baseline", f"unknown baseline mode {mode!r}")
-    template_set = template_set or load_template_set(config.templates)
+    check_baseline(mode, corpus, source_index, config)
     if mode == "zero_shot":
         result = RetrievalResult(hits=(), gate_open=False)
     elif mode == "random_k":
-        if len(corpus) < config.k:
-            raise PipelineError(
-                "baseline", f"corpus has {len(corpus)} records, need k={config.k}"
-            )
         rng = random.Random(seed)
         chosen = rng.sample(range(len(corpus)), config.k)
         result = RetrievalResult(
@@ -257,10 +289,8 @@ def run_baseline(
             gate_open=True,
         )
     else:
-        if source_index is None:
-            raise PipelineError("baseline", "textsim requires a source-text index")
         result = _retrieve("retrieve", source_index, input_text, config, 0.0)
-    return _correct(input_text, "", result, corpus, template_set, _completer(config))
+    return _correct(input_text, "", result, corpus, config.template_set, _completer(config))
 
 
 def correct_corpus(
@@ -269,51 +299,39 @@ def correct_corpus(
     corpus: Corpus,
     config: Re2Config,
     jobs: int = 1,
-) -> list[CorrectionOutcome]:
-    """Run the correction flow over many inputs on ``jobs`` threads, in input order."""
-    template_set = load_template_set(config.templates)
-    return map_ordered(
-        lambda text: run_re2(text, index, corpus, config, template_set), inputs, jobs
-    )
+) -> list[CorrectionOutcome | Re2Error]:
+    """``run_re2`` over many inputs through ``map_ordered``: per input its outcome or error."""
+    return map_ordered(lambda text: run_re2(text, index, corpus, config), inputs, jobs)
 
 
-def build_sft_data(
-    train: Corpus, index: ExplanationIndex, config: Re2Config
-) -> list[SftExample]:
-    """Fine-tuning pairs: per record one with-examples and one without-examples prompt.
+def sft_examples(
+    rec: SentencePair, index: ExplanationIndex, train: Corpus, config: Re2Config
+) -> tuple[SftExample, SftExample]:
+    """A record's fine-tuning pairs: one with-examples and one without-examples prompt.
 
     Retrieval queries the record's own explanation, excludes the record
     itself, and is not theta-gated (every with-examples prompt carries the
     nearest other examples available).  The response is always the record's
     first target.
     """
-    template_set = load_template_set(config.templates)
-    out = []
-    for rec in train:
-        if not rec.explanation:
-            raise PipelineError("sft", f"record {rec.id}: missing explanation")
-        result = _retrieve("sft", index, rec.explanation, config, 0.0, exclude_ids={rec.id})
-        examples = _examples_for_hits(result.hits, train)
-        response = rec.targets[0]
-        out.append(
-            SftExample(
-                prompt=render_gec_prompt(rec.source, examples, template_set),
-                response=response,
-                meta={
-                    "id": rec.id,
-                    "mode": MODE_WITH,
-                    "example_ids": [h.doc_id for h in result.hits],
-                },
-            )
-        )
-        out.append(
-            SftExample(
-                prompt=render_gec_prompt(rec.source, [], template_set),
-                response=response,
-                meta={"id": rec.id, "mode": MODE_WITHOUT},
-            )
-        )
-    return out
+    if not rec.explanation:
+        raise PipelineError("sft", f"record {rec.id}: missing explanation")
+    result = _retrieve("sft", index, rec.explanation, config, 0.0, exclude_ids={rec.id})
+    render = lambda examples: _stage(
+        "sft", render_gec_prompt, rec.source, examples, config.template_set
+    )
+    with_ids = {"id": rec.id, "mode": MODE_WITH, "example_ids": [h.doc_id for h in result.hits]}
+    return (
+        SftExample(render(_examples_for_hits(result.hits, train)), rec.targets[0], with_ids),
+        SftExample(render([]), rec.targets[0], {"id": rec.id, "mode": MODE_WITHOUT}),
+    )
+
+
+def build_sft_data(
+    train: Corpus, index: ExplanationIndex, config: Re2Config
+) -> list[SftExample]:
+    """``sft_examples`` of every record in order; the first failing record raises."""
+    return [ex for rec in train for ex in sft_examples(rec, index, train, config)]
 
 
 def _dev_scorer(
@@ -327,22 +345,20 @@ def _dev_scorer(
     recall and F0.5 against the dev targets.  Explanations run on ``jobs``
     threads, and the gold edits are extracted once, before any hypothesis.
     """
-    template_set = load_template_set(config.templates)
     records = list(dev)
-    explanations = map_ordered(
-        lambda rec: generate_explanation(rec.source, config, template_set), records, jobs
+    sources = [rec.source for rec in records]
+    explanations = _all_or_raise(
+        map_ordered(lambda source: generate_explanation(source, config), sources, jobs)
     )
     gold = [[edit_triples(rec.source, t) for t in rec.targets] for rec in records]
     completer = _cached_completer(config)
 
     def score(results: Sequence[RetrievalResult]) -> dict:
-        corrections = map_ordered(
-            lambda i: _correct(
-                records[i].source, explanations[i], results[i], train, template_set, completer
-            ).correction,
-            range(len(records)),
+        corrections = _all_or_raise(map_ordered(
+            lambda given: _correct(*given, train, config.template_set, completer).correction,
+            list(zip(sources, explanations, results)),
             jobs,
-        )
+        ))
         report = score_corpus(
             score_triples(edit_triples(rec.source, correction), references)
             for rec, references, correction in zip(records, gold, corrections)
@@ -364,18 +380,21 @@ def sweep_threshold(
 
     Explanations and retrievals are computed once; each theta only re-decides
     the gate.  Completions are cached per distinct prompt.  Inputs run on
-    ``jobs`` threads.
+    ``jobs`` threads.  On a BM25 index theta does not move the gate, which a
+    warning says.
     """
     for theta in thetas:
         if not (0.0 <= theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    ranking = index.config.ranking
+    if ranking == "bm25":
+        logger.warning("theta does not move a BM25 gate, so every row is the same")
     explanations, score = _dev_scorer(dev, train, config, jobs)
-    hit_lists = map_ordered(
+    hit_lists = _all_or_raise(map_ordered(
         lambda explanation: _retrieve("retrieve", index, explanation, config, 0.0).hits,
         explanations,
         jobs,
-    )
-    ranking = index.config.ranking
+    ))
     return [
         {
             "theta": theta,

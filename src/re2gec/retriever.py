@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .errors import RetrievalError, decode_json, encode_text
+from .errors import RetrievalError, decode_json, encode_text, replace_file
 from .segmentation import SegmenterConfig, segment
 
 if TYPE_CHECKING:
@@ -598,7 +598,7 @@ def dumps_index(index: ExplanationIndex) -> bytes:
 
 
 def save_index(index: ExplanationIndex, path: str | Path) -> None:
-    Path(path).write_bytes(dumps_index(index))
+    replace_file(path, dumps_index(index))
 
 
 def _is_str_list(value) -> bool:
@@ -711,6 +711,13 @@ def loads_index(data: bytes) -> ExplanationIndex:
         if df.max(initial=0) > len(doc_ids):
             raise RetrievalError("index has a column with more entries than documents")
         idf = _idf(df, len(doc_ids))
+    # A repeated row would count its weight twice.  Entry j compares rows j - 1
+    # and j, and is excused where a column starts at j.
+    ascends = np.ones(len(rows) + 1, dtype=bool)
+    np.greater(rows[1:], rows[:-1], out=ascends[1:-1])
+    ascends[indptr] = True
+    if not ascends.all():
+        raise RetrievalError("index has a column whose rows do not strictly ascend")
     return ExplanationIndex(
         vocabulary=vocab, idf=idf, columns=Postings(indptr, rows, weights), **header
     )

@@ -3,9 +3,13 @@ import importlib.metadata
 import json
 import os
 import re
+import resource
 import shutil
+import signal
+import stat
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -482,17 +486,112 @@ def test_unencodable_output_line_leaves_out_as_it_was(run, tmp_path):
     assert not new.exists()
 
 
-def test_failed_run_leaves_out_as_it_was(run, text_commands, write_script, tmp_path):
-    argv = list(text_commands["correct"][0])
-    argv[argv.index("--explainer-script") + 1] = write_script({}, fallback="none")
+def _run_on_a_full_disk(argv, cwd) -> subprocess.CompletedProcess:
+    """``re2gec argv`` in a process of its own that may write no file past 40 bytes."""
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so that write() fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (40, 40))
+
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src_dir, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "re2gec", *argv], preexec_fn=limit_file_size,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+
+
+def _assert_full_disk_leaves_files_as_they_were(argv, flag, tmp_path):
+    """Each run exits 1; an old file keeps its bytes, and no new file or sibling is left."""
+    out_dir = tmp_path / "written"
+    out_dir.mkdir()
+    old = out_dir / "old"
+    old.write_bytes(b"old\n")
+    for path in (old, out_dir / "new"):
+        proc = _run_on_a_full_disk([*argv, flag, str(path)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: [Errno 27] File too large"]
+    assert os.listdir(out_dir) == ["old"]
+    assert old.read_bytes() == b"old\n"
+
+
+def test_failed_run_leaves_out_as_it_was(run, text_commands, tmp_path):
+    # A full disk, while a per-input command writes its lines.
+    argv, _ = text_commands["correct"]
+    _assert_full_disk_leaves_files_as_they_were(["correct", *argv], "--out", tmp_path)
+    # A line UTF-8 cannot encode: the lone surrogate is in a source, which the
+    # index (built over explanations) stores only as part of its corpus hash.
+    # json.dumps escapes it, and load_corpus accepts the escape.
+    records = [
+        {"id": "d0", "source": "原句\ud800", "targets": ["改句"], "explanation": "主谓搭配"},
+        {"id": "d1", "source": "原句", "targets": ["改句"], "explanation": "主谓搭配不当"},
+    ]
+    train = str(tmp_path / "train.jsonl")
+    Path(train).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+    index = str(tmp_path / "train.re2idx")
+    assert run("build-index", "--in", train, "--out", index) == (0, "", "")
     old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     old.write_bytes(b"old\n")
     for path in (old, new):
-        code, _, err = run("correct", *argv, "--out", str(path))
-        assert code == 1
-        assert err.startswith("error: explain: mock backend: no scripted response")
+        code, out, err = run("make-sft-data", "--train", train, "--index", index,
+                             "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: output line 1 has a lone surrogate, which UTF-8 cannot encode"
+        ]
     assert old.read_bytes() == b"old\n"
     assert not new.exists()
+
+
+@pytest.mark.parametrize("command", ["rouge --out", "build-index --out", "score --per-sentence"])
+def test_full_disk_leaves_each_written_file_as_it_was(
+    text_commands, gee_jsonl, tmp_path, command
+):
+    command, flag = command.split()
+    argvs = {name: argv for name, (argv, _) in text_commands.items()}
+    argvs["build-index"] = ("--in", gee_jsonl)
+    _assert_full_disk_leaves_files_as_they_were([command, *argvs[command]], flag, tmp_path)
+
+
+def test_written_file_gets_the_mode_open_would_give(run, tmp_path):
+    argv = ("rouge", "--candidate", "ace", "--reference", "abcde", "--out")
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_bytes(b"old\n")
+    old.chmod(0o751)
+    umask = os.umask(0o027)
+    try:
+        for path in (old, new):
+            assert run(*argv, str(path)) == (0, "", "")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o751
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert old.read_bytes() == new.read_bytes() != b"old\n"
+
+
+def test_symlinked_out_is_written_through_to_its_target(run, tmp_path):
+    argv = ("rouge", "--candidate", "ace", "--reference", "abcde")
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    assert run(*argv, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == run(*argv)[1]
+
+
+def test_out_that_is_no_regular_file_is_written_in_place(run, tmp_path):
+    # Replacing a FIFO (or /dev/null) by a file would change what it is.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    argv = ("rouge", "--candidate", "ace", "--reference", "abcde")
+    assert run(*argv, "--out", str(fifo)) == (0, "", "")
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert read == [run(*argv)[1].encode()]
+    assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
 
 def test_out_may_name_an_input_file(run, write_corpus):
@@ -685,7 +784,15 @@ def test_hostile_input_file_is_one_error_line(run, hostile_inputs, tmp_path, dat
     assert (code, stdout) in ((1, ""), (2, ""))
     (line,) = err.splitlines()
     assert line.startswith("error: " if code == 1 else "usage error: ")
-    assert out.read_bytes() == b"old\n"
+    failed = re.match(r"error: (\d+) of (\d+) inputs failed \(first: ", line)
+    if not failed:
+        assert out.read_bytes() == b"old\n"
+        return
+    # Inputs of a per-input command failed: each input has its lines, a failed one an error.
+    k, n = map(int, failed.groups())
+    written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert sum("error" in obj for obj in written) == k
+    assert len(written) == n + (n - k) * (label == "make-sft-data")
 
 
 # --- edits ---
@@ -949,8 +1056,14 @@ def test_explain_corpus_file(run, dev_jsonl, explainer_script):
 def test_explain_failure_names_the_stage(run, explainer_script):
     code, out, err = run("explain", "--text", "未知的句子", "--explainer-script", explainer_script)
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: explain: mock backend: no scripted response")
+    (line,) = out.splitlines()
+    failed = json.loads(line)
+    assert list(failed) == ["id", "input", "error"]
+    assert failed["id"] == "" and failed["input"] == "未知的句子"
+    assert failed["error"]["stage"] == "explain"
+    message = failed["error"]["message"]
+    assert message.startswith("mock backend: no scripted response")
+    assert err.splitlines() == [f"error: 1 of 1 inputs failed (first:  at explain: {message})"]
 
 
 def test_correct_end_to_end_and_determinism(
@@ -1382,6 +1495,102 @@ def test_jobs_do_not_change_output(
     assert outs[0] == outs[1]
     if name in ("explain", "correct", "baseline"):
         assert len(outs[0].strip().split("\n")) == 8
+
+
+@pytest.mark.parametrize("command", ["explain", "correct", "baseline"])
+def test_one_failing_input_costs_one_error_line(
+    run, command, text_commands, write_corpus, write_script, tmp_path
+):
+    # The third input has no scripted explanation, nor (for baseline) correction.
+    texts = [INPUT_LOW, INPUT_HIGH, "未知的句子", INPUT_HIGH, INPUT_LOW]
+    records = [{"id": f"dev{i}", "source": t, "targets": [t]} for i, t in enumerate(texts)]
+    argv = list(text_commands[command][0])
+    if command == "baseline":
+        replies = {render_gec_prompt(t, [], SET): "答" for t in (INPUT_LOW, INPUT_HIGH)}
+        argv[argv.index("--script") + 1] = write_script(replies, fallback="none")
+    runs = {}
+    for name, kept in (("planted", records), ("clean", records[:2] + records[3:])):
+        argv[argv.index("--in") + 1] = write_corpus(kept)
+        for jobs in ("1", "4"):
+            runs[name, jobs] = run(command, *argv, "--jobs", jobs)
+    assert runs["planted", "1"] == runs["planted", "4"]
+    assert runs["clean", "1"] == runs["clean", "4"]
+    code, out, err = runs["planted", "1"]
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] + lines[3:] == runs["clean", "1"][1].splitlines()
+    failed = json.loads(lines[2])
+    stage = "correct" if command == "baseline" else "explain"
+    assert (failed["id"], failed["input"], failed["error"]["stage"]) == ("dev2", texts[2], stage)
+    message = failed["error"]["message"]
+    assert message.startswith("mock backend: no scripted response")
+    assert err.splitlines() == [f"error: 1 of 5 inputs failed (first: dev2 at {stage}: {message})"]
+
+
+def test_make_sft_data_record_without_explanation_is_one_error_line(run, write_corpus, tmp_path):
+    records = [
+        {"id": doc_id, "source": f"原句{i}", "targets": [f"改句{i}"], "explanation": text}
+        for i, (doc_id, text) in enumerate(GEE_DOCS)
+    ]
+    del records[1]["explanation"]
+    train = write_corpus(records)
+    # An index over the sources accepts the record.
+    index = str(tmp_path / "source.re2idx")
+    assert run("build-index", "--in", train, "--field", "source", "--out", index) == (0, "", "")
+    code, out, err = run("make-sft-data", "--train", train, "--index", index)
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line.get("meta", {}).get("id") for line in lines] == ["d0", "d0", None, "d2", "d2"]
+    error = {"stage": "sft", "message": "record d1: missing explanation"}
+    assert lines[2] == {"id": "d1", "input": "原句1", "error": error}
+    assert err.splitlines() == [
+        "error: 1 of 3 inputs failed (first: d1 at sft: record d1: missing explanation)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--mode", "textsim"], "baseline: textsim requires a source-text index"),
+        (["--mode", "random_k", "--k", "4"], "baseline: corpus has 3 records, need k=4"),
+    ],
+    ids=["textsim without index", "random_k past the corpus"],
+)
+def test_baseline_that_no_input_can_pass_fails_once_before_any_backend_call(
+    run, dev_jsonl, gee_jsonl, write_script, monkeypatch, options, message
+):
+    calls = []
+    monkeypatch.setattr(re2gec.pipeline, "complete", lambda *args: calls.append(args))
+    code, out, err = run(
+        "baseline", *options, "--in", dev_jsonl, "--corpus", gee_jsonl,
+        "--script", write_script({}),
+    )
+    assert (code, out, calls) == (1, "", [])
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_sweep_theta_on_a_bm25_index_warns_that_theta_moves_nothing(
+    run, dev_jsonl, gee_jsonl, index_file, explainer_script, corrector_script, tmp_path
+):
+    # In a process of its own: pytest's logging plugin would catch the warning.
+    bm25_index = str(tmp_path / "bm25.re2idx")
+    argv = ("build-index", "--in", gee_jsonl, "--ranking", "bm25", "--out", bm25_index)
+    assert run(*argv) == (0, "", "")
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    results = {}
+    for name, index in (("tfidf", index_file), ("bm25", bm25_index)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "re2gec", "sweep-theta", "--dev", dev_jsonl,
+             "--train", gee_jsonl, "--index", index, "--thetas", "0.0,1.0",
+             "--script", corrector_script, "--explainer-script", explainer_script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        results[name] = (proc.returncode, proc.stderr.splitlines(), json.loads(proc.stdout))
+    assert results["tfidf"][:2] == (0, [])
+    code, lines, rows = results["bm25"]
+    assert (code, lines) == (0, ["theta does not move a BM25 gate, so every row is the same"])
+    assert [{**row, "theta": 0} for row in rows] == [{**rows[0], "theta": 0}] * 2
 
 
 # --- config manifest ---

@@ -16,7 +16,7 @@ from conftest import (
 
 import re2gec.pipeline as pipeline_module
 from re2gec.corpus import Corpus, SentencePair
-from re2gec.errors import PipelineError
+from re2gec.errors import PipelineError, Re2Error, TemplateError
 from re2gec.llm_backend import BackendConfig
 from re2gec.pipeline import (
     MODE_WITH,
@@ -26,6 +26,7 @@ from re2gec.pipeline import (
     build_sft_data,
     compare_retrievers,
     correct_corpus,
+    map_ordered,
     run_baseline,
     run_re2,
     sweep_threshold,
@@ -83,6 +84,13 @@ def test_re2_config_validation(echo_backend):
         Re2Config(
             backend=echo_backend, explainer_backend=echo_backend, retriever_field="edits"
         )
+
+
+def test_re2_config_loads_its_template_set_once_when_made(echo_backend):
+    config = Re2Config(backend=echo_backend, explainer_backend=echo_backend)
+    assert config.template_set == SET
+    with pytest.raises(TemplateError, match="template set not found: 'no_such_set'"):
+        Re2Config(backend=echo_backend, explainer_backend=echo_backend, templates="no_such_set")
 
 
 def test_gate_fixture_similarities_are_frozen(gee_index):
@@ -164,6 +172,44 @@ def test_correct_corpus_parallel_matches_sequential(gee_index, mini_gee_corpus, 
     parallel = correct_corpus(inputs, gee_index, mini_gee_corpus, config, jobs=4)
     assert sequential == parallel
     assert [o.input for o in sequential] == inputs
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_map_ordered_gives_each_failed_item_its_error(jobs):
+    def fn(item):
+        if item % 3 == 1:
+            raise PipelineError("explain", f"no reply for {item}")
+        return item * 10
+
+    results = map_ordered(fn, range(7), jobs)
+    assert [r if isinstance(r, int) else str(r) for r in results] == [
+        0, "explain: no reply for 1", 20, 30, "explain: no reply for 4", 50, 60
+    ]
+
+    def buggy(item):
+        if item == 2:
+            raise KeyError(item)  # not a Re2Error: a bug, which keeps its traceback
+        return item
+
+    with pytest.raises(KeyError):
+        map_ordered(buggy, range(4), jobs)
+
+
+def test_correct_corpus_gives_a_failed_input_its_error(gee_index, mini_gee_corpus, config):
+    results = correct_corpus([INPUT_LOW, "未知的句子", INPUT_HIGH], gee_index, mini_gee_corpus,
+                             config, jobs=2)
+    assert [type(r) for r in results] == [CorrectionOutcome, PipelineError, CorrectionOutcome]
+    assert results[1].stage == "explain"
+    assert results[1].message.startswith("mock backend: no scripted response")
+    assert results[0] == run_re2(INPUT_LOW, gee_index, mini_gee_corpus, config)
+
+
+def test_sweep_threshold_raises_the_first_failed_input(
+    dev_corpus, gee_index, mini_gee_corpus, sweep_config
+):
+    records = [SentencePair(id="bad", source="未知的句子", targets=["未知的句子"]), *dev_corpus]
+    with pytest.raises(Re2Error, match="^explain: mock backend: no scripted response"):
+        sweep_threshold(Corpus(records), [0.6], sweep_config, gee_index, mini_gee_corpus)
 
 
 def test_open_gate_without_hits_uses_without_examples(mini_gee_corpus, config):
@@ -439,6 +485,7 @@ def test_compare_retrievers_query_time_leaves_out_embedding(
 def test_pipeline_error_carries_stage():
     err = PipelineError("explain", "boom")
     assert err.stage == "explain"
+    assert err.message == "boom"
     assert str(err) == "explain: boom"
 
 

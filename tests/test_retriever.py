@@ -487,6 +487,14 @@ def _corrupted(case: str) -> bytes:
         del header["config"]["bm25_b"]
     elif case == "config key unknown":
         header["config"]["segmenter"]["surprise"] = 1
+    elif case in ("repeated row", "descending rows"):
+        # The first two rows of the last column that has two or more; df is unchanged.
+        at = indptr[:-1][np.diff(indptr) >= 2][-1]
+        rows = blocks["rows"]
+        first, second = rows[at], rows[at + 1]
+        rows[at + 1] = first
+        if case == "descending rows":
+            rows[at] = second
     elif case != "intact":
         raise AssertionError(case)
     return _assemble(header, blocks)
@@ -524,6 +532,8 @@ def test_reassembled_blob_loads():
         ("duplicate doc ids", "duplicate doc ids"),
         ("config key missing", r"bad index header: .*missing \['bm25_b'\]"),
         ("config key unknown", r"bad index header: .*unknown \['surprise'\]"),
+        ("repeated row", "a column whose rows do not strictly ascend"),
+        ("descending rows", "a column whose rows do not strictly ascend"),
     ],
 )
 def test_corrupt_index_is_a_one_line_error(case, message, tmp_path, capsys):
