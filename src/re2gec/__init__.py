@@ -25,7 +25,6 @@ from .errors import (
 from .llm_backend import (
     BackendConfig,
     DecodingParams,
-    RetryPolicy,
     complete,
     embed,
     prompt_key,

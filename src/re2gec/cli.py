@@ -231,26 +231,21 @@ def _backend(opts: _Options, prefix: str = "") -> BackendConfig | None:
     )
 
 
-# Stands in for backends a flow never calls (prompt construction only);
-# completing against it fails loudly.
-_UNUSED_BACKEND = BackendConfig(kind="mock", script_path="<unused>")
-
-
 def _re2_config(
-    opts: _Options, *, need_correction: bool = True, need_explainer: bool = True
+    opts: _Options, *required: str, need_correction: bool = True, need_explainer: bool = True
 ) -> Re2Config:
+    """The run's config; each of the ``required`` options is checked first.
+
+    So a missing option is a usage error before the config reads any mock script.
+    """
+    for name in required:
+        opts.require(name)
     backend = _backend(opts)
     explainer = _backend(opts, "explainer_") or backend
-    if backend is None:
-        if need_correction:
-            raise _UsageError("missing required option --script or --backend")
-        backend = _UNUSED_BACKEND
-    if explainer is None:
-        if need_explainer:
-            raise _UsageError(
-                "missing required option --explainer-script or --explainer-backend"
-            )
-        explainer = _UNUSED_BACKEND
+    if backend is None and need_correction:
+        raise _UsageError("missing required option --script or --backend")
+    if explainer is None and need_explainer:
+        raise _UsageError("missing required option --explainer-script or --explainer-backend")
     values = dict(
         backend=backend,
         explainer_backend=explainer,
@@ -273,13 +268,17 @@ def _input_lines(
 
     A record that failed gives one error line in their place, from its
     ``PipelineError``; then ``_InputsFailed`` carries every line to ``dispatch``.
+    An error line keeps a lone surrogate (from a JSON ``\\ud800`` escape) as that
+    escape, so that UTF-8 can encode it.
     """
     lines, failed = [], []
     for rec, result in zip(records, results):
         if isinstance(result, Re2Error):
             error = {"stage": result.stage, "message": result.message}
             failed.append(f"{rec.id} at {result.stage}: {result.message}")
-            lines.append(_json_line({"id": rec.id, "input": rec.source, "error": error}))
+            line = _json_line({"id": rec.id, "input": rec.source, "error": error})
+            # Every character UTF-8 cannot encode is a lone surrogate inside a JSON string.
+            lines.append(line.encode("utf-8", "backslashreplace").decode("utf-8"))
         else:
             lines += map(_json_line, to_dicts(rec, result))
     if failed:
@@ -347,7 +346,7 @@ def cmd_build_index(opts: _Options) -> None:
 
 
 def cmd_query(opts: _Options) -> list[str]:
-    config = _re2_config(opts, need_correction=False, need_explainer=False)
+    config = _re2_config(opts, "index", "text", need_correction=False, need_explainer=False)
     index = load_index(opts.require("index"))
     exclude = [x for x in (opts.get("exclude") or "").split(",") if x]
     result = query(
@@ -363,7 +362,7 @@ def cmd_query(opts: _Options) -> list[str]:
 
 def cmd_explain(opts: _Options) -> list[str]:
     single = opts.single_input(("text",), ("in",))
-    config = _re2_config(opts, need_correction=False)
+    config = _re2_config(opts, "text" if single else "in", need_correction=False)
     if single:
         records = [SentencePair(id="", source=opts.text, targets=[opts.text])]
     else:
@@ -377,7 +376,7 @@ def cmd_explain(opts: _Options) -> list[str]:
 
 
 def cmd_correct(opts: _Options) -> list[str]:
-    config = _re2_config(opts)
+    config = _re2_config(opts, "in", "corpus", "index")
     dev = _load(opts, "in")
     train, index = _corpus_and_index(opts, "corpus")
     outcomes = correct_corpus(
@@ -391,7 +390,7 @@ def cmd_correct(opts: _Options) -> list[str]:
 
 
 def cmd_baseline(opts: _Options) -> list[str]:
-    config = _re2_config(opts, need_explainer=False)
+    config = _re2_config(opts, "mode", "in", "corpus", need_explainer=False)
     mode = opts.require("mode")
     dev = _load(opts, "in")
     train, source_index = _corpus_and_index(opts, "corpus", index_required=False)
@@ -452,14 +451,14 @@ def cmd_detect(opts: _Options) -> list[str]:
 
 
 def cmd_make_sft_data(opts: _Options) -> list[str]:
-    config = _re2_config(opts, need_correction=False, need_explainer=False)
+    config = _re2_config(opts, "train", "index", need_correction=False, need_explainer=False)
     train, index = _corpus_and_index(opts, "train")
     pairs = map_ordered(lambda rec: sft_examples(rec, index, train, config), train.records)
     return _input_lines(train.records, pairs, lambda rec, pair: [ex.to_dict() for ex in pair])
 
 
 def cmd_sweep_theta(opts: _Options) -> list[str]:
-    config = _re2_config(opts)
+    config = _re2_config(opts, "dev", "train", "index", "thetas")
     dev = _load(opts, "dev")
     train, index = _corpus_and_index(opts, "train")
     thetas = opts.require("thetas")
@@ -468,7 +467,7 @@ def cmd_sweep_theta(opts: _Options) -> list[str]:
 
 
 def cmd_compare_retrievers(opts: _Options) -> list[str]:
-    config = _re2_config(opts)
+    config = _re2_config(opts, "dev", "train", "rankings")
     dev = _load(opts, "dev")
     train = _load(opts, "train")
     rows = compare_retrievers(dev, opts.require("rankings"), config, train, **opts.fields("jobs"))

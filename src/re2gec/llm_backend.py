@@ -8,8 +8,9 @@ token is taken from the ``RE2_API_KEY`` environment variable when set.
 Requests go through the standard library's ``urllib.request``: proxies come
 from ``http_proxy``/``https_proxy``/``no_proxy``, https is verified against
 the system CA store, and no redirect is followed.
-Transport errors, 429 and 5xx responses are retried after a "full jitter"
-delay, uniform in ``[0, base_delay * factor**(n - 1)]`` before retry ``n``;
+Transport errors, 429 and 5xx responses are retried, up to ``MAX_ATTEMPTS``
+attempts in all, after a "full jitter" delay, uniform in
+``[0, BASE_DELAY * BACKOFF_FACTOR**(n - 1)]`` (1 s and 2 s) before retry ``n``;
 a 429 or 503 reply's ``Retry-After`` of whole seconds, capped by the timeout,
 replaces that delay.  Other failures raise immediately.
 
@@ -18,7 +19,11 @@ The mock backend resolves prompts through a JSON script file mapping
 ``__fallback__`` key selects behaviour for unscripted prompts:
 ``"echo_last_line"`` (default) answers with the prompt's last line, which
 for the bundled correction templates is the input sentence; ``"none"``
-raises instead.
+raises instead.  A ``BackendConfig`` reads and checks its script once, on
+first use, and keeps it (``config.script``); a ``Re2Config`` does that when it
+is made, so a script that is missing, not UTF-8 JSON, not an object, or names
+an unknown fallback fails before any input.  Edits made to the file later in
+the run are not seen.
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ import json
 import math
 import os
 import random
-import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -57,26 +61,12 @@ class DecodingParams:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 3
-    base_delay: float = 1.0
-    factor: float = 2.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.factor <= 0:
-            raise ValueError("base_delay must be >= 0 and factor > 0")
-
-
-@dataclass(frozen=True)
 class BackendConfig:
     kind: str = "mock"
     endpoint: str | None = None
     model: str | None = None
     script_path: str | None = None
     timeout: float = 30.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
@@ -92,6 +82,22 @@ class BackendConfig:
             raise ValueError("mock backend requires a script_path")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+
+    @functools.cached_property
+    def script(self) -> dict:
+        """A mock backend's script, read and checked on first use, then kept."""
+        path = self.script_path
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise BackendError(f"cannot read mock script {path!r}: {exc}") from None
+        script = decode_json(data, f"mock script {path!r}", BackendError)
+        if not isinstance(script, dict):
+            raise BackendError(f"mock script {path!r} must be a JSON object")
+        fallback = script.get(FALLBACK_KEY, "echo_last_line")
+        if fallback not in ("echo_last_line", "none"):
+            raise BackendError(f"mock script {path!r}: unknown fallback {fallback!r}")
+        return script
 
 
 def _is_http_url(text: str) -> bool:
@@ -110,40 +116,16 @@ def prompt_key(text: str) -> str:
     return hashlib.sha256(encode_text(text, "prompt", BackendError)).hexdigest()
 
 
-_script_cache: dict[tuple[str, float], dict] = {}
-_script_lock = threading.Lock()
-
-
-def _load_script(path: str) -> dict:
-    try:
-        mtime = os.path.getmtime(path)
-    except OSError as exc:
-        raise BackendError(f"cannot read mock script {path!r}: {exc}") from None
-    key = (str(Path(path).resolve()), mtime)
-    with _script_lock:
-        script = _script_cache.get(key)
-    if script is None:
-        script = decode_json(Path(path).read_bytes(), f"mock script {path!r}", BackendError)
-        if not isinstance(script, dict):
-            raise BackendError(f"mock script {path!r} must be a JSON object")
-        with _script_lock:
-            _script_cache[key] = script
-    return script
-
-
 def _mock_complete(prompt: str, config: BackendConfig) -> str:
-    script = _load_script(config.script_path)
+    script = config.script
     key = prompt_key(prompt)
     if key in script:
         if not isinstance(script[key], str):
             raise BackendError(f"mock script reply {key[:12]}… is not a string")
         return script[key]
-    fallback = script.get(FALLBACK_KEY, "echo_last_line")
-    if fallback == "echo_last_line":
+    if script.get(FALLBACK_KEY, "echo_last_line") == "echo_last_line":
         return prompt.rstrip("\n").rsplit("\n", 1)[-1]
-    if fallback == "none":
-        raise BackendError(f"mock backend: no scripted response for prompt (key {key[:12]}…)")
-    raise BackendError(f"mock script {config.script_path!r}: unknown fallback {fallback!r}")
+    raise BackendError(f"mock backend: no scripted response for prompt (key {key[:12]}…)")
 
 
 def _headers() -> dict:
@@ -156,7 +138,11 @@ def _headers() -> dict:
     return headers
 
 
-# Module attributes, so tests can replace them.
+# Module attributes, so tests can replace them.  An HTTP call makes at most
+# MAX_ATTEMPTS attempts, and retry n waits up to BASE_DELAY * BACKOFF_FACTOR**(n - 1) s.
+MAX_ATTEMPTS = 3
+BASE_DELAY = 1.0
+BACKOFF_FACTOR = 2.0
 _sleep = time.sleep
 _uniform = random.uniform
 
@@ -195,9 +181,8 @@ def _post_with_retries(url: str, payload: dict, config: BackendConfig) -> dict:
     from urllib.error import URLError
 
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    policy = config.retry
     last_error = None
-    for attempt in range(1, policy.max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         wait = None
         try:
             status, data, retry_after = _post_once(url, body, config.timeout)
@@ -213,13 +198,11 @@ def _post_with_retries(url: str, payload: dict, config: BackendConfig) -> dict:
                     wait = min(float(retry_after), config.timeout)  # RFC 9110 §10.2.3
             else:
                 raise BackendError(f"HTTP {status} from {url}: {text}")
-        if attempt < policy.max_attempts:
+        if attempt < MAX_ATTEMPTS:
             if wait is None:  # "full jitter" (Brooker, Exponential Backoff and Jitter, 2015)
-                wait = _uniform(0.0, policy.base_delay * policy.factor ** (attempt - 1))
+                wait = _uniform(0.0, BASE_DELAY * BACKOFF_FACTOR ** (attempt - 1))
             _sleep(wait)
-    raise BackendError(
-        f"request to {url} failed after {policy.max_attempts} attempts: {last_error}"
-    )
+    raise BackendError(f"request to {url} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def _http_complete(prompt: str, params: DecodingParams, config: BackendConfig) -> str:
@@ -241,8 +224,10 @@ def _http_complete(prompt: str, params: DecodingParams, config: BackendConfig) -
     return content
 
 
-def complete(prompt: str, params: DecodingParams, config: BackendConfig) -> str:
-    """One completion for one prompt."""
+def complete(prompt: str, params: DecodingParams, config: BackendConfig | None) -> str:
+    """One completion for one prompt; with no backend (``None``), a ``BackendError``."""
+    if config is None:
+        raise BackendError("no backend is configured for this call")
     if config.kind == "mock":
         return _mock_complete(prompt, config)
     return _http_complete(prompt, params, config)
@@ -255,7 +240,7 @@ def embed(texts: Sequence[str], config: BackendConfig) -> list[list[float]]:
     each text's hash against the script, whose values must be number lists.
     """
     if config.kind == "mock":
-        script = _load_script(config.script_path)
+        script = config.script
         vectors = []
         for text in texts:
             key = prompt_key(text)

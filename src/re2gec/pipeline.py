@@ -18,7 +18,10 @@ Many inputs run through one driver, ``map_ordered``: in input order, each
 input gives its result or the ``Re2Error`` it raised, so one bad input costs
 only its own result.  The theta sweep and the ranking comparison score whole
 sets, so they raise the first error instead.  A ``Re2Config`` loads its
-template set once, when it is made, and every prompt of a run renders from it.
+template set and reads the scripts of its mock backends once, when it is
+made, so a set or script that no input could use fails there; every prompt
+and completion of a run uses them.  Its backends are optional: a flow that
+calls one its config lacks fails at that stage with a ``PipelineError``.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ BASELINE_MODES = ("zero_shot", "random_k", "textsim")
 
 @dataclass(frozen=True)
 class Re2Config:
-    backend: BackendConfig
-    explainer_backend: BackendConfig
+    backend: BackendConfig | None = None
+    explainer_backend: BackendConfig | None = None
     k: int = 3
     theta: float = 0.6
     retriever_field: str = "explanation"
@@ -79,7 +82,10 @@ class Re2Config:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.retriever_field not in INDEX_FIELDS:
             raise ValueError(f"unknown retriever field {self.retriever_field!r}")
-        # Loaded once, before any input: every prompt of a run renders from this set.
+        # Read once, before any input: every call of a run uses these scripts and this set.
+        for backend in (self.backend, self.explainer_backend, self.embedding_backend):
+            if backend is not None and backend.kind == "mock":
+                backend.script  # read and checked here, then kept on the backend
         object.__setattr__(self, "template_set", load_template_set(self.templates))
 
 

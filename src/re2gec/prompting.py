@@ -6,7 +6,10 @@ are stripped at load time.  ``{Name}`` marks a required placeholder and
 placeholder is elided from the rendered prompt, while an unbound required
 placeholder is an error.  A line containing ``{Source #i}`` or
 ``{Target #i}`` is an example block: it is repeated once per retrieved
-example, in rank order.
+example, in rank order.  A ``TemplateSet`` is checked when it is made: a
+required placeholder that none of its template's prompts binds, or a
+with-examples template with no example block line, fails there, before any
+input is rendered.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ _TEMPLATE_FILES = {
     "gee": "gee.txt",
     "gee_input_only": "gee_input_only.txt",
 }
+# Per template, the names that some prompt of it binds (render_gec_prompt, render_gee_prompt).
+_BOUND_NAMES = {
+    "gec_with_examples": {"Input"},
+    "gec_without_examples": {"Input"},
+    "gee": {"Source", "Target", "edits", "error type", "rough explanation"},
+    "gee_input_only": {"Input"},
+}
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,17 @@ class TemplateSet:
     gec_without_examples: PromptTemplate
     gee: PromptTemplate
     gee_input_only: PromptTemplate
+
+    def __post_init__(self):
+        """Reject a set that no input could render: checked once, not per prompt."""
+        for key, names in _BOUND_NAMES.items():
+            render(getattr(self, key), dict.fromkeys(names, ""))
+        if not any(map(_is_example_line, self.gec_with_examples.body.split("\n"))):
+            raise TemplateError(f"template {self.gec_with_examples.name}: no example block line")
+
+
+def _is_example_line(line: str) -> bool:
+    return any(mark in line for mark in _EXAMPLE_MARKS)
 
 
 def load_template(path: str | Path) -> PromptTemplate:
@@ -98,7 +119,7 @@ def render(
     """Render a template against bindings, expanding example block lines."""
     out = []
     for line in template.body.split("\n"):
-        if any(mark in line for mark in _EXAMPLE_MARKS):
+        if _is_example_line(line):
             for source, target in examples:
                 out.append(line.replace("{Source #i}", source).replace("{Target #i}", target))
             continue
@@ -116,12 +137,7 @@ def render_gec_prompt(
     """Correction prompt: with-examples when examples are given, without otherwise."""
     if not examples:
         return render(template_set.gec_without_examples, {"Input": input_text})
-    template = template_set.gec_with_examples
-    if not any(
-        any(mark in line for mark in _EXAMPLE_MARKS) for line in template.body.split("\n")
-    ):
-        raise TemplateError(f"template {template.name}: no example block line")
-    return render(template, {"Input": input_text}, examples=examples)
+    return render(template_set.gec_with_examples, {"Input": input_text}, examples=examples)
 
 
 def format_edits(edits) -> str:

@@ -249,7 +249,7 @@ def test_criterion_05_threshold_gate_routing(mini_gee_corpus, write_script):
     )
 
 
-def test_criterion_06_sft_builder_on_50_records(tmp_path):
+def test_criterion_06_sft_builder_on_50_records():
     records = [
         SentencePair(
             id=f"t{i:02d}",
@@ -261,8 +261,7 @@ def test_criterion_06_sft_builder_on_50_records(tmp_path):
     ]
     train = Corpus(records)
     index = build_index(train, "explanation", IndexConfig())
-    unused = BackendConfig(kind="mock", script_path=str(tmp_path / "unused.json"))
-    config = Re2Config(backend=unused, explainer_backend=unused, k=3)
+    config = Re2Config(k=3)  # prompts only: no backend is called
     examples = build_sft_data(train, index, config)
 
     failures = []

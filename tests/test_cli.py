@@ -356,6 +356,22 @@ def test_missing_input_names_its_flag(run, write_script):
     assert err.splitlines() == ["usage error: missing required option --in"]
 
 
+@pytest.mark.parametrize(
+    "command, missing",
+    [("explain", "--in"), ("correct", "--in"), ("baseline", "--mode"), ("sweep-theta", "--dev"),
+     ("compare-retrievers", "--dev"), ("query", "--index"), ("make-sft-data", "--train")],
+)
+def test_missing_input_option_is_a_usage_error_before_any_script_is_read(
+    run, tmp_path, command, missing
+):
+    script = str(tmp_path / "missing.json")
+    flags = {"query": ["--embed-script"], "make-sft-data": ["--embed-script"],
+             "explain": ["--explainer-script"], "baseline": ["--script"]}
+    argv = [a for flag in flags.get(command, ["--script", "--explainer-script"])
+            for a in (flag, script)]
+    assert run(command, *argv) == (2, "", f"usage error: missing required option {missing}\n")
+
+
 # --- output ---
 
 TEXT_COMMANDS = [
@@ -789,10 +805,16 @@ def test_hostile_input_file_is_one_error_line(run, hostile_inputs, tmp_path, dat
         assert out.read_bytes() == b"old\n"
         return
     # Inputs of a per-input command failed: each input has its lines, a failed one an error.
+    # A mock script or template set that no input can use failed above, in one line, so an
+    # input fails here only on what its own prompt meets: a scripted reply that is not a
+    # string, or no reply for a prompt that a changed key or template no longer matches.
     k, n = map(int, failed.groups())
     written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-    assert sum("error" in obj for obj in written) == k
+    errors = [obj["error"]["message"] for obj in written if "error" in obj]
+    assert len(errors) == k
     assert len(written) == n + (n - k) * (label == "make-sft-data")
+    file_faults = ("cannot read mock script", "mock script '", "template ")
+    assert not [message for message in errors if message.startswith(file_faults)]
 
 
 # --- edits ---
@@ -1567,6 +1589,100 @@ def test_baseline_that_no_input_can_pass_fails_once_before_any_backend_call(
     )
     assert (code, out, calls) == (1, "", [])
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_lone_surrogate_input_costs_one_error_line(run, text_commands, write_corpus, tmp_path):
+    # json.dumps escapes the surrogate, load_corpus accepts the escape, and no prompt holding it
+    # can be sent; the error line keeps it as the escape.
+    texts = [INPUT_LOW, "他\ud800吃饭", INPUT_HIGH]
+    dev = tmp_path / "dev.jsonl"
+    records = [{"id": f"dev{i}", "source": t, "targets": [t]} for i, t in enumerate(texts)]
+    dev.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="ascii")
+    argv = list(text_commands["correct"][0])
+    argv[argv.index("--in") + 1] = str(dev)
+    runs = {jobs: run("correct", *argv, "--jobs", jobs) for jobs in ("1", "4")}
+    assert runs["1"] == runs["4"]
+    code, out, err = runs["1"]
+    assert code == 1
+    lines = out.splitlines()
+    clean = [{"id": "devA", "source": INPUT_LOW, "targets": [INPUT_LOW]},
+             {"id": "devB", "source": INPUT_HIGH, "targets": [INPUT_HIGH]}]
+    argv[argv.index("--in") + 1] = write_corpus(clean)
+    assert [lines[0], lines[2]] == run("correct", *argv)[1].splitlines()
+    failed = json.loads(lines[1])
+    assert (failed["id"], failed["input"]) == ("dev1", texts[1])
+    assert failed["error"]["stage"] == "explain"
+    assert "\\ud800" in lines[1]
+    (line,) = err.splitlines()
+    assert line.startswith("error: 1 of 3 inputs failed (first: dev1 at explain: prompt line ")
+
+
+_BAD_SCRIPTS = {
+    "missing": (None, "cannot read mock script '{path}': [Errno 2] No such file or directory"),
+    "not UTF-8": (b'{"__fallback__": "\xff"}',
+                  "mock script '{path}': line 1 is not UTF-8 (invalid start byte)"),
+    "not JSON": (b"{fallback", "mock script '{path}': Expecting property name enclosed in"),
+    "JSON list": (b'["echo_last_line"]', "mock script '{path}' must be a JSON object"),
+    "unknown fallback": (b'{"__fallback__": "improvise"}',
+                         "mock script '{path}': unknown fallback 'improvise'"),
+}
+
+
+@pytest.mark.parametrize("fault", _BAD_SCRIPTS)
+@pytest.mark.parametrize(
+    "command, flag",
+    [("explain", "--explainer-script"), ("correct", "--script"), ("baseline", "--script"),
+     ("sweep-theta", "--explainer-script"), ("query", "--embed-script")],
+)
+def test_bad_mock_script_fails_once_before_any_input(
+    run, work_args, tmp_path, command, flag, fault
+):
+    argvs, calls = work_args
+    data, message = _BAD_SCRIPTS[fault]
+    script = tmp_path / "bad-script.json"
+    if data is not None:
+        script.write_bytes(data)
+    argv = list(argvs[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(script)
+    else:
+        argv += [flag, str(script)]
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old\n")
+    code, stdout, err = run(command, *argv, "--out", str(out))
+    assert (code, stdout, calls) == (1, "", [])  # no input read, no backend called
+    (line,) = err.splitlines()
+    assert line.startswith("error: " + message.format(path=script))
+    assert out.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize(
+    "command, file, body, message",
+    [
+        ("correct", "gec_without_examples.txt", "{Inputt}\n",
+         "template gec_without_examples: missing placeholder 'Inputt'"),
+        # Stricter than rendering alone: a zero-shot run renders no with-examples prompt.
+        ("baseline", "gec_with_examples.txt", "{Input}\n",
+         "template gec_with_examples: no example block line"),
+    ],
+    ids=["unbound placeholder", "no example block line"],
+)
+def test_template_set_no_input_can_render_fails_once_before_any_backend_call(
+    run, text_commands, batch_dev, monkeypatch, tmp_path, command, file, body, message
+):
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(str(resources.files("re2gec"))) / "templates" / "default", templates)
+    (templates / file).write_text(body, encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(re2gec.pipeline, "complete", lambda *args: calls.append(args))
+    argv = list(text_commands[command][0])
+    argv[argv.index("--in") + 1] = batch_dev
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old\n")
+    code, stdout, err = run(command, *argv, "--templates", str(templates), "--out", str(out))
+    assert (code, stdout, calls) == (1, "", [])
+    assert err.splitlines() == [f"error: {message}"]
+    assert out.read_bytes() == b"old\n"
 
 
 def test_sweep_theta_on_a_bm25_index_warns_that_theta_moves_nothing(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -19,7 +20,6 @@ from re2gec.errors import BackendError
 from re2gec.llm_backend import (
     BackendConfig,
     DecodingParams,
-    RetryPolicy,
     complete,
     embed,
     prompt_key,
@@ -28,7 +28,18 @@ from re2gec.pipeline import Re2Config, correct_corpus
 from re2gec.retriever import build_index
 
 PARAMS = DecodingParams()
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, factor=1.0)
+
+
+def _retries(monkeypatch, attempts: int, base_delay: float, factor: float) -> None:
+    """Replace the module's retry policy, as ``_waits`` replaces its sleep."""
+    monkeypatch.setattr(llm_backend, "MAX_ATTEMPTS", attempts)
+    monkeypatch.setattr(llm_backend, "BASE_DELAY", base_delay)
+    monkeypatch.setattr(llm_backend, "BACKOFF_FACTOR", factor)
+
+
+@pytest.fixture(autouse=True)
+def _no_retry_delay(monkeypatch):
+    _retries(monkeypatch, 3, 0.0, 1.0)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -76,7 +87,7 @@ def completion(text: str):
 
 
 def http_config(url: str, **overrides) -> BackendConfig:
-    fields = dict(kind="http", endpoint=url, model="m", retry=FAST_RETRY, timeout=5.0)
+    fields = dict(kind="http", endpoint=url, model="m", timeout=5.0)
     fields.update(overrides)
     return BackendConfig(**fields)
 
@@ -101,15 +112,6 @@ def test_decoding_params_validation():
     for value in (math.nan, math.inf):  # neither has a JSON form
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             DecodingParams(temperature=value)
-
-
-def test_retry_policy_validation():
-    with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="base_delay"):
-        RetryPolicy(base_delay=-1.0)
-    with pytest.raises(ValueError, match="factor"):
-        RetryPolicy(factor=0.0)
 
 
 def test_backend_config_validation():
@@ -211,16 +213,6 @@ def test_mock_script_missing_file(tmp_path):
     config = BackendConfig(kind="mock", script_path=str(tmp_path / "nope.json"))
     with pytest.raises(BackendError, match="cannot read"):
         complete("任意", PARAMS, config)
-
-
-def test_mock_script_reloaded_on_mtime_change(tmp_path):
-    config = mock_config(tmp_path, {"提示": "旧"})
-    assert complete("提示", PARAMS, config) == "旧"
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps(script_from_pairs({"提示": "新"})), encoding="utf-8")
-    stamp = time.time() + 10
-    os.utime(path, (stamp, stamp))
-    assert complete("提示", PARAMS, config) == "新"
 
 
 # --- http backend ---
@@ -369,9 +361,10 @@ def _waits(monkeypatch):
 
 def test_http_retry_delay_is_full_jitter(monkeypatch):
     slept = _waits(monkeypatch)
+    _retries(monkeypatch, 4, 0.5, 3.0)
     with stub_server(lambda rec, n: (500, {"error": "down"})) as (url, _):
         with pytest.raises(BackendError, match="failed after 4 attempts.*HTTP 500"):
-            complete("问", PARAMS, http_config(url, retry=RetryPolicy(4, 0.5, 3.0)))
+            complete("问", PARAMS, http_config(url))
     assert slept == [("jitter", 0.0, 0.5), ("jitter", 0.0, 1.5), ("jitter", 0.0, 4.5)]
 
 
@@ -391,6 +384,7 @@ def test_http_retry_delay_is_full_jitter(monkeypatch):
 )
 def test_http_retry_after_replaces_the_jitter(monkeypatch, status, retry_after, waited):
     slept = _waits(monkeypatch)
+    _retries(monkeypatch, 2, 1.0, 2.0)
     reply = (f"HTTP/1.0 {status} Busy\r\nRetry-After: {retry_after}\r\n"
              "Content-Length: 4\r\n\r\nbusy").encode()
 
@@ -398,7 +392,7 @@ def test_http_retry_after_replaces_the_jitter(monkeypatch, status, retry_after, 
         return (None, reply) if n == 1 else (200, completion("成功"))
 
     with stub_server(responder) as (url, server):
-        assert complete("问", PARAMS, http_config(url, retry=RetryPolicy(2, 1.0, 2.0))) == "成功"
+        assert complete("问", PARAMS, http_config(url)) == "成功"
     assert len(server.requests) == 2
     assert slept == [waited]
 
@@ -424,13 +418,12 @@ def test_http_client_loads_neither_requests_nor_urllib3(tmp_path):
     assert len(server.requests) == 1
 
 
-def test_http_transport_error_reports_attempts():
+def test_http_transport_error_reports_attempts(monkeypatch):
+    _retries(monkeypatch, 2, 0.0, 1.0)
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
-    config = http_config(
-        f"http://127.0.0.1:{dead_port}", retry=RetryPolicy(2, 0.0, 1.0)
-    )
+    config = http_config(f"http://127.0.0.1:{dead_port}")
     with pytest.raises(BackendError, match="failed after 2 attempts.*transport error"):
         complete("问", PARAMS, config)
 
@@ -461,6 +454,18 @@ def test_correct_corpus_runs_backend_calls_concurrently(mini_gee_corpus):
     assert [o.correction for o in outcomes] == ["答"] * 8
     assert len(server.requests) == 16  # one explanation and one correction per input
     assert state["peak"] >= 2
+
+
+def test_threads_share_a_mock_script_read_on_first_use(tmp_path):
+    config = mock_config(tmp_path, {f"问{i}": f"答{i}" for i in range(50)})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first read too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            replies = list(pool.map(lambda i: complete(f"问{i % 50}", PARAMS, config), range(400)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [f"答{i % 50}" for i in range(400)]
 
 
 # --- embeddings ---

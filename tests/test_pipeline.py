@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -16,8 +17,8 @@ from conftest import (
 
 import re2gec.pipeline as pipeline_module
 from re2gec.corpus import Corpus, SentencePair
-from re2gec.errors import PipelineError, Re2Error, TemplateError
-from re2gec.llm_backend import BackendConfig
+from re2gec.errors import BackendError, PipelineError, Re2Error, TemplateError
+from re2gec.llm_backend import BackendConfig, DecodingParams, complete
 from re2gec.pipeline import (
     MODE_WITH,
     MODE_WITHOUT,
@@ -84,6 +85,27 @@ def test_re2_config_validation(echo_backend):
         Re2Config(
             backend=echo_backend, explainer_backend=echo_backend, retriever_field="edits"
         )
+
+
+def test_re2_config_reads_its_mock_scripts_once_when_made(tmp_path, write_script):
+    missing = BackendConfig(kind="mock", script_path=str(tmp_path / "missing.json"))
+    for role in ("backend", "explainer_backend", "embedding_backend"):
+        with pytest.raises(BackendError, match="^cannot read mock script '.*missing.json'"):
+            Re2Config(**{role: missing})
+    path = Path(write_script({"提示": "答"}))
+    config = Re2Config(backend=BackendConfig(kind="mock", script_path=str(path)))
+    path.unlink()  # kept from when the config was made
+    assert complete("提示", DecodingParams(), config.backend) == "答"
+
+
+def test_flow_without_the_backend_it_calls_fails_at_that_stage(gee_index, mini_gee_corpus):
+    config, message = Re2Config(), "no backend is configured for this call"
+    with pytest.raises(PipelineError) as info:
+        run_re2(INPUT_LOW, gee_index, mini_gee_corpus, config)
+    assert (info.value.stage, info.value.message) == ("explain", message)
+    with pytest.raises(PipelineError) as info:
+        run_baseline(INPUT_LOW, "zero_shot", mini_gee_corpus, None, config)
+    assert (info.value.stage, info.value.message) == ("correct", message)
 
 
 def test_re2_config_loads_its_template_set_once_when_made(echo_backend):
@@ -462,7 +484,7 @@ def test_compare_retrievers_checks_rankings_before_any_backend_call(
 
 
 def test_compare_retrievers_query_time_leaves_out_embedding(
-    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+    dev_corpus, mini_gee_corpus, sweep_config, write_script, monkeypatch
 ):
     calls = []
 
@@ -472,9 +494,8 @@ def test_compare_retrievers_query_time_leaves_out_embedding(
         return [[float(len(text)), 1.0] for text in texts]
 
     monkeypatch.setattr(pipeline_module, "embed", slow_embed)
-    config = replace(
-        sweep_config, embedding_backend=BackendConfig(kind="mock", script_path="<unused>")
-    )
+    embedder = BackendConfig(kind="mock", script_path=write_script({}))  # its embed is slow_embed
+    config = replace(sweep_config, embedding_backend=embedder)
     (row,) = compare_retrievers(dev_corpus, ["embedding"], config, mini_gee_corpus)
     assert row["mean_query_ms"] < 100.0
     # one call for the train index, one for the distinct dev explanations

@@ -69,14 +69,42 @@ def test_placeholder_value_is_not_rescanned():
 def test_with_examples_template_must_have_block_line(tmp_path):
     broken = tmp_path / "broken.txt"
     broken.write_text("没有示例块\n{Input}\n", encoding="utf-8")
-    damaged = TemplateSet(
-        gec_with_examples=load_template(broken),
-        gec_without_examples=SET.gec_without_examples,
-        gee=SET.gee,
-        gee_input_only=SET.gee_input_only,
-    )
-    with pytest.raises(TemplateError, match="no example block line"):
-        render_gec_prompt("句", [("a", "b")], damaged)
+    with pytest.raises(TemplateError, match="^template broken: no example block line$"):
+        TemplateSet(
+            gec_with_examples=load_template(broken),
+            gec_without_examples=SET.gec_without_examples,
+            gee=SET.gee,
+            gee_input_only=SET.gee_input_only,
+        )
+
+
+@pytest.mark.parametrize(
+    "key, body, name",
+    [
+        ("gec_without_examples", "{Inputt}\n", "Inputt"),
+        ("gec_with_examples", "{Source #i} {Target #i}\n{Input} {Explanation}\n",
+         "Explanation"),
+        ("gee_input_only", "{Source}\n", "Source"),
+        ("gee", "{Source} {Target} {edits} {error type} {rough explanations}\n",
+         "rough explanations"),
+    ],
+    ids=["typo", "unknown name", "name of another template", "near miss"],
+)
+def test_template_set_with_a_placeholder_no_prompt_binds_is_rejected(
+    tmp_path, key, body, name
+):
+    path = tmp_path / f"{key}.txt"
+    path.write_text(body, encoding="utf-8")
+    templates = {**SET.__dict__, key: load_template(path)}
+    with pytest.raises(TemplateError, match=f"^template {key}: missing placeholder '{name}'$"):
+        TemplateSet(**templates)
+
+
+def test_template_set_allows_optional_and_example_line_names(tmp_path):
+    path = tmp_path / "gec_with_examples.txt"
+    path.write_text("{Source #i} {Target #i} {Note}\n{Hint?}\n{Input}\n", encoding="utf-8")
+    custom = TemplateSet(**{**SET.__dict__, "gec_with_examples": load_template(path)})
+    assert render_gec_prompt("句", [("a", "b")], custom) == "a b {Note}\n句"
 
 
 # --- explanation prompts ---
