@@ -8,9 +8,10 @@ flags, so one parser checks every value, and explicit flags override config
 values, which override built-in defaults.  A subcommand registers only the
 options its handler reads, and passes on only the options that were set: the
 config dataclasses and library signatures hold every default.  A handler
-returns its output lines, and ``dispatch`` encodes them all, then writes them
-to stdout or, through ``replace_file``, whole to ``--out``; ``--out`` and
-``score --per-sentence`` are checked before the handler runs.  ``explain``,
+returns its output lines, and ``dispatch`` encodes them all (a lone surrogate
+as its JSON escape), then writes them to stdout or, through ``replace_file``,
+whole to ``--out``; ``--out`` and ``score --per-sentence`` are checked
+before the handler runs.  ``explain``,
 ``correct``, ``baseline`` and ``make-sft-data`` run their inputs through
 ``pipeline.map_ordered``, and ``_input_lines`` gives a failed input one error
 line in place of its output; ``dispatch`` writes every line and then fails
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from .corpus import SentencePair, load_corpus, string_fields
 from .edit_extract import extract_edits
-from .errors import Re2Error, decode_json, decode_text, encode_text, replace_file
+from .errors import Re2Error, decode_json, decode_text, replace_file
 from .llm_backend import BACKEND_KINDS, BackendConfig, DecodingParams
 from .pipeline import (
     BASELINE_MODES,
@@ -268,17 +269,13 @@ def _input_lines(
 
     A record that failed gives one error line in their place, from its
     ``PipelineError``; then ``_InputsFailed`` carries every line to ``dispatch``.
-    An error line keeps a lone surrogate (from a JSON ``\\ud800`` escape) as that
-    escape, so that UTF-8 can encode it.
     """
     lines, failed = [], []
     for rec, result in zip(records, results):
         if isinstance(result, Re2Error):
             error = {"stage": result.stage, "message": result.message}
             failed.append(f"{rec.id} at {result.stage}: {result.message}")
-            line = _json_line({"id": rec.id, "input": rec.source, "error": error})
-            # Every character UTF-8 cannot encode is a lone surrogate inside a JSON string.
-            lines.append(line.encode("utf-8", "backslashreplace").decode("utf-8"))
+            lines.append(_json_line({"id": rec.id, "input": rec.source, "error": error}))
         else:
             lines += map(_json_line, to_dicts(rec, result))
     if failed:
@@ -705,9 +702,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         except _InputsFailed as exc:
             lines, failed = exc.lines, exc
         if lines is not None:
-            text = "".join(line + "\n" for line in lines)
-            # Encoded before --out is touched: a line UTF-8 cannot encode leaves it as it was.
-            data = encode_text(text, "output", Re2Error)
+            # Every character UTF-8 cannot encode is a lone surrogate (from a JSON
+            # ``\ud800`` escape) inside a JSON string, so its escape is the same value.
+            data = "".join(line + "\n" for line in lines).encode("utf-8", "backslashreplace")
             if out == "-":
                 sys.stdout.flush()
                 sys.stdout.buffer.write(data)  # UTF-8 whatever the locale, as --out gets

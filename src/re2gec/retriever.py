@@ -18,7 +18,10 @@ BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 An index stores its documents column-major only, as numpy arrays (one
 column per n-gram, or per embedding dimension), built with one sort of
 all documents' entries; every ranking scores by adding the query's columns,
-one after another, into one score per document.  The vocabulary is a numpy
+one after another, into one score per document: a column that holds every
+document with one ``+=``, any other with ``np.add.at``.  One query scans its
+columns at a time, under a module lock; its n-gram lookup or embedder call
+runs outside it, so threads still overlap those.  The vocabulary is a numpy
 array of the strictly ascending n-grams, fixed-width code points (``<U``)
 as wide as the longest gram; a gram's column is its position, and a query
 finds all its grams' columns with one ``searchsorted``.  numpy compares
@@ -46,6 +49,7 @@ import json
 import math
 import operator
 import struct
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, compress, islice
@@ -78,6 +82,8 @@ _MAGIC_LINE = (INDEX_MAGIC + "\n").encode("ascii")
 _BLOCKS = (("indptr", "<i8"), ("weights", "<f8"), ("rows", "<i4"), ("vocabulary", "<U"))
 # Byte lengths of the header and of each block.
 _LENGTHS = struct.Struct(f"<{1 + len(_BLOCKS)}Q")
+# One query's column scan at a time (``_postings_scores``).
+_SCAN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,10 @@ class IndexConfig:
     segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
 
     def __post_init__(self):
+        # An index header's config comes from JSON, which may give any value.
+        if not (type(self.ngram_min) is int and type(self.ngram_max) is int):
+            got = f"({self.ngram_min!r}, {self.ngram_max!r})"
+            raise ValueError(f"ngram_min and ngram_max must be ints, got {got}")
         if not (1 <= self.ngram_min <= self.ngram_max):
             raise ValueError(
                 f"need 1 <= ngram_min <= ngram_max, got ({self.ngram_min}, {self.ngram_max})"
@@ -505,32 +515,47 @@ def _postings_scores(
 
     A score is the sum over the query's columns, in query order, of query
     weight times posting weight (tf-idf cosine is clamped to 1).  Each
-    column in turn is added into one score vector that starts at 0.0;
-    ``np.add.at`` adds unbuffered and in order, so scores equal those of a
-    plain per-posting loop to the last bit.  Beside the scores, only one
-    column's products are ever allocated, never a copy of all the query's
-    postings.  Only positive scores at or above the ``keep``-th largest are
-    returned, so every document tied with it stays for the tie-break by id.
+    column in turn is added into one score vector that starts at 0.0.  A
+    column's rows strictly ascend within ``[0, n)`` (the build makes them so
+    and ``loads_index`` checks it), so a column of ``n`` entries is every
+    row in order and adds with one ``+=``; any other column adds with
+    ``np.add.at``, unbuffered and in order.  Either way each document gets
+    the same additions in the same order, so scores equal those of a plain
+    per-posting loop to the last bit.  Beside the scores, only one column's
+    products are ever allocated, never a copy of all the query's postings.
+    Only positive scores at or above the ``keep``-th largest are returned,
+    so every document tied with it stays for the tie-break by id.
+
+    The scan holds ``_SCAN_LOCK``: it makes one small numpy call per
+    column, and threads that take turns between those calls run slower
+    together than one thread alone.  The query weights, and so any
+    embedder call, come before the lock.
     """
     if not query_weights:
         return ()
     import numpy as np
 
     post = index.postings()
+    n = len(index.doc_ids)
     cols = np.fromiter(query_weights, dtype=np.int64, count=len(query_weights))
-    scores = np.zeros(len(index.doc_ids))
-    for start, end, w in zip(
+    spans = zip(
         post.indptr[cols].tolist(), post.indptr[cols + 1].tolist(), query_weights.values()
-    ):
-        np.add.at(scores, post.rows[start:end], post.weights[start:end] * w)
-    if index.config.ranking == "tfidf_cosine":
-        np.minimum(scores, 1.0, out=scores)
-    hit_rows = np.flatnonzero(scores > 0.0)
-    if len(hit_rows) > keep:
-        hit_scores = scores[hit_rows]
-        cut = len(hit_scores) - keep
-        hit_rows = hit_rows[hit_scores >= np.partition(hit_scores, cut)[cut]]
-    return zip(hit_rows.tolist(), scores[hit_rows].tolist())
+    )
+    with _SCAN_LOCK:
+        scores = np.zeros(n)
+        for start, end, w in spans:
+            if end - start == n:
+                scores += post.weights[start:end] * w
+            else:
+                np.add.at(scores, post.rows[start:end], post.weights[start:end] * w)
+        if index.config.ranking == "tfidf_cosine":
+            np.minimum(scores, 1.0, out=scores)
+        hit_rows = np.flatnonzero(scores > 0.0)
+        if len(hit_rows) > keep:
+            hit_scores = scores[hit_rows]
+            cut = len(hit_scores) - keep
+            hit_rows = hit_rows[hit_scores >= np.partition(hit_scores, cut)[cut]]
+        return zip(hit_rows.tolist(), scores[hit_rows].tolist())
 
 
 def gate_open(ranking: str, hits: Sequence[Hit], theta: float) -> bool:

@@ -100,6 +100,34 @@ def doc_vectors(index: ExplanationIndex) -> list[dict[int, float]]:
     return vectors
 
 
+def postings_loop_topk(
+    index: ExplanationIndex,
+    query_weights: dict[int, float],
+    k: int,
+    exclude: frozenset[str] = frozenset(),
+) -> list[tuple[str, float]]:
+    """Top k of a plain per-posting loop over the index's stored columns.
+
+    For each query column in order, for each stored (row, weight) of that
+    column, the row's score gains weight times the query weight, in Python
+    floats; tf-idf cosine is clamped to 1.  Positive scores, desc, ties by id asc.
+    """
+    indptr, rows, weights = (array.tolist() for array in index.columns)
+    scores = [0.0] * len(index.doc_ids)
+    for col, w in query_weights.items():
+        for pos in range(indptr[col], indptr[col + 1]):
+            scores[rows[pos]] += weights[pos] * w
+    if index.config.ranking == "tfidf_cosine":
+        scores = [min(score, 1.0) for score in scores]
+    scored = [
+        (doc_id, score)
+        for doc_id, score in zip(index.doc_ids, scores)
+        if score > 0.0 and doc_id not in exclude
+    ]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
 def full_scan_topk(
     texts: list[str],
     ids: list[str],

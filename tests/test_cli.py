@@ -483,23 +483,21 @@ def test_out_naming_a_directory_fails_before_any_work(run, work_args, tmp_path, 
     assert calls == []
 
 
-def test_unencodable_output_line_leaves_out_as_it_was(run, tmp_path):
+def test_extract_edits_writes_a_lone_surrogate_as_its_escape(run, tmp_path):
     # The JSON escape loads as a lone surrogate, which UTF-8 cannot encode.
-    pairs = tmp_path / "pairs.jsonl"
-    pairs.write_text(
-        json.dumps({"source": "ab", "target": "ba"}) + "\n"
-        + json.dumps({"source": "a\ud800", "target": "a"}) + "\n",
-        encoding="utf-8",
-    )
-    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
-    old.write_bytes(b"old\n")
-    for out in (("--out", str(old)), ("--out", str(new)), ()):
-        code, stdout, err = run("extract-edits", "--in", str(pairs), *out)
-        assert (code, stdout) == (1, "")
-        (line,) = err.splitlines()
-        assert line == "error: output line 2 has a lone surrogate, which UTF-8 cannot encode"
-    assert old.read_bytes() == b"old\n"
-    assert not new.exists()
+    pair = json.dumps({"source": "主谓搭配", "target": "谓主搭配"}) + "\n"
+    clean, mixed = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"
+    clean.write_text(pair, encoding="ascii")
+    mixed.write_text(pair + json.dumps({"source": "a\ud800", "target": "a"}) + "\n", "ascii")
+    for name in ("clean", "mixed"):
+        argv = ("--in", str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / f"{name}.out"))
+        assert run("extract-edits", *argv) == (0, "", "")
+    data = (tmp_path / "mixed.out").read_bytes()
+    first, second = data.splitlines(keepends=True)
+    assert first == (tmp_path / "clean.out").read_bytes()
+    assert second == b'[[1,"\\ud800",""]]\n'
+    assert json.loads(second) == [[1, "\ud800", ""]]
+    assert run("extract-edits", "--in", str(mixed)) == (0, data.decode("utf-8"), "")
 
 
 def _run_on_a_full_disk(argv, cwd) -> subprocess.CompletedProcess:
@@ -535,28 +533,30 @@ def test_failed_run_leaves_out_as_it_was(run, text_commands, tmp_path):
     # A full disk, while a per-input command writes its lines.
     argv, _ = text_commands["correct"]
     _assert_full_disk_leaves_files_as_they_were(["correct", *argv], "--out", tmp_path)
-    # A line UTF-8 cannot encode: the lone surrogate is in a source, which the
-    # index (built over explanations) stores only as part of its corpus hash.
-    # json.dumps escapes it, and load_corpus accepts the escape.
-    records = [
-        {"id": "d0", "source": "原句\ud800", "targets": ["改句"], "explanation": "主谓搭配"},
-        {"id": "d1", "source": "原句", "targets": ["改句"], "explanation": "主谓搭配不当"},
-    ]
-    train = str(tmp_path / "train.jsonl")
-    Path(train).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
-    index = str(tmp_path / "train.re2idx")
-    assert run("build-index", "--in", train, "--out", index) == (0, "", "")
-    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
-    old.write_bytes(b"old\n")
-    for path in (old, new):
-        code, out, err = run("make-sft-data", "--train", train, "--index", index,
-                             "--out", str(path))
-        assert (code, out) == (1, "")
-        assert err.splitlines() == [
-            "error: output line 1 has a lone surrogate, which UTF-8 cannot encode"
+
+
+def test_make_sft_data_writes_a_lone_surrogate_as_its_escape(run, tmp_path):
+    # Record b's source holds a lone surrogate, from a JSON escape.  The index
+    # is built over explanations, so the same records with a snowman in its
+    # place retrieve the same examples.
+    def sft_bytes(name: str, b_source: str) -> bytes:
+        records = [
+            {"id": "a", "source": "原句甲", "targets": ["改句甲"], "explanation": "主谓搭配不当"},
+            {"id": "b", "source": b_source, "targets": ["改句乙"], "explanation": "主谓搭配"},
+            {"id": "c", "source": "原句丙", "targets": ["改句丙"], "explanation": "语序不当"},
         ]
-    assert old.read_bytes() == b"old\n"
-    assert not new.exists()
+        train, index = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.idx"
+        train.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+        assert run("build-index", "--in", str(train), "--out", str(index)) == (0, "", "")
+        out = tmp_path / f"{name}.sft.jsonl"
+        argv = ("--train", str(train), "--index", str(index), "--out", str(out))
+        assert run("make-sft-data", *argv) == (0, "", "")
+        return out.read_bytes()
+
+    surrogate, snowman = sft_bytes("surrogate", "原句\ud800乙"), sft_bytes("snowman", "原句☃乙")
+    # b's two prompts hold its source, and so does a's with-examples prompt.
+    assert snowman.count("☃".encode()) == 3
+    assert surrogate == snowman.replace("☃".encode(), b"\\ud800")
 
 
 @pytest.mark.parametrize("command", ["rouge --out", "build-index --out", "score --per-sentence"])

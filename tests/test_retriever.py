@@ -189,6 +189,10 @@ def test_index_config_validation():
     with pytest.raises(ValueError):
         IndexConfig(ngram_min=3, ngram_max=2)
     with pytest.raises(ValueError):
+        IndexConfig(ngram_max=2.5)
+    with pytest.raises(ValueError):
+        IndexConfig(ngram_min=True)
+    with pytest.raises(ValueError):
         IndexConfig(ranking="pagerank")
     with pytest.raises(ValueError):
         IndexConfig(bm25_k1=-1.0)
@@ -604,6 +608,116 @@ def test_bm25_query_equals_brute_force_oracle(case, k1, b):
     _assert_same_ranking(got, want)
 
 
+def _signed_embedder(dim: int):
+    """Inexact vectors of negative, zero and positive components; the first is never 0.
+
+    So an embedding index of them has a first column that holds every
+    document, and mostly partial others.
+    """
+
+    def embed(texts):
+        digests = [hashlib.sha256(t.encode("utf-8")).digest()[:dim] for t in texts]
+        return [
+            [(b - 127.5) / 3.7 if i == 0 or b % 3 else 0.0 for i, b in enumerate(d)]
+            for d in digests
+        ]
+
+    return embed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _retrieval_cases(),
+    st.sampled_from(RANKINGS),
+    st.sampled_from(["", "e", "ee"]),
+    st.booleans(),
+    st.integers(1, 8),
+)
+def test_query_equals_postings_loop_oracle_exactly(case, ranking, shared, query_shares, dim):
+    # Every document starts with `shared`, whose grams are columns that hold
+    # every document, beside the partial columns of the rest of each text.
+    texts, ids, query_text, k, exclude, nmin, nmax = case
+    texts = [shared + text for text in texts]
+    if query_shares:
+        query_text = shared + query_text
+    embedder = _signed_embedder(dim)
+    cfg = IndexConfig(ngram_min=nmin, ngram_max=nmax, ranking=ranking)
+    built = build_index(gee_corpus(dict(zip(ids, texts))), "explanation", cfg, embedder)
+    for index in (built, loads_index(dumps_index(built))):
+        weights = retriever._query_weights(index, query_text, embedder)
+        got = query(index, query_text, k=k, theta=0.0, exclude_ids=exclude, embedder=embedder)
+        want = oracles.postings_loop_topk(index, weights, k, exclude)
+        assert [(hit.doc_id, hit.score) for hit in got.hits] == want
+
+
+def _run_threads(n_threads: int, worker) -> None:
+    """``worker(i)`` on ``n_threads`` threads that switch as often as they can."""
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_embedder_call_runs_outside_the_scan_lock():
+    # Each query's embedder call waits for the other's: were it made under
+    # the lock that one query's scan holds, the other could not reach it.
+    embed = _signed_embedder(4)
+    cfg = IndexConfig(ranking="embedding")
+    index = build_index(gee_corpus(TEXTS), "explanation", cfg, embed)
+    barrier = threading.Barrier(2, timeout=5)
+
+    def waiting_embedder(texts):
+        barrier.wait()
+        return embed(texts)
+
+    texts = ["搭配不当", "语序不当，位置错误"]
+    results, errors = [None, None], []
+
+    def worker(i):
+        try:
+            results[i] = query(index, texts[i], k=3, theta=0.0, embedder=waiting_embedder)
+        except threading.BrokenBarrierError as exc:
+            errors.append(exc)
+
+    _run_threads(2, worker)
+    assert errors == []
+    assert results == [query(index, text, k=3, theta=0.0, embedder=embed) for text in texts]
+
+
+@pytest.mark.parametrize("ranking", RANKINGS)
+def test_concurrent_queries_equal_a_serial_run(ranking):
+    # "应当" opens every document, so its grams are full columns.
+    rng = random.Random(5)
+    alphabet = "主谓搭配不当动词错误语序状位置"
+    texts = {
+        f"d{i:03d}": "应当" + "".join(rng.choices(alphabet, k=rng.randint(5, 30)))
+        for i in range(300)
+    }
+    queries = ["应当" + "".join(rng.choices(alphabet, k=12)) for _ in range(40)]
+    embedder = _signed_embedder(8)
+    cfg = IndexConfig(ranking=ranking)
+    index = build_index(gee_corpus(texts), "explanation", cfg, embedder)
+    serial = [query(index, q, k=5, theta=0.5, embedder=embedder) for q in queries]
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = [query(index, q, k=5, theta=0.5, embedder=embedder) for q in queries]
+
+    _run_threads(n_threads, worker)
+    assert all(result.hits for result in serial)
+    assert results == [serial] * n_threads
+
+
 def test_postings_built_once_under_concurrent_queries():
     index = build_index(gee_corpus(TEXTS), "explanation", CFG)
     n_threads = 8
@@ -616,17 +730,7 @@ def test_postings_built_once_under_concurrent_queries():
         results[i] = query(index, "搭配不当，位置错误", k=3, theta=0.0)
         postings[i] = index.postings()
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
+    _run_threads(n_threads, worker)
     assert all(p is postings[0] for p in postings)
     assert postings[0] is not None
     assert all(r == results[0] and r.hits for r in results)
