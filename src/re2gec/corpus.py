@@ -20,7 +20,6 @@ rebuilding its target.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -28,8 +27,6 @@ from typing import Iterator, Sequence
 
 from .edit_extract import Edit, apply_edits
 from .errors import CorpusError, EditError, decode_json, decode_text, replace_file
-
-logger = logging.getLogger(__name__)
 
 _REQUIRED_FIELDS = ("id", "source", "targets")
 _OPTIONAL_FIELDS = ("error_types", "edits", "explanation", "rough_explanation")
@@ -233,8 +230,13 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
             raise CorpusError(f"line {line_no}: duplicate id {rec.id!r}")
         seen.add(rec.id)
         records.append(rec)
-    for line_no, name in unknown:
-        logger.warning("line %d: ignoring unknown field %r", line_no, name)
+    if unknown:
+        import logging  # here, not at the top: a corpus without unknown fields logs nothing
+
+        for line_no, name in unknown:
+            logging.getLogger(__name__).warning(
+                "line %d: ignoring unknown field %r", line_no, name
+            )
     return Corpus(records=records)
 
 

@@ -19,7 +19,12 @@ consecutive matches yields at most one Edit.
 
 LCS lengths come from one bit-parallel kernel, shared with ``scorer.rouge_l``
 (Allison & Dix, IPL 1986; Hyyrö, 2004); the traceback reads suffix LCS
-lengths off its rows over the reversed sequences by popcount.
+lengths off its rows over the reversed sequences by popcount.  The kernel
+sees only the middles: ``_affixes`` finds the common prefix and suffix by
+halving (slice comparisons, not one element per step), and ``lcs_length``
+as well as the alignments count them as matched outright.  Middles that
+share no symbol have no match, so ``_lcs_pairs`` returns none without running
+the kernel, and such a pair is one edit.
 
 Offsets are 0-based Unicode character offsets into the source sentence, and
 ``apply_edits(source, extract_edits(source, target, cfg)) == target`` holds
@@ -70,12 +75,23 @@ def _lcs_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of a longest common subsequence of a and b."""
-    return len(b) - _lcs_rows(a, b)[-1].bit_count()
+    """Length of a longest common subsequence of a and b.
+
+    The common prefix and suffix belong to every LCS, so they count outright and
+    the kernel runs over the middles alone.
+    """
+    pre, suf = _affixes(a, b)
+    mid_b = b[pre : len(b) - suf]
+    return pre + suf + len(mid_b) - _lcs_rows(a[pre : len(a) - suf], mid_b)[-1].bit_count()
 
 
 def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
-    """Matched index pairs of one LCS, canonical under the greedy tie-break."""
+    """Matched index pairs of one LCS, canonical under the greedy tie-break.
+
+    Sequences that share no symbol have none, and skip the kernel.
+    """
+    if set(a).isdisjoint(b):
+        return []
     la, lb = len(a), len(b)
     rows = _lcs_rows(a[::-1], b[::-1])
 
@@ -99,14 +115,25 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
 
 
 def _affixes(a: Sequence[str], b: Sequence[str]) -> tuple[int, int]:
-    """Lengths of the common prefix and of the common suffix that does not overlap it."""
+    """Lengths of the common prefix and of the common suffix that does not overlap it.
+
+    Each is found by halving: a step compares two slices, not two elements.
+    """
     la, lb = len(a), len(b)
-    pre = 0
-    while pre < la and pre < lb and a[pre] == b[pre]:
-        pre += 1
-    suf = 0
-    while suf < la - pre and suf < lb - pre and a[la - 1 - suf] == b[lb - 1 - suf]:
-        suf += 1
+    pre, hi = 0, min(la, lb)  # a[:pre] == b[:pre], and no common prefix is longer than hi
+    while pre < hi:
+        mid = (pre + hi + 1) // 2
+        if a[pre:mid] == b[pre:mid]:
+            pre = mid
+        else:
+            hi = mid - 1
+    suf, hi = 0, min(la, lb) - pre  # likewise for the suffixes, short of the prefix
+    while suf < hi:
+        mid = (suf + hi + 1) // 2
+        if a[la - mid : la - suf] == b[lb - mid : lb - suf]:
+            suf = mid
+        else:
+            hi = mid - 1
     return pre, suf
 
 
@@ -115,9 +142,7 @@ def _match_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
     la, lb = len(a), len(b)
     pre, suf = _affixes(a, b)
     pairs = [(i, i) for i in range(pre)]
-    mid_a, mid_b = a[pre : la - suf], b[pre : lb - suf]
-    if mid_a and mid_b:
-        pairs.extend((pre + i, pre + j) for i, j in _lcs_pairs(mid_a, mid_b))
+    pairs.extend((pre + i, pre + j) for i, j in _lcs_pairs(a[pre : la - suf], b[pre : lb - suf]))
     pairs.extend((la - suf + n, lb - suf + n) for n in range(suf))
     return pairs
 
@@ -180,7 +205,7 @@ def char_level_edits(source: str, target: str) -> list[Edit]:
     a, b = source[pre : len(source) - suf], target[pre : len(target) - suf]
     edits = []
     i = j = 0
-    for mi, mj in _lcs_pairs(a, b) if a and b else ():
+    for mi, mj in _lcs_pairs(a, b):
         if mi != i or mj != j:
             edits.append(Edit(pre + i, a[i:mi], b[j:mj]))
         i, j = mi + 1, mj + 1

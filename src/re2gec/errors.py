@@ -6,7 +6,9 @@ known, the line.  ``replace_file`` is the one way the package writes a file.
 
 import json
 import os
+import re
 import stat
+import sys
 
 
 class Re2Error(Exception):
@@ -61,16 +63,52 @@ def decode_text(data: bytes, where: str, error: type[Re2Error], universal_newlin
 
 
 def decode_json(data: str | bytes, where: str, error: type[Re2Error]):
-    """The JSON value of ``data``, which is UTF-8 when bytes."""
+    """The JSON value of ``data``, which is UTF-8 when bytes.
+
+    Every failure names its position in ``JSONDecodeError``'s form.  The parser gives
+    none for a document nested too deeply or an integer too long for ``int()``, so
+    ``_json_failure_at`` finds those two.
+    """
     if isinstance(data, bytes):
         data = decode_text(data, where, error)
     try:
         return json.loads(data)
     except RecursionError:
-        reason = "nested too deeply"
-    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits for int()
-        reason = str(exc).partition(";")[0]
+        reason, at = "nested too deeply", _json_failure_at(data, too_deep=True)
+    except json.JSONDecodeError as exc:
+        reason, at = str(exc), None
+    except ValueError as exc:  # an integer with more digits than int() takes
+        reason, at = str(exc).partition(";")[0], _json_failure_at(data, too_deep=False)
+    if at is not None:
+        reason = str(json.JSONDecodeError(reason, data, at))  # "reason: line L column C (char N)"
     raise error(f"{where}: {reason}")
+
+
+# A JSON string, a bracket, or a number: its digits, fraction and exponent as groups.
+_JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|[\[\]{}]|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?'
+
+
+def _json_failure_at(doc: str, too_deep: bool) -> int | None:
+    """Offset of the first ``[`` or ``{`` at ``doc``'s greatest depth if ``too_deep``, else of
+    the first integer with more digits than ``sys.get_int_max_str_digits()``.
+
+    The scan skips strings whole, so brackets and digits inside them do not count.
+    """
+    depth = deepest = 0
+    at = None
+    for token in re.finditer(_JSON_TOKEN, doc, re.DOTALL):
+        head = token.group()[0]
+        digits, fraction, exponent = token.groups()
+        if too_deep and head in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, token.start()
+        elif too_deep and head in "]}":
+            depth -= 1
+        elif not too_deep and digits and not (fraction or exponent):
+            if len(digits) > sys.get_int_max_str_digits():
+                return token.start()
+    return at
 
 
 def encode_text(text: str, where: str, error: type[Re2Error]) -> bytes:

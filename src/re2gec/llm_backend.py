@@ -29,11 +29,9 @@ the run are not seen.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
-import random
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -113,6 +111,8 @@ def _is_http_url(text: str) -> bool:
 
 def prompt_key(text: str) -> str:
     """Stable content hash used as the mock script lookup key."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which scoring never needs
+
     return hashlib.sha256(encode_text(text, "prompt", BackendError)).hexdigest()
 
 
@@ -144,7 +144,12 @@ MAX_ATTEMPTS = 3
 BASE_DELAY = 1.0
 BACKOFF_FACTOR = 2.0
 _sleep = time.sleep
-_uniform = random.uniform
+
+
+def _uniform(low: float, high: float) -> float:
+    import random
+
+    return random.uniform(low, high)
 
 
 @functools.cache

@@ -26,11 +26,8 @@ calls one its config lacks fails at that stage with a ``PipelineError``.
 
 from __future__ import annotations
 
-import logging
-import random
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -55,8 +52,6 @@ from .retriever import (
     query,
 )
 from .scorer import edit_triples, score_corpus, score_triples
-
-logger = logging.getLogger(__name__)
 
 MODE_WITH = "with_examples"
 MODE_WITHOUT = "without_examples"
@@ -142,6 +137,8 @@ def map_ordered(fn: Callable, items: Sequence, jobs: int = 1) -> list:
 
     if jobs <= 1 or len(items) <= 1:
         return [attempt(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # here: scoring runs no thread pool
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(attempt, items))
 
@@ -172,6 +169,8 @@ def _cached_completer(config: Re2Config) -> Callable[[str], str]:
     Threads may share it: a prompt asked for while its completion is in
     flight waits for that completion rather than sending a second request.
     """
+    from concurrent.futures import Future
+
     send = _completer(config)
     cache: dict[str, Future] = {}
     lock = threading.Lock()
@@ -288,6 +287,8 @@ def run_baseline(
     if mode == "zero_shot":
         result = RetrievalResult(hits=(), gate_open=False)
     elif mode == "random_k":
+        import random
+
         rng = random.Random(seed)
         chosen = rng.sample(range(len(corpus)), config.k)
         result = RetrievalResult(
@@ -394,7 +395,11 @@ def sweep_threshold(
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
     ranking = index.config.ranking
     if ranking == "bm25":
-        logger.warning("theta does not move a BM25 gate, so every row is the same")
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "theta does not move a BM25 gate, so every row is the same"
+        )
     explanations, score = _dev_scorer(dev, train, config, jobs)
     hit_lists = _all_or_raise(map_ordered(
         lambda explanation: _retrieve("retrieve", index, explanation, config, 0.0).hits,

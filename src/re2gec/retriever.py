@@ -43,7 +43,6 @@ object is made.  Load derives each column's document frequency from
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
@@ -410,6 +409,8 @@ def _check_width(
 
 def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
     """sha256 of the compact JSON list of ``[id, text]`` pairs, in corpus order."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which scoring never needs
+
     pairs = json.dumps([list(pair) for pair in zip(doc_ids, texts)], separators=(",", ":"))
     return hashlib.sha256(pairs.encode("ascii")).hexdigest()
 

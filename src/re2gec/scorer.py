@@ -105,10 +105,13 @@ def score_corpus(scores: Iterable[SentenceScore]) -> EvalReport:
 def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
     """Character-level ROUGE-L (precision, recall, f1); empty sides score 0.
 
-    The LCS length comes from the bit-parallel kernel that edit extraction
-    also uses.  F1 is computed as 2*lcs/(len(candidate)+len(reference)), the
-    exact harmonic mean of the two length ratios, so desk-check values like
-    0.75 come out float-exact.
+    The LCS length comes from ``lcs_length``: the common prefix and suffix
+    count as matched, and the bit-parallel kernel that edit extraction also
+    uses runs over the middles alone.  Edit extraction skips the kernel for
+    middles that share no symbol; here that check would cost about what the
+    short kernel run costs, so there is none.  F1 is computed as
+    2*lcs/(len(candidate)+len(reference)), the exact harmonic mean of the two
+    length ratios, so desk-check values like 0.75 come out float-exact.
     """
     lcs = lcs_length(candidate, reference)
     precision = lcs / len(candidate) if candidate else 0.0

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import atexit
 import re
-import select
-import shlex
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -59,9 +56,16 @@ class SegmenterConfig:
 
 
 class ExternalSegmenter:
-    """Owns one child process and serializes line-protocol exchanges with it."""
+    """Owns one child process and serializes line-protocol exchanges with it.
+
+    It imports ``subprocess``, ``select`` and ``shlex`` itself, so that the
+    character and whitespace modes never load them.
+    """
 
     def __init__(self, command: str, timeout: float):
+        import shlex
+        import subprocess
+
         self.command = command
         self.timeout = timeout
         self._lock = threading.Lock()
@@ -77,6 +81,8 @@ class ExternalSegmenter:
             raise SegmentationError(f"cannot start segmenter {command!r}: {exc}") from None
 
     def _read_line(self, deadline: float) -> bytes:
+        import select
+
         while b"\n" not in self._buf:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -116,6 +122,8 @@ class ExternalSegmenter:
         return tokens
 
     def close(self) -> None:
+        import subprocess
+
         if self._proc.poll() is None:
             self._proc.terminate()
             try:

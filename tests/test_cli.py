@@ -1744,6 +1744,27 @@ def test_config_manifest_must_be_object(run, index_file, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"k": 2,\n "theta": ' + "[" * 2000 + "]" * 2000 + "}",
+         r"nested too deeply: line 2 column 2010 \(char 2018\)"),
+        ('{"k": 2, "note": "[1",\n "theta": ' + "7" * 5000 + "}",
+         r"Exceeds the limit .* digits: line 2 column 11 \(char 33\)"),
+    ],
+    ids=["nested too deeply", "integer too long"],
+)
+def test_unreadable_config_manifest_names_the_position(run, index_file, tmp_path, text, message):
+    manifest = tmp_path / "config.json"
+    manifest.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        "query", "--config", str(manifest), "--index", index_file, "--text", Q_LOW
+    )
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert re.fullmatch(f"error: cannot read config '.*': {message}", line)
+
+
+@pytest.mark.parametrize(
     "command, manifest",
     [
         pytest.param("baseline", {"k": [1]}, id="k list"),
@@ -1939,10 +1960,12 @@ def test_numpy_loaded_only_by_index_queries(tmp_path):
     assert after_query is True  # the probe does see numpy once a query loads it
 
 
-def test_http_clients_loaded_only_by_http_backends(tmp_path):
-    # Only an HTTP backend's POST may import an HTTP client. requests (with
-    # urllib3 and charset_normalizer) is imported by nothing; urllib.request
-    # and http.client cost import time that an offline command never needs.
+def _modules_loaded_by_offline_commands(tmp_path, names):
+    """Exit codes of ``score``, ``detect``, ``rouge`` and ``extract-edits``, run in turn in a
+    fresh interpreter, and which of ``names`` each step loaded: ``import re2gec.cli`` first,
+    then each command.  A module loaded before ``re2gec.cli`` (a ``site`` hook may preload
+    some) counts for no step.
+    """
     src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
@@ -1953,15 +1976,21 @@ def test_http_clients_loaded_only_by_http_backends(tmp_path):
     (tmp_path / "hyp.txt").write_text("他去了\n", encoding="utf-8")
     child = (
         "import json, sys\n"
+        f"names = {tuple(names)!r}\n"
+        "loaded = set(sys.modules)\n"
+        "def step():\n"
+        "    new = [name for name in names if name in sys.modules and name not in loaded]\n"
+        "    loaded.update(sys.modules)\n"
+        "    return new\n"
         "import re2gec.cli\n"
-        "names = ('requests', 'urllib.request', 'http.client')\n"
-        "seen = [[name for name in names if name in sys.modules]]\n"
+        "seen = [step()]\n"
         "codes = []\n"
         "for argv in (['score', '--src', 'src.jsonl', '--hyp', 'hyp.txt'],\n"
+        "             ['detect', '--src', 'src.jsonl', '--hyp', 'hyp.txt'],\n"
         "             ['rouge', '--candidate', 'ab', '--reference', 'abc'],\n"
         "             ['extract-edits', '--source', 'ab', '--target', 'ba']):\n"
         "    codes.append(re2gec.cli.dispatch(argv))\n"
-        "    seen.append([name for name in names if name in sys.modules])\n"
+        "    seen.append(step())\n"
         "print(json.dumps([codes, seen]))\n"
     )
     proc = subprocess.run(
@@ -1969,6 +1998,25 @@ def test_http_clients_loaded_only_by_http_backends(tmp_path):
         capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, seen = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert seen == [[], [], [], []]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_http_clients_loaded_only_by_http_backends(tmp_path):
+    # Only an HTTP backend's POST may import an HTTP client. requests (with
+    # urllib3 and charset_normalizer) is imported by nothing; urllib.request
+    # and http.client cost import time that an offline command never needs.
+    names = ("requests", "urllib.request", "http.client")
+    codes, seen = _modules_loaded_by_offline_commands(tmp_path, names)
+    assert codes == [0, 0, 0, 0]
+    assert seen == [[], [], [], [], []]
+
+
+def test_scoring_loads_no_pipeline_backend_or_segmenter_modules(tmp_path):
+    # These serve the pipeline, the backends and the external segmenter only:
+    # hashlib loads OpenSSL, and the rest cost start-up time that scoring and
+    # edit extraction never use.
+    names = ("hashlib", "_hashlib", "logging", "concurrent.futures", "subprocess", "select",
+             "shlex")
+    codes, seen = _modules_loaded_by_offline_commands(tmp_path, names)
+    assert codes == [0, 0, 0, 0]
+    assert seen == [[], [], [], [], []]

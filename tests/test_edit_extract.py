@@ -1,7 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -9,6 +10,7 @@ import re2gec.edit_extract as edit_extract
 from oracles import lcs_len, lcs_pairs
 from re2gec.edit_extract import (
     Edit,
+    _affixes,
     _lcs_pairs,
     _match_pairs,
     apply_edits,
@@ -188,6 +190,89 @@ def test_lcs_kernel_edge_cases():
         assert _lcs_pairs(a, b) == lcs_pairs(a, b)
         assert lcs_length(a, b) == lcs_len(a, b)
     assert lcs_length("a" * 200, "a" * 130) == 130
+
+
+# --- the kernel shortcuts: halving affixes, and middles that share no symbol ---
+
+
+@st.composite
+def affix_pairs(draw):
+    """Two sequences, as str or token lists, around a drawn common prefix and suffix.
+
+    The middles may be empty or hold affix symbols, so the common prefix and
+    suffix may run past the drawn ones, and may overlap.
+    """
+    tokens = draw(st.sampled_from([list("ab的"), ["the", "cat", "sat"]]))
+    part = st.lists(st.sampled_from(tokens), max_size=40)
+    prefix, suffix = draw(part), draw(part)
+    a, b = prefix + draw(part) + suffix, prefix + draw(part) + suffix
+    if len(tokens[0]) == 1 and draw(st.booleans()):
+        return "".join(a), "".join(b)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(affix_pairs())
+@example(("abc", "abc"))
+@example((["the", "cat"], ["the", "cat"]))
+@example(("", "abc"))
+@example((["cat"], []))
+@example(("aaa", "aa"))
+@example(("abab", "ab"))
+def test_affixes_match_oracle(ab):
+    a, b = ab
+    assert _affixes(a, b) == oracles._affixes(a, b)
+    assert _affixes(b, a) == oracles._affixes(b, a)
+
+
+@st.composite
+def meeting_middles(draw, shared: int):
+    """``(source, target)``: a drawn common prefix and suffix around two middles whose symbol
+    sets meet in exactly ``shared`` (0 or 1) symbols.
+
+    Each middle begins and ends with a symbol the other lacks, so the common
+    prefix and suffix are exactly the drawn ones.
+    """
+    affix = st.text(st.sampled_from("ab的了字"), max_size=60)
+
+    def middle(ends: str, inner: str) -> str:
+        text = draw(st.text(st.sampled_from(inner), max_size=8))
+        if shared:
+            cut = draw(st.integers(0, len(text)))
+            text = text[:cut] + "z" + text[cut:]
+        return draw(st.sampled_from(ends)) + text + draw(st.sampled_from(ends))
+
+    prefix, suffix = draw(affix), draw(affix)
+    return prefix + middle("cd", "abcd") + suffix, prefix + middle("ef", "的了ef") + suffix
+
+
+def assert_middles_meet_in(source, target, shared):
+    pre, suf = oracles._affixes(source, target)
+    mid_s, mid_t = source[pre : len(source) - suf], target[pre : len(target) - suf]
+    assert len(set(mid_s) & set(mid_t)) == shared
+
+
+@settings(max_examples=300, deadline=None)
+@given(meeting_middles(shared=0))
+def test_middles_sharing_no_symbol_skip_the_kernel(pair):
+    source, target = pair
+    assert_middles_meet_in(source, target, 0)
+    want = oracles.char_level_edits(source, target)
+    assert len(want) == 1  # the two middles, replaced as one edit
+    with mock.patch.object(edit_extract, "_lcs_rows", side_effect=AssertionError("kernel ran")):
+        assert char_level_edits(source, target) == want
+    assert lcs_length(source, target) == lcs_len(source, target)
+    assert lcs_length(target, source) == lcs_len(source, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(meeting_middles(shared=1))
+def test_middles_sharing_one_symbol_equal_oracle(pair):
+    source, target = pair
+    assert_middles_meet_in(source, target, 1)
+    assert char_level_edits(source, target) == oracles.char_level_edits(source, target)
+    assert lcs_length(source, target) == lcs_len(source, target)
+    assert lcs_length(target, source) == lcs_len(source, target)
 
 
 def test_char_level_edits_seeded_chinese_mutations_match_oracle(monkeypatch):

@@ -197,9 +197,13 @@ def test_mock_script_must_be_object(tmp_path):
     "data, message",
     [
         (b'{"__fallback__": "\xff"}', r"line 1 is not UTF-8 \(invalid start byte\)"),
-        (b"[" * 2000 + b"]" * 2000, "nested too deeply"),
+        (b"[" * 2000 + b"]" * 2000, r"nested too deeply: line 1 column 2000 \(char 1999\)"),
+        # The limit is sys.get_int_max_str_digits(), 4300 by default.
+        (b'{"__fallback__": "echo_last_line",\n "n": ' + b"9" * 5000 + b"}",
+         r"Exceeds the limit \(\d+ digits\) for integer string conversion: "
+         r"value has 5000 digits: line 2 column 7 \(char 41\)"),
     ],
-    ids=["not UTF-8", "nested too deeply"],
+    ids=["not UTF-8", "nested too deeply", "integer too long"],
 )
 def test_mock_script_must_be_utf8_json(tmp_path, data, message):
     path = tmp_path / "bad.json"

@@ -460,6 +460,10 @@ def _corrupted(case: str) -> bytes:
         return _assemble(b"{", blocks)
     if case == "nested header":
         return _assemble(b"[" * 2000 + b"]" * 2000, blocks)
+    if case == "nested header, line 2":
+        return _assemble(b'{"a": "[[",\n "b": ' + b"[" * 2000 + b"]" * 2000 + b"}", blocks)
+    if case == "long integer in header":
+        return _assemble(b'{"a": "99",\n "b": [1.5, ' + b"9" * 5000 + b"]}", blocks)
     if case == "rows block length":
         blocks["rows"] = blocks["rows"][:-1]
     elif case == "non-monotone indptr":
@@ -522,6 +526,10 @@ def test_reassembled_blob_loads():
         ("trailing bytes", "1 trailing bytes"),
         ("bad header", "bad index header"),
         ("nested header", "bad index header: nested too deeply"),
+        ("nested header, line 2",
+         r"bad index header: nested too deeply: line 2 column 2006 \(char 2017\)$"),
+        ("long integer in header",
+         r"bad index header: Exceeds the limit .* digits: line 2 column 13 \(char 24\)$"),
         ("rows block length", "block 'rows' has .* bytes but the header counts give"),
         ("non-monotone indptr", "indptr is not monotone"),
         ("row out of range", "doc rows out of range"),
