@@ -252,10 +252,8 @@ def _re2_config(
         explainer_backend=explainer,
         decoding=_config(DecodingParams, opts, "sample", "temperature", "beam_size"),
         embedding_backend=_backend(opts, "embed_"),
-        index_config=_index_config(opts),
     )
-    names = ("k", "theta", "templates")
-    return _config(Re2Config, opts, *names, values=values, retriever_field="field")
+    return _config(Re2Config, opts, "k", "theta", "templates", values=values)
 
 
 def _json_line(obj) -> str:
@@ -315,11 +313,14 @@ def _text_lines(path: str) -> list[str]:
 
 def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
     """(source, hypothesis, targets) per --src record; hypotheses from --hyp or --hyp-log."""
+    from_text = opts.single_input(("hyp",), ("hyp_log",))
+    if not from_text and opts.get("hyp_log") is None:
+        raise _UsageError("missing required option --hyp or --hyp-log")
     src = _load(opts, "src")
-    if opts.get("hyp_log") is not None:
-        hyps = [row[0] for row in string_fields(opts.get("hyp_log"), ("correction",))]
+    if from_text:
+        hyps = _text_lines(opts.hyp)
     else:
-        hyps = _text_lines(opts.require("hyp"))
+        hyps = [row[0] for row in string_fields(opts.hyp_log, ("correction",))]
     if len(hyps) != len(src):
         raise Re2Error(f"{len(src)} sources but {len(hyps)} hypotheses")
     return [(rec.source, hyp, rec.targets) for rec, hyp in zip(src, hyps)]
@@ -464,10 +465,14 @@ def cmd_sweep_theta(opts: _Options) -> list[str]:
 
 
 def cmd_compare_retrievers(opts: _Options) -> list[str]:
+    index_config = _index_config(opts)  # a bad --ngram-* fails before any script is read
     config = _re2_config(opts, "dev", "train", "rankings")
     dev = _load(opts, "dev")
     train = _load(opts, "train")
-    rows = compare_retrievers(dev, opts.require("rankings"), config, train, **opts.fields("jobs"))
+    rows = compare_retrievers(
+        dev, opts.require("rankings"), config, train, index_config=index_config,
+        **opts.fields("jobs", field_name="field"),
+    )
     return [json.dumps(rows, ensure_ascii=False)]
 
 
@@ -480,6 +485,8 @@ def _positive_int(text: str) -> int:
 
 def _rankings(text: str) -> list[str]:
     names = [x for x in text.split(",") if x]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no ranking given (choose from {', '.join(RANKINGS)})")
     for name in names:
         if name not in RANKINGS:
             raise argparse.ArgumentTypeError(
@@ -674,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_index_options(sub)
     _add_segmenter(sub)
     _add_pipeline_options(sub, theta=True)
-    _add_field(sub, _default(Re2Config, "retriever_field"))
+    _add_field(sub, _default(compare_retrievers, "field_name"))
     _add_decoding(sub)
     _add_backend(sub)
     _add_backend(sub, "explainer_", "explainer")

@@ -64,10 +64,8 @@ class Re2Config:
     explainer_backend: BackendConfig | None = None
     k: int = 3
     theta: float = 0.6
-    retriever_field: str = "explanation"
     decoding: DecodingParams = field(default_factory=DecodingParams)
     embedding_backend: BackendConfig | None = None
-    index_config: IndexConfig = field(default_factory=IndexConfig)
     templates: str = "default"
 
     def __post_init__(self):
@@ -75,8 +73,6 @@ class Re2Config:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.retriever_field not in INDEX_FIELDS:
-            raise ValueError(f"unknown retriever field {self.retriever_field!r}")
         # Read once, before any input: every call of a run uses these scripts and this set.
         for backend in (self.backend, self.explainer_backend, self.embedding_backend):
             if backend is not None and backend.kind == "mock":
@@ -334,13 +330,6 @@ def sft_examples(
     )
 
 
-def build_sft_data(
-    train: Corpus, index: ExplanationIndex, config: Re2Config
-) -> list[SftExample]:
-    """``sft_examples`` of every record in order; the first failing record raises."""
-    return [ex for rec in train for ex in sft_examples(rec, index, train, config)]
-
-
 def _dev_scorer(
     dev: Corpus, train: Corpus, config: Re2Config, jobs: int
 ) -> tuple[list[str], Callable[[Sequence[RetrievalResult]], dict]]:
@@ -421,17 +410,22 @@ def compare_retrievers(
     config: Re2Config,
     train: Corpus,
     jobs: int = 1,
+    field_name: str = "explanation",
+    index_config: IndexConfig | None = None,
 ) -> list[dict]:
     """Score the pipeline under different ranking backends over one dev set.
 
-    Builds one index per ranking from the train corpus, reuses the same
+    Builds one index per ranking over the ``field_name`` field of the train
+    corpus, from ``index_config`` (default ``IndexConfig()``), reuses the same
     explanations across rankings, and reports correction quality plus mean
     per-query retrieval latency.  Explanations are embedded once, before any
     query is timed, so the latency leaves the embedding backend out.
     Explanations and corrections run on ``jobs`` threads.
     """
-    # Every ranking is checked before the first backend call.
-    index_configs = [replace(config.index_config, ranking=ranking) for ranking in rankings]
+    # The field and every ranking are checked before the first backend call.
+    if field_name not in INDEX_FIELDS:
+        raise ValueError(f"unknown retriever field {field_name!r}")
+    ranking_configs = [replace(index_config or IndexConfig(), ranking=r) for r in rankings]
     embedder = embedder_for(config.embedding_backend)
     if "embedding" in rankings and embedder is None:
         raise PipelineError("compare", "embedding ranking requires an embedding backend")
@@ -444,10 +438,9 @@ def compare_retrievers(
     looked_up = lambda texts: [vectors[text] for text in texts]
 
     rows = []
-    for index_config in index_configs:
+    for ranking_config in ranking_configs:
         index = _stage(
-            "compare", build_index, train, config.retriever_field, index_config,
-            embedder=embedder,
+            "compare", build_index, train, field_name, ranking_config, embedder=embedder
         )
         # Queries run one at a time so that their timing does not depend on
         # how many correction threads share the interpreter.
@@ -464,7 +457,7 @@ def compare_retrievers(
             total_seconds += time.perf_counter() - start
         rows.append(
             {
-                "ranking": index_config.ranking,
+                "ranking": ranking_config.ranking,
                 **score(results),
                 "mean_query_ms": (total_seconds / len(results) * 1000.0) if results else 0.0,
             }

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-from re2gec import Corpus, SentencePair
+from re2gec.corpus import Corpus, SentencePair
 from re2gec.llm_backend import FALLBACK_KEY, prompt_key
 from re2gec.segmentation import SegmenterConfig, close_external_segmenters
 

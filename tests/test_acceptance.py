@@ -25,7 +25,7 @@ from re2gec.cli import dispatch
 from re2gec.corpus import Corpus, SentencePair
 from re2gec.edit_extract import apply_edits, extract_edits
 from re2gec.llm_backend import BackendConfig
-from re2gec.pipeline import MODE_WITH, MODE_WITHOUT, Re2Config, build_sft_data, run_re2
+from re2gec.pipeline import MODE_WITH, MODE_WITHOUT, Re2Config, run_re2, sft_examples
 from re2gec.prompting import load_template_set, render_gee_prompt
 from re2gec.retriever import IndexConfig, build_index, query
 from re2gec.scorer import detection_metrics, f_beta, rouge_l, score_corpus, score_sentence
@@ -262,7 +262,7 @@ def test_criterion_06_sft_builder_on_50_records():
     train = Corpus(records)
     index = build_index(train, "explanation", IndexConfig())
     config = Re2Config(k=3)  # prompts only: no backend is called
-    examples = build_sft_data(train, index, config)
+    examples = [ex for rec in train for ex in sft_examples(rec, index, train, config)]
 
     failures = []
     if len(examples) != 100:

@@ -640,8 +640,14 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path):
          "--candidate/--reference and --cand-file/--ref-file"),
         ("rouge", {"reference": "abcde"}, {"cand_file": "c.txt"},
          "--candidate/--reference and --cand-file/--ref-file"),
+        # Both hypothesis files: neither is scored in place of the other.
+        ("score", {"hyp": "hyp.txt"}, {"src": "src.jsonl", "hyp_log": "log.jsonl"},
+         "--hyp and --hyp-log"),
+        ("detect", {"hyp": "hyp.txt"}, {"src": "src.jsonl", "hyp_log": "log.jsonl"},
+         "--hyp and --hyp-log"),
     ],
-    ids=["explain", "extract-edits", "extract-edits target only", "rouge", "rouge one each"],
+    ids=["explain", "extract-edits", "extract-edits target only", "rouge", "rouge one each",
+         "score", "detect"],
 )
 @pytest.mark.parametrize("files_via", ["flags", "manifest"])
 def test_single_input_and_file_input_are_mutually_exclusive(
@@ -653,7 +659,8 @@ def test_single_input_and_file_input_are_mutually_exclusive(
     # None of the files exists, so reading one would exit 1, not 2.
     files = {name: str(tmp_path / value) for name, value in files.items()}
     if files_via == "flags":
-        flags = {"in": "--in", "cand_file": "--cand-file", "ref_file": "--ref-file"}
+        flags = {"in": "--in", "cand_file": "--cand-file", "ref_file": "--ref-file",
+                 "src": "--src", "hyp_log": "--hyp-log"}
         for name, path in files.items():
             argv += [flags[name], path]
     else:
@@ -663,6 +670,13 @@ def test_single_input_and_file_input_are_mutually_exclusive(
     if command == "explain":
         argv += ["--explainer-script", write_script({})]
     assert run(*argv) == (2, "", f"usage error: {message} are mutually exclusive\n")
+
+
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_scoring_without_hypotheses_names_both_flags(run, tmp_path, command):
+    # --src is not read: the usage error comes first.
+    got = run(command, "--src", str(tmp_path / "missing.jsonl"))
+    assert got == (2, "", "usage error: missing required option --hyp or --hyp-log\n")
 
 
 # --- hostile inputs ---
@@ -1422,8 +1436,10 @@ def test_sweep_theta_rejects_thetas_before_reading_files(
         (None, ["tfidf_cosine", "bm2"], 2, "usage error: config key 'rankings'"),
         ("tfidf_cosine,embedding", None, 1,
          "error: compare: embedding ranking requires an embedding backend"),
+        (",", None, 2, "argument --rankings: no ranking given"),
+        (None, [], 2, "usage error: config key 'rankings': argument --rankings: no ranking given"),
     ],
-    ids=["flag", "manifest", "embedding without backend"],
+    ids=["flag", "manifest", "embedding without backend", "empty flag", "empty manifest"],
 )
 def test_compare_retrievers_rejects_rankings_before_any_backend_call(
     run, dev_jsonl, gee_jsonl, explainer_script, corrector_script, monkeypatch, tmp_path,
@@ -1943,7 +1959,8 @@ def test_numpy_loaded_only_by_index_queries(tmp_path):
         "after_import = 'numpy' in sys.modules\n"
         "code = re2gec.cli.dispatch(['extract-edits', '--source', 'ab', '--target', 'ba'])\n"
         "after_extract = 'numpy' in sys.modules\n"
-        "from re2gec import Corpus, SentencePair, build_index, query\n"
+        "from re2gec.corpus import Corpus, SentencePair\n"
+        "from re2gec.retriever import build_index, query\n"
         "recs = [SentencePair(id='a', source='s', targets=['t'], explanation='主谓搭配')]\n"
         "query(build_index(Corpus(recs)), '搭配', k=1, theta=0.0)\n"
         "print(json.dumps([code, after_import, after_extract, 'numpy' in sys.modules]))\n"
@@ -1958,6 +1975,25 @@ def test_numpy_loaded_only_by_index_queries(tmp_path):
     assert after_import is False
     assert after_extract is False
     assert after_query is True  # the probe does see numpy once a query loads it
+
+
+@pytest.mark.parametrize("module", ["re2gec.scorer", "re2gec.corpus", "re2gec.edit_extract"])
+def test_offline_modules_load_no_pipeline_modules(tmp_path, module):
+    # The package re-exports nothing, so a module loads only the modules it imports.
+    src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    child = f"import json, sys\nimport {module}\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    pipeline_side = {"re2gec.pipeline", "re2gec.retriever", "re2gec.prompting",
+                     "re2gec.llm_backend", "numpy"}
+    assert module in loaded
+    assert loaded & pipeline_side == set()
 
 
 def _modules_loaded_by_offline_commands(tmp_path, names):

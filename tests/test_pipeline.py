@@ -24,12 +24,12 @@ from re2gec.pipeline import (
     MODE_WITHOUT,
     CorrectionOutcome,
     Re2Config,
-    build_sft_data,
     compare_retrievers,
     correct_corpus,
     map_ordered,
     run_baseline,
     run_re2,
+    sft_examples,
     sweep_threshold,
 )
 from re2gec.prompting import load_template_set, render_gec_prompt, render_gee_prompt
@@ -81,10 +81,6 @@ def test_re2_config_validation(echo_backend):
         Re2Config(backend=echo_backend, explainer_backend=echo_backend, k=0)
     with pytest.raises(ValueError, match="theta"):
         Re2Config(backend=echo_backend, explainer_backend=echo_backend, theta=1.5)
-    with pytest.raises(ValueError, match="retriever field"):
-        Re2Config(
-            backend=echo_backend, explainer_backend=echo_backend, retriever_field="edits"
-        )
 
 
 def test_re2_config_reads_its_mock_scripts_once_when_made(tmp_path, write_script):
@@ -302,11 +298,9 @@ def test_unknown_baseline_mode(mini_gee_corpus, config):
 # --- sft construction ---
 
 
-def test_build_sft_data_shapes(gee_index, mini_gee_corpus, config):
-    examples = build_sft_data(mini_gee_corpus, gee_index, config)
-    assert len(examples) == 2 * len(mini_gee_corpus)
-    for i, rec in enumerate(mini_gee_corpus):
-        with_ex, without_ex = examples[2 * i], examples[2 * i + 1]
+def test_sft_examples_shapes(gee_index, mini_gee_corpus, config):
+    for rec in mini_gee_corpus:
+        with_ex, without_ex = sft_examples(rec, gee_index, mini_gee_corpus, config)
         assert with_ex.meta["mode"] == MODE_WITH
         assert with_ex.meta["id"] == rec.id
         assert rec.id not in with_ex.meta["example_ids"]  # no self-leakage
@@ -321,13 +315,11 @@ def test_build_sft_data_shapes(gee_index, mini_gee_corpus, config):
         assert without_ex.response == rec.targets[0]
 
 
-def test_build_sft_data_requires_explanations(gee_index, mini_gee_corpus, config):
-    records = list(mini_gee_corpus.records) + [
-        SentencePair(id="bare", source="原句x", targets=["改句x"])
-    ]
-    train = Corpus(records=records)
+def test_sft_examples_require_explanations(gee_index, mini_gee_corpus, config):
+    bare = SentencePair(id="bare", source="原句x", targets=["改句x"])
+    train = Corpus(records=list(mini_gee_corpus.records) + [bare])
     with pytest.raises(PipelineError, match="record bare: missing explanation"):
-        build_sft_data(train, gee_index, config)
+        sft_examples(bare, gee_index, train, config)
 
 
 def test_sft_example_to_dict():
@@ -481,6 +473,42 @@ def test_compare_retrievers_checks_rankings_before_any_backend_call(
     with pytest.raises(ValueError, match="unknown ranking 'bm2'"):
         compare_retrievers(dev_corpus, ["tfidf_cosine", "bm2"], sweep_config, mini_gee_corpus)
     assert calls == []
+
+
+def test_compare_retrievers_checks_the_field_before_any_backend_call(
+    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(pipeline_module, "complete", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^unknown retriever field 'edits'$"):
+        compare_retrievers(
+            dev_corpus, ["tfidf_cosine"], sweep_config, mini_gee_corpus, field_name="edits"
+        )
+    assert calls == []
+
+
+def test_compare_retrievers_builds_each_index_over_the_field_with_the_config(
+    dev_corpus, mini_gee_corpus, sweep_config, monkeypatch
+):
+    builds = []
+    real = pipeline_module.build_index
+    monkeypatch.setattr(
+        pipeline_module, "build_index",
+        lambda corpus, field_name, config, **kw: builds.append((field_name, config))
+        or real(corpus, field_name, config, **kw),
+    )
+    base = IndexConfig(ngram_min=1, ngram_max=2)
+    rows = compare_retrievers(
+        dev_corpus, ["bm25", "tfidf_cosine"], sweep_config, mini_gee_corpus,
+        field_name="source", index_config=base,
+    )
+    assert [row["ranking"] for row in rows] == ["bm25", "tfidf_cosine"]
+    assert builds == [("source", replace(base, ranking="bm25")),
+                      ("source", replace(base, ranking="tfidf_cosine"))]
+    # By default each index is built over the explanations with IndexConfig().
+    builds.clear()
+    compare_retrievers(dev_corpus, ["bm25"], sweep_config, mini_gee_corpus)
+    assert builds == [("explanation", IndexConfig(ranking="bm25"))]
 
 
 def test_compare_retrievers_query_time_leaves_out_embedding(
