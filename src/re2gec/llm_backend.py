@@ -78,8 +78,8 @@ class BackendConfig:
             )
         if self.kind == "mock" and not self.script_path:
             raise ValueError("mock backend requires a script_path")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:  # sockets and select take no NaN or infinity
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
     @functools.cached_property
     def script(self) -> dict:

@@ -105,8 +105,8 @@ class IndexConfig:
             )
         if self.ranking not in RANKINGS:
             raise ValueError(f"unknown ranking {self.ranking!r}")
-        if self.bm25_k1 < 0.0:
-            raise ValueError(f"bm25_k1 must be >= 0, got {self.bm25_k1}")
+        if not 0.0 <= self.bm25_k1 < math.inf:
+            raise ValueError(f"bm25_k1 must be >= 0 and finite, got {self.bm25_k1}")
         if not 0.0 <= self.bm25_b <= 1.0:
             raise ValueError(f"bm25_b must be in [0, 1], got {self.bm25_b}")
 
@@ -196,7 +196,8 @@ def ngram_counts(text: str, config: IndexConfig) -> Counter:
     seg = config.segmenter
     tokens = text if seg.mode == "character" else [t.text for t in segment(text, seg)]
     counts: Counter = Counter()
-    for n in range(config.ngram_min, config.ngram_max + 1):
+    # A window longer than the text holds no gram.
+    for n in range(config.ngram_min, min(config.ngram_max, len(tokens)) + 1):
         counts.update(map(NGRAM_JOIN.join, zip(*(tokens[k:] for k in range(n)))))
     return counts
 
@@ -251,7 +252,7 @@ def _gram_slots(
     import numpy as np
 
     joined, bounds, tokens, n_tokens, lengths = _token_ids(texts, config.segmenter)
-    nmin, nmax = config.ngram_min, config.ngram_max
+    nmin, nmax = config.ngram_min, min(config.ngram_max, int(lengths.max(initial=0)))
     # windows[d, n - nmin]: document d's length-n windows; their slots start at starts[d, n - nmin].
     windows = np.maximum(lengths[:, None] - np.arange(nmin - 1, nmax), 0)
     starts = (np.cumsum(windows) - windows.ravel()).reshape(windows.shape)

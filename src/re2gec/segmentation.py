@@ -7,16 +7,21 @@ Three modes:
   between tokens are recoverable from the offsets, so the original text is
   always reconstructible from (text, tokens).
 * ``external`` -- a long-running child process speaks a line protocol: one
-  input line on stdin, one line of space-separated tokens on stdout.  The
-  joined tokens must re-concatenate to the input line exactly.
+  input line on stdin, one line of space-separated tokens on stdout.  No
+  token can hold a space (U+0020), so the child may drop the line's spaces:
+  the tokens, with only spaces around them, must spell out the input line,
+  and each token's offset skips the spaces before it.
 
-External mode keeps a single child per configured segmenter and serializes
-access to its pipes; concurrent callers queue on a lock.
+External mode keeps one ``ExternalSegmenter`` per (command, timeout), which
+serializes the exchanges with its child and restarts the child after it exits
+or a line fails.  A failed line costs only itself: lines queued behind it wait
+out its timeout and then get a fresh child.
 """
 
 from __future__ import annotations
 
 import atexit
+import math
 import re
 import threading
 import time
@@ -27,6 +32,7 @@ from .errors import SegmentationError, decode_text, encode_text
 SEGMENTER_MODES = ("character", "whitespace", "external")
 
 _WS_TOKEN = re.compile(r"\S+")
+_SPACES = re.compile(" *")
 
 
 @dataclass(frozen=True)
@@ -51,34 +57,27 @@ class SegmenterConfig:
             raise ValueError("external mode requires external_command")
         if self.mode != "external" and self.external_command:
             raise ValueError(f"external_command is only valid in external mode, not {self.mode!r}")
-        if self.external_timeout <= 0:
-            raise ValueError("external_timeout must be positive")
+        if not 0 < self.external_timeout < math.inf:
+            raise ValueError(
+                f"external_timeout must be positive and finite, got {self.external_timeout}"
+            )
 
 
 class ExternalSegmenter:
-    """Owns one child process and serializes line-protocol exchanges with it.
+    """Owns one child process at a time and serializes line-protocol exchanges with it.
 
-    It imports ``subprocess``, ``select`` and ``shlex`` itself, so that the
-    character and whitespace modes never load them.
+    A line starts the child when none runs.  A failed exchange stops the
+    child before its error is raised, so the next line, in whichever thread,
+    gets a fresh one.  It imports ``subprocess``, ``select`` and ``shlex``
+    itself, so that the character and whitespace modes never load them.
     """
 
     def __init__(self, command: str, timeout: float):
-        import shlex
-        import subprocess
-
         self.command = command
         self.timeout = timeout
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # a failed exchange calls close() while holding it
+        self._proc = None
         self._buf = b""
-        try:
-            self._proc = subprocess.Popen(
-                shlex.split(command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                bufsize=0,
-            )
-        except OSError as exc:
-            raise SegmentationError(f"cannot start segmenter {command!r}: {exc}") from None
 
     def _read_line(self, deadline: float) -> bytes:
         import select
@@ -99,60 +98,70 @@ class ExternalSegmenter:
         line, _, self._buf = self._buf.partition(b"\n")
         return line
 
-    def segment_line(self, text: str) -> list[str]:
+    def _exchange(self, text: str, data: bytes) -> list[Token]:
+        import shlex
+        import subprocess
+
+        if self._proc is None or self._proc.poll() is not None:
+            self.close()
+            try:
+                self._proc = subprocess.Popen(shlex.split(self.command), bufsize=0,
+                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            except OSError as exc:
+                raise SegmentationError(f"cannot start segmenter {self.command!r}: {exc}") from None
+        try:
+            self._proc.stdin.write(data)
+            self._proc.stdin.flush()
+        except OSError as exc:
+            raise SegmentationError(f"segmenter {self.command!r} pipe failed: {exc}") from None
+        line = self._read_line(time.monotonic() + self.timeout)
+        output = decode_text(line, f"segmenter output for {text!r}", SegmentationError)
+        # The tokens must spell out the line, with only its spaces around them.
+        tokens, cursor = [], 0
+        for piece in filter(None, output.split(" ")):
+            cursor = _SPACES.match(text, cursor).end()
+            tokens.append(Token(piece, cursor, cursor + len(piece)))
+            cursor += len(piece)
+        spelled = all(text.startswith(t.text, t.start) for t in tokens)
+        if spelled and _SPACES.match(text, cursor).end() == len(text):
+            return tokens
+        raise SegmentationError(
+            f"segmenter output does not re-concatenate to the input line: "
+            f"input={text!r} output={output!r}"
+        )
+
+    def segment_line(self, text: str) -> list[Token]:
         if "\n" in text:
             raise SegmentationError("external segmenter input must not contain newlines")
         data = encode_text(text, f"segmenter input {text!r}", SegmentationError) + b"\n"
         with self._lock:
-            if self._proc.poll() is not None:
-                raise SegmentationError(f"segmenter {self.command!r} exited")
             try:
-                self._proc.stdin.write(data)
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise SegmentationError(f"segmenter {self.command!r} pipe failed: {exc}") from None
-            line = self._read_line(time.monotonic() + self.timeout)
-        output = decode_text(line, f"segmenter output for {text!r}", SegmentationError)
-        tokens = [t for t in output.split(" ") if t]
-        if "".join(tokens) != text:
-            raise SegmentationError(
-                f"segmenter output does not re-concatenate to the input line: "
-                f"input={text!r} output={output!r}"
-            )
-        return tokens
+                return self._exchange(text, data)
+            except BaseException:  # the child may now be anywhere in the protocol
+                self.close()
+                raise
 
     def close(self) -> None:
-        import subprocess
+        """Stop the child, if one runs; a later line starts another."""
+        with self._lock:
+            proc, self._proc, self._buf = self._proc, None, b""
+            if proc is not None:
+                proc.kill()
+                proc.wait()
+                proc.stdin.close()
+                proc.stdout.close()
 
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
 
-
+# One segmenter per (command, timeout).  Two threads that both miss may each
+# make one; ``setdefault`` keeps the first, and the other never starts a child.
 _external_registry: dict[tuple[str, float], ExternalSegmenter] = {}
-_registry_lock = threading.Lock()
-
-
-def _external_for(config: SegmenterConfig) -> ExternalSegmenter:
-    key = (config.external_command, config.external_timeout)
-    with _registry_lock:
-        seg = _external_registry.get(key)
-        if seg is None or seg._proc.poll() is not None:
-            seg = ExternalSegmenter(config.external_command, config.external_timeout)
-            _external_registry[key] = seg
-        return seg
 
 
 def close_external_segmenters() -> None:
-    """Terminate all cached external segmenter processes."""
-    with _registry_lock:
-        for seg in _external_registry.values():
-            seg.close()
-        _external_registry.clear()
+    """Stop every external segmenter's child and forget the segmenters."""
+    for seg in list(_external_registry.values()):
+        seg.close()
+    _external_registry.clear()
 
 
 atexit.register(close_external_segmenters)
@@ -163,7 +172,8 @@ def segment(text: str, config: SegmenterConfig) -> list[Token]:
 
     Deterministic for a fixed (text, config).  In every mode the token spans
     are ascending and non-overlapping, and any character outside a token span
-    is an inter-token separator (only whitespace mode has separators).
+    is an inter-token separator: whitespace in whitespace mode, a space in
+    external mode.
     """
     if config.mode == "character":
         return [Token(ch, i, i + 1) for i, ch in enumerate(text)]
@@ -171,19 +181,6 @@ def segment(text: str, config: SegmenterConfig) -> list[Token]:
         return [Token(m.group(), m.start(), m.end()) for m in _WS_TOKEN.finditer(text)]
     if not text:
         return []
-    seg = _external_for(config)
-    try:
-        pieces = seg.segment_line(text)
-    except SegmentationError:
-        with _registry_lock:
-            key = (config.external_command, config.external_timeout)
-            if _external_registry.get(key) is seg:
-                del _external_registry[key]
-        seg.close()
-        raise
-    tokens = []
-    cursor = 0
-    for piece in pieces:
-        tokens.append(Token(piece, cursor, cursor + len(piece)))
-        cursor += len(piece)
-    return tokens
+    key = (config.external_command, config.external_timeout)
+    seg = _external_registry.get(key) or _external_registry.setdefault(key, ExternalSegmenter(*key))
+    return seg.segment_line(text)

@@ -26,6 +26,7 @@ from conftest import (
     TARGET_LOW,
 )
 from test_llm_backend import stub_server
+from test_segmentation import HANG_ON_X_CMD
 
 import re2gec
 from re2gec import retriever
@@ -35,6 +36,7 @@ from re2gec.prompting import load_template_set, render_gec_prompt, render_gee_pr
 from re2gec.retriever import load_index
 from re2gec.retriever import query as lib_query
 from re2gec.scorer import detection_metrics, rouge_l, score_corpus, score_sentence
+from re2gec.segmentation import close_external_segmenters
 
 SET = load_template_set("default")
 
@@ -210,6 +212,25 @@ def test_parse_error_is_one_usage_line(run, argv):
          "argument --embed-timeout: timeout must be positive"),
         (("build-index", "--in", "{missing}", "--out", "{out}", "--embed-timeout", "3"),
          "--embed-timeout needs --embed-backend, --embed-endpoint or --embed-script"),
+        # Sockets and select take no NaN or infinity, and BM25 weights must be finite.
+        (("explain", "--explainer-timeout", "nan", "--in", "{missing}",
+          "--explainer-script", "{missing}"),
+         "argument --explainer-timeout: timeout must be positive and finite, got nan"),
+        (("correct", "--explainer-script", "{missing}", "--timeout", "inf", "--script", "{missing}",
+          "--in", "{missing}", "--corpus", "{missing}", "--index", "{missing}"),
+         "argument --timeout: timeout must be positive and finite, got inf"),
+        (("build-index", "--segmenter", "external", "--segmenter-cmd", "cat",
+          "--segmenter-timeout", "nan", "--in", "{missing}", "--out", "{out}"),
+         "argument --segmenter-timeout: external_timeout must be positive and finite, got nan"),
+        (("build-index", "--segmenter", "external", "--segmenter-cmd", "cat",
+          "--segmenter-timeout", "inf", "--in", "{missing}", "--out", "{out}"),
+         "argument --segmenter-timeout: external_timeout must be positive and finite, got inf"),
+        (("build-index", "--ranking", "bm25", "--bm25-k1", "nan", "--in", "{missing}",
+          "--out", "{out}"),
+         "argument --bm25-k1: bm25_k1 must be >= 0 and finite, got nan"),
+        (("build-index", "--ranking", "bm25", "--bm25-k1", "inf", "--in", "{missing}",
+          "--out", "{out}"),
+         "argument --bm25-k1: bm25_k1 must be >= 0 and finite, got inf"),
     ],
     ids=["query k", "query theta", "build-index ngram-min", "explain temperature",
          "explain temperature nan", "explain explainer-endpoint", "build-index embed-endpoint",
@@ -217,7 +238,9 @@ def test_parse_error_is_one_usage_line(run, argv):
          "build-index segmenter-timeout", "explain explainer-model without backend",
          "explain explainer-timeout without backend", "correct model without backend",
          "build-index embed-model without backend", "build-index embed-timeout",
-         "build-index embed-timeout without backend"],
+         "build-index embed-timeout without backend", "explain explainer-timeout nan",
+         "correct timeout inf", "build-index segmenter-timeout nan",
+         "build-index segmenter-timeout inf", "build-index bm25-k1 nan", "build-index bm25-k1 inf"],
 )
 def test_value_a_config_rejects_is_usage_error_before_any_input(
     run, monkeypatch, tmp_path, argv, message
@@ -1563,6 +1586,41 @@ def test_one_failing_input_costs_one_error_line(
     message = failed["error"]["message"]
     assert message.startswith("mock backend: no scripted response")
     assert err.splitlines() == [f"error: 1 of 5 inputs failed (first: dev2 at {stage}: {message})"]
+
+
+def test_a_line_that_hangs_the_segmenter_costs_one_input_at_any_jobs(
+    run, gee_jsonl, write_corpus, write_script, tmp_path
+):
+    # The index's external segmenter hangs on d3's explanation, past its timeout;
+    # the inputs queued behind it wait that out and then get a fresh child.
+    index = str(tmp_path / "external.re2idx")
+    code, _, err = run("build-index", "--in", gee_jsonl, "--out", index, "--segmenter",
+                       "external", "--segmenter-cmd", HANG_ON_X_CMD, "--segmenter-timeout", "0.5")
+    assert code == 0, err
+    sources = [f"第{i}个句子" for i in range(8)]
+    explanations = [GEE_DOCS[i % 3][1] for i in range(8)]
+    explanations[3] = "X" + explanations[3]
+    explainer = write_script(
+        {explain_prompt(s): e for s, e in zip(sources, explanations)}, fallback="none"
+    )
+    dev = write_corpus(
+        [{"id": f"d{i}", "source": s, "targets": [s]} for i, s in enumerate(sources)]
+    )
+    argv = ("correct", "--in", dev, "--corpus", gee_jsonl, "--index", index,
+            "--script", write_script({}), "--explainer-script", explainer)
+    try:
+        runs = {jobs: run(*argv, "--jobs", jobs) for jobs in ("1", "4")}
+    finally:
+        close_external_segmenters()
+    assert runs["1"] == runs["4"]
+    code, out, err = runs["1"]
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert ["error" in line for line in lines] == [i == 3 for i in range(8)]
+    assert (lines[3]["id"], lines[3]["error"]["stage"]) == ("d3", "retrieve")
+    message = lines[3]["error"]["message"]
+    assert message.endswith("timed out after 0.5s")
+    assert err.splitlines() == [f"error: 1 of 8 inputs failed (first: d3 at retrieve: {message})"]
 
 
 def test_make_sft_data_record_without_explanation_is_one_error_line(run, write_corpus, tmp_path):

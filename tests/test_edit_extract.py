@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import re2gec.edit_extract as edit_extract
 from oracles import lcs_len, lcs_pairs
+from test_segmentation import ECHO_CHARS_CMD
 from re2gec.edit_extract import (
     Edit,
     _affixes,
@@ -19,7 +20,7 @@ from re2gec.edit_extract import (
     lcs_length,
 )
 from re2gec.errors import EditError
-from re2gec.segmentation import SegmenterConfig, segment
+from re2gec.segmentation import SegmenterConfig, close_external_segmenters, segment
 
 CHAR = SegmenterConfig(mode="character")
 WS = SegmenterConfig(mode="whitespace")
@@ -67,6 +68,26 @@ def test_whitespace_insertion_keeps_unchanged_separator_out_of_span():
     assert len(edits) == 1
     assert " " not in (edits[0].original,)  # span excludes the surviving separator
     assert edits[0].original == ""
+
+
+@pytest.mark.parametrize(
+    "source, target, want",
+    [
+        ("IWO 语序不当", "IWO 语序不对", [Edit(7, "当", "对")]),
+        ("IWO 语序 不当", "IWO语序 不当", [Edit(3, " ", "")]),
+        ("主谓 搭配", "主语 搭配 不当", [Edit(1, "谓", "语"), Edit(5, "", " 不当")]),
+    ],
+    ids=["substitution", "space deleted", "insertion after a space"],
+)
+def test_external_mode_edits_texts_that_hold_spaces(source, target, want):
+    # The child splits characters and drops spaces; the edits keep the source's offsets.
+    cfg = SegmenterConfig(mode="external", external_command=ECHO_CHARS_CMD)
+    try:
+        edits = extract_edits(source, target, cfg)
+    finally:
+        close_external_segmenters()
+    assert edits == want
+    assert apply_edits(source, edits) == target
 
 
 def test_identity_has_no_edits():

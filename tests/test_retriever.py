@@ -767,6 +767,30 @@ def test_query_allocates_no_copy_of_its_postings():
     assert peak < touched / 10
 
 
+@pytest.mark.parametrize("ranking", ["tfidf_cosine", "bm25"])
+def test_ngram_range_past_the_longest_text_costs_nothing(ranking):
+    # No window is longer than its text, so the build and each query stop at the
+    # longest text: an index header may carry any range.
+    texts = {"d0": "主谓搭配不当", "d1": "语序不当，状语位置错误", "d2": "成分残缺"}
+    corpus = gee_corpus(texts)
+    clamped = build_index(corpus, "explanation", IndexConfig(2, 11, ranking))
+    tracemalloc.start()
+    try:
+        wide = build_index(corpus, "explanation", IndexConfig(2, 200_000, ranking))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 21
+    assert wide.vocabulary.tolist() == clamped.vocabulary.tolist()
+    for got, want in zip((wide.idf, *wide.columns), (clamped.idf, *clamped.columns)):
+        assert np.array_equal(got, want)
+    loaded = loads_index(dumps_index(wide))
+    for text in ("主谓搭配不当语序不", "状语位置", "缺"):
+        assert ngram_counts(text, wide.config) == ngram_counts(text, clamped.config)
+        want = query(clamped, text, k=3, theta=0.0)
+        assert query(wide, text, k=3, theta=0.0) == query(loaded, text, k=3, theta=0.0) == want
+
+
 def _hash_embedder(dim: int):
     """Deterministic small-integer vectors with some zero components."""
 
@@ -872,6 +896,27 @@ def test_equal_grams_of_two_lengths_share_a_column(ranking):
     # A document's length counts every window, even two that share a column.
     assert retriever._ngram_entries(list(texts.values()), cfg)[-1].tolist() == [5, 5, 3]
     assert dumps_index(index) == dumps_index(oracles.build_index(corpus, "explanation", cfg))
+
+
+def test_external_mode_indexes_and_queries_texts_that_hold_spaces():
+    # GLUE_CMD splits these texts into characters and drops their spaces, so
+    # the index equals a character-mode index over the texts less their spaces.
+    seg = SegmenterConfig(mode="external", external_command=GLUE_CMD)
+    texts = {
+        "d0": "IWO (Incorrect Word Order) 语序不当",
+        "d1": "RED 成分赘余",
+        "d2": " 主谓  搭配不当 ",
+    }
+    index = build_index(gee_corpus(texts), "explanation", IndexConfig(segmenter=seg))
+    unspaced = {doc_id: text.replace(" ", "") for doc_id, text in texts.items()}
+    char_index = build_index(gee_corpus(unspaced), "explanation", IndexConfig())
+    assert index.vocabulary.tolist() == char_index.vocabulary.tolist()
+    for got, want in zip(index.columns, char_index.columns):
+        assert np.array_equal(got, want)
+    loaded = loads_index(dumps_index(index))
+    for text in ("IWO 语序", "主谓 搭配", "Word Order"):
+        want = query(char_index, text.replace(" ", ""), k=3, theta=0.0)
+        assert query(index, text, k=3, theta=0.0) == query(loaded, text, k=3, theta=0.0) == want
 
 
 @pytest.mark.parametrize("ranking", RANKINGS)

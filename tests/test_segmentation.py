@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,14 @@ ECHO_CHARS_CMD = (
     "for line in sys.stdin:\n"
     "    line = line.rstrip('\\n')\n"
     "    print(' '.join(line))\n"
+    "    sys.stdout.flush()\""
+)
+# The same, except that a line holding X hangs the child.
+HANG_ON_X_CMD = (
+    f"{sys.executable} -u -c \"import sys, time\n"
+    "for line in sys.stdin:\n"
+    "    if 'X' in line: time.sleep(60)\n"
+    "    print(' '.join(line.rstrip('\\n')))\n"
     "    sys.stdout.flush()\""
 )
 
@@ -87,6 +96,13 @@ def test_segment_deterministic(char_cfg, ws_cfg):
 
 
 @pytest.fixture
+def hang_cfg():
+    cfg = SegmenterConfig(mode="external", external_command=HANG_ON_X_CMD, external_timeout=0.5)
+    yield cfg
+    close_external_segmenters()
+
+
+@pytest.fixture
 def ext_cfg():
     cfg = SegmenterConfig(mode="external", external_command=ECHO_CHARS_CMD)
     yield cfg
@@ -99,17 +115,71 @@ def test_external_mode_character_echo(ext_cfg):
     assert_covering("病句呀", tokens, separators_allowed=False)
 
 
+def test_external_mode_drops_spaces_and_keeps_offsets(ext_cfg):
+    # The protocol's separator is a space, so the child may drop the line's spaces.
+    text = " IWO  语序不当 "
+    tokens = segment(text, ext_cfg)
+    assert [t.text for t in tokens] == list("IWO语序不当")
+    assert [t.start for t in tokens] == [1, 2, 3, 6, 7, 8, 9]
+    assert_covering(text, tokens, separators_allowed=True)
+
+
 def test_external_mode_empty_input(ext_cfg):
     assert segment("", ext_cfg) == []
+
+
+def _segmenter(cfg):
+    from re2gec import segmentation
+
+    return segmentation._external_registry[cfg.external_command, cfg.external_timeout]
 
 
 def test_external_mode_reuses_one_process(ext_cfg):
     from re2gec import segmentation
 
     segment("甲", ext_cfg)
-    first = dict(segmentation._external_registry)
+    first, pid = dict(segmentation._external_registry), _segmenter(ext_cfg)._proc.pid
     segment("乙", ext_cfg)
     assert dict(segmentation._external_registry) == first
+    assert _segmenter(ext_cfg)._proc.pid == pid
+
+
+def test_external_mode_restarts_its_child_after_a_timeout(hang_cfg):
+    # The registry keeps the same segmenter; the segmenter starts a new child.
+    assert [t.text for t in segment("甲", hang_cfg)] == ["甲"]
+    seg = _segmenter(hang_cfg)
+    pid = seg._proc.pid
+    with pytest.raises(SegmentationError, match="timed out after 0.5s"):
+        segment("甲X", hang_cfg)
+    assert [t.text for t in segment("乙丙", hang_cfg)] == ["乙", "丙"]
+    assert _segmenter(hang_cfg) is seg
+    assert seg._proc.pid != pid
+
+
+def test_a_line_that_hangs_the_child_costs_only_that_line(hang_cfg):
+    # Six lines queue behind the hung one; each waits out its timeout and then
+    # gets its tokens from a fresh child.
+    segment("预热", hang_cfg)
+    texts = ["第X句", *(f"第{i}句" for i in range(1, 7))]
+    results = [None] * len(texts)
+
+    def work(i):
+        try:
+            results[i] = "".join(t.text for t in segment(texts[i], hang_cfg))
+        except SegmentationError as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(texts))]
+    threads[0].start()
+    time.sleep(0.1)  # the hung line holds the child first
+    for t in threads[1:]:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert isinstance(results[0], SegmentationError)
+    assert "timed out" in str(results[0])
+    assert results[1:] == texts[1:]
 
 
 def test_external_mode_serializes_concurrent_callers(ext_cfg):
@@ -127,17 +197,33 @@ def test_external_mode_serializes_concurrent_callers(ext_cfg):
     assert results == texts
 
 
-def test_external_mode_rejects_non_reconcatenating_output():
-    cmd = (
+def _reply_cmd(reply: str) -> str:
+    """A child answering each line with the Python expression ``reply``."""
+    return (
         f"{sys.executable} -u -c \"import sys\n"
         "for line in sys.stdin:\n"
-        "    print('x y z')\n"
+        f"    print({reply})\n"
         "    sys.stdout.flush()\""
     )
-    cfg = SegmenterConfig(mode="external", external_command=cmd)
+
+
+def test_external_mode_rejects_non_reconcatenating_output():
+    cfg = SegmenterConfig(mode="external", external_command=_reply_cmd("'x y z'"))
     try:
         with pytest.raises(SegmentationError, match="re-concatenate.*abc"):
             segment("abc", cfg)
+    finally:
+        close_external_segmenters()
+
+
+def test_external_mode_rejects_a_token_across_a_space():
+    # Dropping a space may not join the tokens on either side of it.
+    cmd = _reply_cmd("line.rstrip('\\n').replace(' ', '')")
+    cfg = SegmenterConfig(mode="external", external_command=cmd)
+    try:
+        assert [t.text for t in segment("abc", cfg)] == ["abc"]
+        with pytest.raises(SegmentationError, match="re-concatenate.*'ab c'"):
+            segment("ab c", cfg)
     finally:
         close_external_segmenters()
 
