@@ -22,11 +22,23 @@ or a value a config dataclass rejects, named by its flag).  Either error is
 one line on stderr, ``error: ...`` or ``usage error: ...``.  Inputs are decoded
 where they enter, through ``errors``, so ``dispatch`` catches only ``Re2Error``
 and ``OSError``: any other exception is a bug, and keeps its traceback.
+
+Scoring and edit extraction need none of the pipeline, so this module
+imports only ``corpus``, ``edit_extract``, ``errors``, ``scorer`` and
+``segmentation``.  The names it uses from ``pipeline``, ``retriever`` and
+``llm_backend`` are imported on first use and bound as globals of this
+module, where handlers look them up: a wrapper or stand-in set on this
+module (``bench/traced.py`` replaces ``load_index`` here) is what the
+handlers call, and a later import keeps it.  The parser names every
+subcommand, but adds a subcommand's options only when that subcommand
+parses, so a run builds no other subcommand's options and reads no
+pipeline default for them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import re
@@ -36,32 +48,42 @@ from pathlib import Path
 from .corpus import SentencePair, load_corpus, string_fields
 from .edit_extract import extract_edits
 from .errors import Re2Error, decode_json, decode_text, replace_file
-from .llm_backend import BACKEND_KINDS, BackendConfig, DecodingParams
-from .pipeline import (
-    BASELINE_MODES,
-    Re2Config,
-    check_baseline,
-    compare_retrievers,
-    correct_corpus,
-    embedder_for,
-    generate_explanation,
-    map_ordered,
-    run_baseline,
-    sft_examples,
-    sweep_threshold,
-)
-from .retriever import (
-    INDEX_FIELDS,
-    RANKINGS,
-    IndexConfig,
-    build_index,
-    check_corpus,
-    load_index,
-    query,
-    save_index,
-)
 from .scorer import detection_metrics, rouge_l, score_corpus, score_sentence
 from .segmentation import SEGMENTER_MODES, SegmenterConfig
+
+# The module of each pipeline-side name.  These names are read as globals of
+# this module, bound on first use.
+_MODULE_OF = {
+    **dict.fromkeys(("BACKEND_KINDS", "BackendConfig", "DecodingParams"), "llm_backend"),
+    **dict.fromkeys((
+        "BASELINE_MODES", "Re2Config", "check_baseline", "compare_retrievers", "correct_corpus",
+        "embedder_for", "generate_explanation", "map_ordered", "run_baseline", "sft_examples",
+        "sweep_threshold",
+    ), "pipeline"),
+    **dict.fromkeys((
+        "INDEX_FIELDS", "RANKINGS", "IndexConfig", "build_index", "check_corpus", "load_index",
+        "query", "save_index",
+    ), "retriever"),
+}
+
+
+def __getattr__(name: str):
+    """A pipeline-side name, imported and bound as a global on its first read.
+
+    A name already bound, by an earlier read or by a caller that replaced it
+    (a tracer's wrapper, a test's stand-in), keeps its value.
+    """
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    return globals().setdefault(name, value)
+
+
+def _load_pipeline() -> None:
+    """Bind every pipeline-side name, for a command whose options or handler read them."""
+    for name in _MODULE_OF:
+        __getattr__(name)
 
 
 class _UsageError(Exception):
@@ -77,7 +99,20 @@ class _InputsFailed(Re2Error):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors raise ``_UsageError`` instead of exiting."""
+    """An argument parser whose errors raise ``_UsageError`` instead of exiting.
+
+    A subcommand's parser has a ``populate(parser)`` that adds its options
+    the first time it parses, so a run builds the options of its own
+    subcommand only.
+    """
+
+    populate = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.populate is not None:
+            populate, self.populate = self.populate, None
+            populate(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         raise _UsageError(message)
@@ -312,7 +347,10 @@ def _text_lines(path: str) -> list[str]:
 
 
 def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
-    """(source, hypothesis, targets) per --src record; hypotheses from --hyp or --hyp-log."""
+    """(source, hypothesis, targets) per --src record; hypotheses from --hyp or --hyp-log.
+
+    No record is an error: a score over nothing would read as a perfect one.
+    """
     from_text = opts.single_input(("hyp",), ("hyp_log",))
     if not from_text and opts.get("hyp_log") is None:
         raise _UsageError("missing required option --hyp or --hyp-log")
@@ -323,6 +361,8 @@ def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
         hyps = [row[0] for row in string_fields(opts.hyp_log, ("correction",))]
     if len(hyps) != len(src):
         raise Re2Error(f"{len(src)} sources but {len(hyps)} hypotheses")
+    if not hyps:
+        raise Re2Error("no source/hypothesis pairs")
     return [(rec.source, hyp, rec.targets) for rec, hyp in zip(src, hyps)]
 
 
@@ -556,39 +596,36 @@ def _add_decoding(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sample", action="store_const", const=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="re2gec",
-        description="Explanation-retrieved examples for grammatical error correction.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _add_common(
+    sub: argparse.ArgumentParser, out_help: str = "output path (default: stdout)",
+    *, seed: bool = False, jobs: bool = False,
+) -> None:
+    sub.add_argument("--config", help="JSON config manifest; flags override its values")
+    sub.add_argument("--out", help=out_help)
+    if seed:
+        sub.add_argument("--seed", type=int,
+                         help=f"random seed (default: {_default(run_baseline, 'seed')})")
+    if jobs:
+        sub.add_argument("--jobs", type=_positive_int, help="threads, each running one "
+                         f"input at a time (default: {_default(map_ordered, 'jobs')})")
+    sub.add_argument("--strict", action="store_const", const=True,
+                     help="reject unknown corpus fields and config keys")
 
-    def add(
-        name: str, handler, help_text: str, out_help: str = "output path (default: stdout)",
-        *, seed: bool = False, jobs: bool = False,
-    ) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
-        sub.set_defaults(handler=handler, parser=sub)
-        sub.add_argument("--config", help="JSON config manifest; flags override its values")
-        sub.add_argument("--out", help=out_help)
-        if seed:
-            sub.add_argument("--seed", type=int,
-                             help=f"random seed (default: {_default(run_baseline, 'seed')})")
-        if jobs:
-            sub.add_argument("--jobs", type=_positive_int, help="threads, each running one "
-                             f"input at a time (default: {_default(map_ordered, 'jobs')})")
-        sub.add_argument("--strict", action="store_const", const=True,
-                         help="reject unknown corpus fields and config keys")
-        return sub
 
-    sub = add("extract-edits", cmd_extract_edits, "extract edit scripts from sentence pairs")
+# Each subcommand's options, added when it parses.  Those of a pipeline
+# command read pipeline-side defaults and choices, so they bind those names first.
+
+def _extract_edits_options(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
     sub.add_argument("--source", help="source sentence")
     sub.add_argument("--target", help="corrected sentence")
     sub.add_argument("--in", help="JSON-lines file of {source, target} pairs")
     _add_segmenter(sub)
 
-    sub = add("build-index", cmd_build_index, "build a similarity index from a corpus",
-              out_help="index file to write (required)")
+
+def _build_index_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub, out_help="index file to write (required)")
     sub.add_argument("--in", help="corpus JSON-lines file")
     # Read by nothing: kept, with its old choices, so that existing command
     # lines and manifests that pass it (the benchmark's among them) still parse.
@@ -600,14 +637,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_segmenter(sub)
     _add_backend(sub, "embed_", "embedding")
 
-    sub = add("query", cmd_query, "query an index")
+
+def _query_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub)
     sub.add_argument("--index", help="index file")
     sub.add_argument("--text", help="query text")
     _add_pipeline_options(sub, theta=True, templates=False)
     sub.add_argument("--exclude", help="comma-separated doc ids to exclude")
     _add_backend(sub, "embed_", "embedding")
 
-    sub = add("explain", cmd_explain, "generate error explanations for inputs", jobs=True)
+
+def _explain_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub, jobs=True)
     sub.add_argument("--in", help="corpus JSON-lines file")
     sub.add_argument("--text", help="single input sentence")
     sub.add_argument("--templates")
@@ -615,8 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(sub)
     _add_decoding(sub)
 
-    sub = add("correct", cmd_correct, "correct inputs with explanation-retrieved examples",
-              jobs=True)
+
+def _correct_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub, jobs=True)
     sub.add_argument("--in", help="inputs corpus JSON-lines file")
     sub.add_argument("--corpus", help="reference example corpus (resolves retrieved ids)")
     sub.add_argument("--index", help="explanation index file")
@@ -626,8 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(sub, "explainer_", "explainer")
     _add_backend(sub, "embed_", "embedding")
 
-    sub = add("baseline", cmd_baseline, "correct inputs with a baseline example strategy",
-              seed=True, jobs=True)
+
+def _baseline_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub, seed=True, jobs=True)
     sub.add_argument("--mode", choices=BASELINE_MODES)
     sub.add_argument("--in", help="inputs corpus JSON-lines file")
     sub.add_argument("--corpus", help="example corpus")
@@ -637,31 +684,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(sub)
     _add_backend(sub, "embed_", "embedding")
 
-    sub = add("score", cmd_score, "edit-overlap precision/recall/F0.5")
+
+def _score_options(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
     sub.add_argument("--src", help="source corpus JSON-lines file (with reference targets)")
     sub.add_argument("--hyp", help="hypothesis text file, one sentence per line")
     sub.add_argument("--hyp-log", help="outcome log; corrections are scored")
     sub.add_argument("--per-sentence", help="write per-sentence TSV here")
 
-    sub = add("rouge", cmd_rouge, "character-level ROUGE-L")
+
+def _rouge_options(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
     sub.add_argument("--candidate")
     sub.add_argument("--reference")
     sub.add_argument("--cand-file")
     sub.add_argument("--ref-file")
 
-    sub = add("detect", cmd_detect, "sentence- and position-level detection metrics")
+
+def _detect_options(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
     sub.add_argument("--src", help="source corpus JSON-lines file")
     sub.add_argument("--hyp", help="hypothesis text file, one sentence per line")
     sub.add_argument("--hyp-log")
 
-    sub = add("make-sft-data", cmd_make_sft_data, "build fine-tuning prompt/response pairs")
+
+def _make_sft_data_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub)
     sub.add_argument("--train", help="training corpus with explanations")
     sub.add_argument("--index", help="explanation index over the training corpus")
     _add_pipeline_options(sub, theta=False)
     _add_backend(sub, "embed_", "embedding")
 
-    sub = add("sweep-theta", cmd_sweep_theta, "score the pipeline across gate thresholds",
-              jobs=True)
+
+def _sweep_theta_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub, jobs=True)
     sub.add_argument("--dev", help="dev corpus")
     sub.add_argument("--train", help="example corpus backing the index")
     sub.add_argument("--index", help="explanation index file")
@@ -673,8 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(sub, "explainer_", "explainer")
     _add_backend(sub, "embed_", "embedding")
 
-    sub = add("compare-retrievers", cmd_compare_retrievers,
-              "score the pipeline under different rankings", jobs=True)
+
+def _compare_retrievers_options(sub: argparse.ArgumentParser) -> None:
+    _load_pipeline()
+    _add_common(sub, jobs=True)
     sub.add_argument("--dev", help="dev corpus")
     sub.add_argument("--train", help="example corpus")
     sub.add_argument("--rankings", type=_rankings, help="comma-separated rankings to compare")
@@ -687,6 +747,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(sub, "explainer_", "explainer")
     _add_backend(sub, "embed_", "embedding")
 
+
+# (name, handler, help line, options) per subcommand, in --help order.
+_COMMANDS = (
+    ("extract-edits", cmd_extract_edits, "extract edit scripts from sentence pairs",
+     _extract_edits_options),
+    ("build-index", cmd_build_index, "build a similarity index from a corpus",
+     _build_index_options),
+    ("query", cmd_query, "query an index", _query_options),
+    ("explain", cmd_explain, "generate error explanations for inputs", _explain_options),
+    ("correct", cmd_correct, "correct inputs with explanation-retrieved examples",
+     _correct_options),
+    ("baseline", cmd_baseline, "correct inputs with a baseline example strategy",
+     _baseline_options),
+    ("score", cmd_score, "edit-overlap precision/recall/F0.5", _score_options),
+    ("rouge", cmd_rouge, "character-level ROUGE-L", _rouge_options),
+    ("detect", cmd_detect, "sentence- and position-level detection metrics", _detect_options),
+    ("make-sft-data", cmd_make_sft_data, "build fine-tuning prompt/response pairs",
+     _make_sft_data_options),
+    ("sweep-theta", cmd_sweep_theta, "score the pipeline across gate thresholds",
+     _sweep_theta_options),
+    ("compare-retrievers", cmd_compare_retrievers,
+     "score the pipeline under different rankings", _compare_retrievers_options),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; each one's options are added when it first parses."""
+    parser = _Parser(
+        prog="re2gec",
+        description="Explanation-retrieved examples for grammatical error correction.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, populate in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.set_defaults(handler=handler, parser=sub)
+        sub.populate = populate
     return parser
 
 

@@ -340,8 +340,11 @@ def _dev_scorer(
     cached per distinct prompt across calls, and returns the precision,
     recall and F0.5 against the dev targets.  Explanations run on ``jobs``
     threads, and the gold edits are extracted once, before any hypothesis.
+    An empty ``dev`` is an error: a score over nothing would read as a perfect one.
     """
     records = list(dev)
+    if not records:
+        raise PipelineError("score", "no dev inputs")
     sources = [rec.source for rec in records]
     explanations = _all_or_raise(
         map_ordered(lambda source: generate_explanation(source, config), sources, jobs)
@@ -382,6 +385,7 @@ def sweep_threshold(
     for theta in thetas:
         if not (0.0 <= theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    explanations, score = _dev_scorer(dev, train, config, jobs)
     ranking = index.config.ranking
     if ranking == "bm25":
         import logging
@@ -389,7 +393,6 @@ def sweep_threshold(
         logging.getLogger(__name__).warning(
             "theta does not move a BM25 gate, so every row is the same"
         )
-    explanations, score = _dev_scorer(dev, train, config, jobs)
     hit_lists = _all_or_raise(map_ordered(
         lambda explanation: _retrieve("retrieve", index, explanation, config, 0.0).hits,
         explanations,
@@ -459,7 +462,7 @@ def compare_retrievers(
             {
                 "ranking": ranking_config.ranking,
                 **score(results),
-                "mean_query_ms": (total_seconds / len(results) * 1000.0) if results else 0.0,
+                "mean_query_ms": total_seconds / len(results) * 1000.0,
             }
         )
     return rows

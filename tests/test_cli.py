@@ -461,6 +461,31 @@ def test_empty_input_gives_empty_output(run, text_commands, command, write_corpu
     assert path.read_bytes() == b""
 
 
+# A precision, recall or F over no sentences would read as a perfect score.
+@pytest.mark.parametrize("command, option, message", [
+    ("score", "--src", "no source/hypothesis pairs"),
+    ("detect", "--src", "no source/hypothesis pairs"),
+    ("sweep-theta", "--dev", "score: no dev inputs"),
+    ("compare-retrievers", "--dev", "score: no dev inputs"),
+])
+def test_an_aggregate_score_of_an_empty_input_fails(
+    run, work_args, write_corpus, tmp_path, command, option, message
+):
+    argvs, calls = work_args
+    argv = list(argvs[command])
+    argv[argv.index(option) + 1] = write_corpus([])
+    if "--hyp" in argv:
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        argv[argv.index("--hyp") + 1] = str(empty)
+    out, per_sentence = tmp_path / "out.json", tmp_path / "per_sentence.tsv"
+    if command == "score":
+        argv += ["--per-sentence", str(per_sentence)]
+    assert run(command, *argv, "--out", str(out)) == (1, "", f"error: {message}\n")
+    assert not out.exists() and not per_sentence.exists()
+    assert [name for name in calls if name in ("complete", "embed")] == []
+
+
 @pytest.fixture
 def work_args(text_commands, gee_jsonl, write_script, monkeypatch):
     """Per command: the argv of one run, and the list of the input reads and backend calls made."""
@@ -2054,11 +2079,11 @@ def test_offline_modules_load_no_pipeline_modules(tmp_path, module):
     assert loaded & pipeline_side == set()
 
 
-def _modules_loaded_by_offline_commands(tmp_path, names):
-    """Exit codes of ``score``, ``detect``, ``rouge`` and ``extract-edits``, run in turn in a
-    fresh interpreter, and which of ``names`` each step loaded: ``import re2gec.cli`` first,
-    then each command.  A module loaded before ``re2gec.cli`` (a ``site`` hook may preload
-    some) counts for no step.
+def _modules_loaded_by_offline_commands(tmp_path, names, more=()):
+    """Exit codes of ``score``, ``detect``, ``rouge`` and ``extract-edits``, then of each argv
+    of ``more``, run in turn in a fresh interpreter, and which of ``names`` each step loaded:
+    ``import re2gec.cli`` first, then each command.  A module loaded before ``re2gec.cli``
+    (a ``site`` hook may preload some) counts for no step.
     """
     src_dir = str(Path(re2gec.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -2082,7 +2107,8 @@ def _modules_loaded_by_offline_commands(tmp_path, names):
         "for argv in (['score', '--src', 'src.jsonl', '--hyp', 'hyp.txt'],\n"
         "             ['detect', '--src', 'src.jsonl', '--hyp', 'hyp.txt'],\n"
         "             ['rouge', '--candidate', 'ab', '--reference', 'abc'],\n"
-        "             ['extract-edits', '--source', 'ab', '--target', 'ba']):\n"
+        "             ['extract-edits', '--source', 'ab', '--target', 'ba'],\n"
+        f"             *{list(more)!r}):\n"
         "    codes.append(re2gec.cli.dispatch(argv))\n"
         "    seen.append(step())\n"
         "print(json.dumps([codes, seen]))\n"
@@ -2114,3 +2140,14 @@ def test_scoring_loads_no_pipeline_backend_or_segmenter_modules(tmp_path):
     codes, seen = _modules_loaded_by_offline_commands(tmp_path, names)
     assert codes == [0, 0, 0, 0]
     assert seen == [[], [], [], [], []]
+
+
+def test_scoring_loads_no_pipeline_side_modules(tmp_path, text_commands):
+    # re2gec.cli imports the pipeline side on first use, so scoring and edit
+    # extraction run without it; a correct run, which needs it, loads it all.
+    names = ("re2gec.pipeline", "re2gec.retriever", "re2gec.prompting", "re2gec.llm_backend",
+             "numpy")
+    correct = ["correct", *text_commands["correct"][0]]
+    codes, seen = _modules_loaded_by_offline_commands(tmp_path, names, [correct])
+    assert codes == [0, 0, 0, 0, 0]
+    assert seen == [[], [], [], [], [], list(names)]
