@@ -473,12 +473,15 @@ def cmd_rouge(opts: _Options) -> list[str]:
     if not cands:
         raise Re2Error("no candidate/reference pairs")
     pairs = [rouge_l(c, r) for c, r in zip(cands, refs)]
+    precision = recall = f1 = 0.0
+    for p, r, f in pairs:  # left to right: from Python 3.12 on, sum() compensates
+        precision, recall, f1 = precision + p, recall + r, f1 + f
     n = len(pairs)
     report = {
         "pairs": [{"precision": p, "recall": r, "f1": f} for p, r, f in pairs],
-        "mean_precision": sum(p for p, _, _ in pairs) / n,
-        "mean_recall": sum(r for _, r, _ in pairs) / n,
-        "mean_f1": sum(f for _, _, f in pairs) / n,
+        "mean_precision": precision / n,
+        "mean_recall": recall / n,
+        "mean_f1": f1 / n,
     }
     return [json.dumps(report, ensure_ascii=False)]
 

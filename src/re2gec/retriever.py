@@ -16,9 +16,11 @@ for cosine rankings the gate opens when the best similarity reaches theta;
 BM25 scores are not bounded by 1, so its gate opens whenever any hit exists.
 
 An index stores its documents column-major only, as numpy arrays (one
-column per n-gram, or per embedding dimension), built with one sort of
-all documents' entries; every ranking scores by adding the query's columns,
-one after another, into one score per document: a column that holds every
+column per n-gram, or per embedding dimension).  Its build makes no Python
+string per n-gram: one ``np.unique`` of the grams' code points gives the
+vocabulary, and one sort of every window's (column, position) key gives
+the columns.  Every ranking scores by adding the query's columns, one after
+another, into one score per document: a column that holds every
 document with one ``+=``, any other with ``np.add.at``.  One query scans its
 columns at a time, under a module lock; its n-gram lookup or embedder call
 runs outside it, so threads still overlap those.  The vocabulary is a numpy
@@ -46,12 +48,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import operator
 import struct
 import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, compress, islice
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -165,32 +166,6 @@ class ExplanationIndex:
         return self.columns
 
 
-def _columns(
-    sizes: list[int], cols: np.ndarray, weights: np.ndarray, n_cols: int, normalize: bool
-) -> Postings:
-    """Column-major form of the (column, weight) entries of rows of ``sizes`` entries each.
-
-    ``normalize`` scales each row to unit L2 norm and drops zero-norm rows.  The
-    builtin ``sum`` adds each row's squares in entry order, so the norms equal a
-    per-row Python loop's to the last bit.
-    """
-    import numpy as np
-
-    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    if normalize:
-        squares = iter((weights * weights).tolist())
-        norms = np.repeat([math.sqrt(sum(islice(squares, n))) for n in sizes], sizes)
-        keep = norms != 0.0
-        if not keep.all():
-            rows, cols, weights, norms = rows[keep], cols[keep], weights[keep], norms[keep]
-        weights = weights / norms
-    # (column, row) keys are unique, so any sort gives the stable column order.
-    order = np.argsort(cols.astype(np.int64) * len(sizes) + rows)
-    indptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
-    return Postings(indptr, rows[order], weights[order])
-
-
 def ngram_counts(text: str, config: IndexConfig) -> Counter:
     """Raw n-gram counts of a text under the index's segmenter and n-gram range."""
     seg = config.segmenter
@@ -204,14 +179,14 @@ def ngram_counts(text: str, config: IndexConfig) -> Counter:
 
 def _token_ids(
     texts: Sequence[str], seg: SegmenterConfig
-) -> tuple[str, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Every document's tokens in one string, ranked among the distinct tokens.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Every document's tokens in one code-point array, ranked among the distinct tokens.
 
-    Returns all tokens joined by ``NGRAM_JOIN``, where tokens ``p .. p+n-1``
-    join to ``joined[bounds[p] : bounds[p + n] - 1]``; the bounds (int64,
-    one more than the tokens); each token's rank (int32); the number of
-    distinct tokens; and the tokens per document.  ``retriever.segment``
-    makes the tokens of the other modes.
+    Returns the code points (uint32) of all tokens joined by ``NGRAM_JOIN``,
+    where tokens ``p .. p+n-1`` join to ``codes[bounds[p] : bounds[p + n] - 1]``;
+    the bounds (int64, one more than the tokens); each token's rank (int32);
+    the number of distinct tokens; and the tokens per document.
+    ``retriever.segment`` makes the tokens of the other modes.
     """
     import numpy as np
 
@@ -222,8 +197,8 @@ def _token_ids(
         rank_of = np.cumsum(seen, dtype=np.int32) - 1  # code point -> rank, for those seen
         spaced = np.full(max(2 * len(codes) - 1, 0), ord(NGRAM_JOIN), dtype=np.uint32)
         spaced[::2] = codes
-        joined, bounds = spaced.tobytes().decode("utf-32-le"), np.arange(0, 2 * len(codes) + 1, 2)
-        return joined, bounds, rank_of[codes], int(seen.sum()), np.array(list(map(len, texts)))
+        bounds = np.arange(0, 2 * len(codes) + 1, 2)
+        return spaced, bounds, rank_of[codes], int(seen.sum()), np.array(list(map(len, texts)))
     docs = [[t.text for t in segment(text, seg)] for text in texts]
     tokens = list(chain.from_iterable(docs))
     bounds = np.zeros(len(tokens) + 1, dtype=np.int64)
@@ -231,27 +206,45 @@ def _token_ids(
     distinct = sorted(set(tokens))
     rank = dict(zip(distinct, range(len(distinct))))
     ranks = np.fromiter(map(rank.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-    return NGRAM_JOIN.join(tokens), bounds, ranks, len(distinct), np.array(list(map(len, docs)))
+    codes = np.frombuffer(NGRAM_JOIN.join(tokens).encode("utf-32-le"), dtype=np.uint32)
+    return codes, bounds, ranks, len(distinct), np.array(list(map(len, docs)))
+
+
+def _ranks(values: np.ndarray, bound: int) -> tuple[int, np.ndarray]:
+    """The number of distinct int64 ``values``, each in ``[0, bound)``, and each one's rank.
+
+    One sort of packed (value, position) keys where they fit in int64, else ``np.unique``.
+    """
+    import numpy as np
+
+    shift = len(values).bit_length()
+    if bound << shift > 1 << 63:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return len(distinct), inverse
+    keys = np.sort(values << shift | np.arange(len(values)))
+    new = np.diff(keys >> shift, prepend=-1) != 0
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[keys & ((1 << shift) - 1)] = np.cumsum(new) - 1
+    return int(new.sum()), ranks
 
 
 def _gram_slots(
     texts: Sequence[str], config: IndexConfig
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Every length-n window's gram id, for n in the index's range, and each gram's string.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every length-n window's gram id, for n in the index's range, and each gram's code points.
 
     The id of a length-n window is its rank among the distinct (id of its
     (n-1)-prefix, last token) pairs, so each length's ids follow the order of
-    the token tuples.  Only the distinct grams become ``NGRAM_JOIN``-joined
-    strings, one length after another.  The window slots run document by
-    document, each document's windows by length, then position: the order
-    in which ``ngram_counts`` meets them.
+    the token tuples; ids run one length after another.  The window slots
+    run document by document, each document's windows by length, then
+    position: the order in which ``ngram_counts`` meets them.
 
-    Returns the strings, each slot's index into them (int32) and the windows
-    per document.
+    Returns ``_token_ids``'s code points, each gram's joined span in them (start
+    and length, int64), each slot's gram id (int32) and the windows per document.
     """
     import numpy as np
 
-    joined, bounds, tokens, n_tokens, lengths = _token_ids(texts, config.segmenter)
+    codes, bounds, tokens, n_tokens, lengths = _token_ids(texts, config.segmenter)
     nmin, nmax = config.ngram_min, min(config.ngram_max, int(lengths.max(initial=0)))
     # windows[d, n - nmin]: document d's length-n windows; their slots start at starts[d, n - nmin].
     windows = np.maximum(lengths[:, None] - np.arange(nmin - 1, nmax), 0)
@@ -259,59 +252,67 @@ def _gram_slots(
     doc_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
     offset = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     rest = np.repeat(lengths, lengths) - offset  # tokens from each position to its document's end
-    ids, slot_grams, strings = tokens.copy(), np.empty(windows.sum(), dtype=np.int32), []
+    ids, slot_grams = tokens.copy(), np.empty(windows.sum(), dtype=np.int32)
+    spans, n_ids, n_grams = [np.zeros((2, 0), dtype=np.int64)], 0, n_tokens
     for n in range(1, nmax + 1):
         pos = np.flatnonzero(rest >= n)
-        n_grams = n_tokens
         if n > 1:
             pairs = ids[pos].astype(np.int64) * n_tokens + tokens[pos + n - 1]
-            distinct, inverse = np.unique(pairs, return_inverse=True)
-            ids[pos], n_grams = inverse, len(distinct)
+            n_grams, ids[pos] = _ranks(pairs, n_grams * n_tokens)
         if n >= nmin:
             grams = ids[pos]
-            slot_grams[starts[doc_of[pos], n - nmin] + offset[pos]] = grams + len(strings)
+            slot_grams[starts[doc_of[pos], n - nmin] + offset[pos]] = grams + n_ids
             at = np.empty(n_grams, dtype=np.int64)
             at[grams] = pos  # any one occurrence of each gram
-            ends = (bounds[at + n] - 1).tolist()
-            strings += [joined[lo:hi] for lo, hi in zip(bounds[at].tolist(), ends)]
-    return strings, slot_grams, windows.sum(axis=1)
+            spans.append(bounds[np.array([at, at + n])])
+            n_ids += n_grams
+    begin, end = np.concatenate(spans, axis=1)
+    return codes, begin, end - 1 - begin, slot_grams, windows.sum(axis=1)
 
 
 def _ngram_entries(
-    texts: Sequence[str], config: IndexConfig
-) -> tuple[list[str], list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The vocabulary and every document's (column, count) entries, in ``ngram_counts`` order.
+    doc_ids: Sequence[str], texts: Sequence[str], config: IndexConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The vocabulary and every (column, document) entry, column by column with rows ascending.
 
-    One ``sorted`` of the distinct gram strings gives the column order;
-    equal strings of different lengths share a column.  One sort of
-    (column, slot) keys then finds the first slot and the count of each
-    (document, column).
+    The grams' code points, zero-padded to the longest gram's width (checked
+    first), form one ``<U`` block; one ``np.unique`` of it gives the sorted
+    vocabulary and each gram's column.  numpy orders these strings as Python
+    does, as indexed text holds no U+0000, and equal strings of different
+    lengths share a column.  One sort of (column, slot) keys then makes each
+    (column, document) run an entry: its first slot, and its length the count.
 
-    Returns the vocabulary (``<U``, as wide as its longest gram), the
-    entries per document, the entry columns (int32) and counts (float64),
-    and the windows per document (int64).
+    Returns the vocabulary, each entry's column, row (int32), count (float64)
+    and first slot, and the windows per document (int64).
     """
     import numpy as np
 
-    strings, slot_grams, doc_lengths = _gram_slots(texts, config)
-    order = sorted(range(len(strings)), key=strings.__getitem__)
-    ranked = [strings[i] for i in order]
-    # new[i]: ranked[i] differs from the string before it (the first always does).
-    new = list(map(operator.ne, [None, *ranked], ranked))
-    column_of = np.empty(len(strings), dtype=np.int32)
-    column_of[order] = np.cumsum(new, dtype=np.int32) - 1
+    codes, begin, widths, slot_grams, doc_lengths = _gram_slots(texts, config)
+    width = int(widths.max(initial=1))
+    if width > MAX_GRAM_WIDTH:
+        doc_id, gram = next(
+            (doc_id, gram)
+            for doc_id, text in zip(doc_ids, texts)
+            for gram in ngram_counts(text, config)
+            if len(gram) > MAX_GRAM_WIDTH
+        )
+        raise RetrievalError(
+            f"record {doc_id!r}: the n-gram {gram[:20]!r}... has {len(gram)} characters, "
+            f"more than the {MAX_GRAM_WIDTH} an index allows; use shorter tokens or n-grams"
+        )
+    block = np.zeros((len(begin), width), dtype=np.uint32)
+    for j in range(width):  # U+0000 past each gram's end
+        block[:, j] = np.where(widths > j, codes[np.minimum(begin + j, len(codes) - 1)], 0)
+    vocabulary, column_of = np.unique(block.view(f"<U{width}").ravel(), return_inverse=True)
     cols = column_of[slot_grams]
     slot_docs = np.repeat(np.arange(len(texts), dtype=np.int32), doc_lengths)
     # Sorted unique (column, slot) keys put each (column, document) run in slot order.
     n = len(cols)
-    key_cols, slots = np.divmod(np.sort(cols.astype(np.int64) * n + np.arange(n)), max(n, 1))
+    key_cols, slots = np.divmod(np.sort(cols * n + np.arange(n)), max(n, 1))
     runs = np.flatnonzero(np.diff(key_cols, prepend=-1) | np.diff(slot_docs[slots], prepend=-1))
-    counts = np.zeros(n)
-    counts[slots[runs]] = np.diff(runs, append=n)
-    first = counts != 0.0
-    sizes = np.bincount(slot_docs[first], minlength=len(texts)).tolist()
-    vocabulary = np.array(list(compress(ranked, new)), dtype=str)
-    return vocabulary, sizes, cols[first], counts[first], doc_lengths
+    counts = np.diff(runs, append=n).astype(np.float64)
+    first = slots[runs]
+    return vocabulary, key_cols[runs], slot_docs[first], counts, first, doc_lengths
 
 
 def _per_df(df: np.ndarray, term: Callable[[int], float]) -> np.ndarray:
@@ -347,7 +348,10 @@ def _bm25_gains(columns: Postings, doc_lengths: np.ndarray, config: IndexConfig)
 
 
 def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    squares = 0.0
+    for w in vec.values():  # left to right: from Python 3.12 on, sum() compensates
+        squares += w * w
+    norm = math.sqrt(squares)
     if norm == 0.0:
         return {}
     return {col: w / norm for col, w in vec.items()}
@@ -388,24 +392,6 @@ def _check_encodable(doc_ids: Sequence[str], texts: Sequence[str], field_name: s
             encode_text(value, f"record {doc_id!r}: the {what}", RetrievalError)
         if "\0" in text:
             raise RetrievalError(f"record {doc_id!r}: the {field_name} holds U+0000")
-
-
-def _check_width(
-    vocabulary: np.ndarray, doc_ids: Sequence[str], texts: Sequence[str], config: IndexConfig
-) -> None:
-    """Reject a vocabulary with a gram over ``MAX_GRAM_WIDTH``, naming the gram's first record."""
-    if vocabulary.dtype.itemsize <= 4 * MAX_GRAM_WIDTH:
-        return
-    doc_id, gram = next(
-        (doc_id, gram)
-        for doc_id, text in zip(doc_ids, texts)
-        for gram in ngram_counts(text, config)
-        if len(gram) > MAX_GRAM_WIDTH
-    )
-    raise RetrievalError(
-        f"record {doc_id!r}: the n-gram {gram[:20]!r}... has {len(gram)} characters, "
-        f"more than the {MAX_GRAM_WIDTH} an index allows; use shorter tokens or n-grams"
-    )
 
 
 def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
@@ -451,18 +437,32 @@ def build_index(
 
     if config.ranking == "embedding":
         matrix = _embed(embedder, texts)
-        mask = matrix != 0.0
-        sizes, cols, weights = mask.sum(axis=1).tolist(), mask.nonzero()[1], matrix[mask]
+        # Column by column, rows ascending: a row's squares add in column order.
+        cols, rows = np.nonzero(matrix.T)
+        weights, rows = matrix[rows, cols], rows.astype(np.int32)
+        squares_of = np.bincount(rows, weights=weights * weights, minlength=len(texts))
         vocabulary, idf, dim = np.array([], dtype=str), np.zeros(0), matrix.shape[1]
     else:
-        vocabulary, sizes, cols, weights, doc_lengths = _ngram_entries(texts, config)
-        _check_width(vocabulary, doc_ids, texts, config)
+        vocabulary, cols, rows, weights, first, doc_lengths = _ngram_entries(doc_ids, texts, config)
         # A document holds each gram once, so df counts the gram's entries.
         idf = _idf(np.bincount(cols, minlength=len(vocabulary)), len(texts))
+        dim = len(vocabulary)
         if config.ranking == "tfidf_cosine":
             weights *= idf[cols]
-        dim = len(vocabulary)
-    columns = _columns(sizes, cols, weights, dim, normalize=config.ranking != "bm25")
+            # Squares at first slots, 0.0 at the others: each document's add in ngram_counts order.
+            squares = np.zeros(int(doc_lengths.sum()))
+            squares[first] = weights * weights
+            slot_docs = np.repeat(np.arange(len(texts)), doc_lengths)
+            squares_of = np.bincount(slot_docs, weights=squares, minlength=len(texts))
+    if config.ranking != "bm25":
+        # Scale each row to unit L2 norm; drop a row whose norm underflows to 0.
+        norms = np.sqrt(squares_of)[rows]
+        keep = norms != 0.0
+        if not keep.all():
+            cols, rows, weights, norms = cols[keep], rows[keep], weights[keep], norms[keep]
+        weights = weights / norms
+    indptr = np.append(0, np.cumsum(np.bincount(cols, minlength=dim), dtype=np.int64))
+    columns = Postings(indptr, rows, weights)
     if config.ranking == "bm25":
         columns = columns._replace(weights=_bm25_gains(columns, doc_lengths, config))
     return ExplanationIndex(

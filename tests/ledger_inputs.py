@@ -11,6 +11,9 @@ pairs, ROUGE lines, and three mock scripts.
   prompt falls back to its last line, the input.
 - ``embed.json`` scripts an 8-bucket character count vector for every text
   that an embedding build or query meets.
+- ``big_train.jsonl`` holds ``N_BIG`` explanations, for an index build at
+  about the benchmark's scale. They come from their own seeded generator,
+  so that no other file depends on them.
 
 The data is small on purpose: a ledger run should add about a second to the
 suite.  It is built here, not by ``bench/gen.py``, so that a benchmark
@@ -31,6 +34,7 @@ SEED = 26
 N_TRAIN = 40
 N_DEV = 12
 N_SCORE = 30
+N_BIG = 2000
 
 CHARS = (
     "的一是在不了有和人这中大为上个国我以要他时来用们生到作地于出就分对成会可主发年动同工"
@@ -132,3 +136,10 @@ def write_inputs(directory: Path) -> None:
     spaced = [" ".join(_sentence(rng)[:6]) for _ in range(5)]
     pairs += [{"source": text, "target": _edited(rng, text)} for text in spaced]
     _write_jsonl(directory / "pairs.jsonl", pairs)
+
+    big_rng = random.Random(SEED + 1)
+    big_words = ["".join(big_rng.sample(CHARS, 2)) for _ in range(400)]
+    big = [{"id": f"b{i:04d}", "source": source, "targets": [_edited(big_rng, source)],
+            "explanation": f"{_explanation(big_rng, big_words)}，原句{source}"}
+           for i, source in enumerate(_sentence(big_rng) for _ in range(N_BIG))]
+    _write_jsonl(directory / "big_train.jsonl", big)

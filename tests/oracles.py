@@ -35,6 +35,14 @@ from re2gec.segmentation import SegmenterConfig, segment
 CHAR = SegmenterConfig(mode="character")
 
 
+def add_in_order(values) -> float:
+    """The floats added left to right, as ``sum`` adds them before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def ngram_tuples(text: str, nmin: int, nmax: int, seg: SegmenterConfig = CHAR) -> list[tuple]:
     tokens = [t.text for t in segment(text, seg)]
     grams = []
@@ -65,7 +73,7 @@ def tfidf_vectors(
     vectors = []
     for counts in doc_counts:
         vec = {g: c * idf[g] for g, c in counts.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
+        norm = math.sqrt(add_in_order(w * w for w in vec.values()))
         vectors.append({g: w / norm for g, w in vec.items()} if norm else {})
     return vectors, idf
 
@@ -76,12 +84,12 @@ def query_vector(
 ) -> dict[tuple, float]:
     counts = count(ngram_tuples(text, nmin, nmax, seg))
     vec = {g: c * idf[g] for g, c in counts.items() if g in idf}
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    norm = math.sqrt(add_in_order(w * w for w in vec.values()))
     return {g: w / norm for g, w in vec.items()} if norm else {}
 
 
 def cosine(va: dict, vb: dict) -> float:
-    return sum(w * vb.get(g, 0.0) for g, w in va.items())
+    return add_in_order(w * vb.get(g, 0.0) for g, w in va.items())
 
 
 def corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
@@ -300,7 +308,7 @@ def ngram_counts(text: str, config: IndexConfig) -> Counter:
 
 
 def _l2_normalize(vec: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    norm = math.sqrt(add_in_order(w * w for w in vec.values()))
     if norm == 0.0:
         return {}
     return {col: w / norm for col, w in vec.items()}

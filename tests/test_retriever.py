@@ -791,6 +791,45 @@ def test_ngram_range_past_the_longest_text_costs_nothing(ranking):
         assert query(wide, text, k=3, theta=0.0) == query(loaded, text, k=3, theta=0.0) == want
 
 
+def test_over_wide_gram_is_rejected_before_its_block_is_allocated():
+    # The vocabulary block takes distinct grams x width x 4 bytes: about
+    # 760 MB for this corpus, had it been made before the width check.
+    rng = random.Random(0)
+    words = ["".join(rng.choices("abcdefghij", k=rng.randint(2, 6))) for _ in range(300)]
+    texts = {f"d{i:03d}": " ".join(rng.choices(words, k=10)) for i in range(500)}
+    texts["wide"] = "主谓 " + "b" * 40_000 + " 搭配"
+    cfg = IndexConfig(segmenter=SegmenterConfig(mode="whitespace"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RetrievalError) as info:
+            build_index(gee_corpus(texts), "explanation", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        f"record 'wide': the n-gram {'主谓' + NGRAM_JOIN + 'b' * 17!r}... has 40003 characters, "
+        "more than the 64 an index allows; use shorter tokens or n-grams"
+    )
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize(
+    "values, bound",
+    [
+        ([5, 3, 5, 0, 3, 3], 6),            # packed keys fit in int64
+        ([2**61, 7, 2**61, 0], 2**61 + 1),  # they would not: np.unique instead
+        ([], 1),
+    ],
+    ids=["packed", "unique", "empty"],
+)
+def test_ranks_equal_np_unique(values, bound):
+    values = np.array(values, dtype=np.int64)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    n_distinct, ranks = retriever._ranks(values, bound)
+    assert n_distinct == len(distinct)
+    assert ranks.tolist() == inverse.tolist()
+
+
 def _hash_embedder(dim: int):
     """Deterministic small-integer vectors with some zero components."""
 
@@ -894,7 +933,7 @@ def test_equal_grams_of_two_lengths_share_a_column(ranking):
     index = build_index(corpus, "explanation", cfg)
     assert sorted(index.vocabulary) == ["a", "a\x1fb", "a\x1fb\x1fa", "b", "b\x1fa", "b\x1fa\x1fb"]
     # A document's length counts every window, even two that share a column.
-    assert retriever._ngram_entries(list(texts.values()), cfg)[-1].tolist() == [5, 5, 3]
+    assert retriever._ngram_entries(list(texts), list(texts.values()), cfg)[-1].tolist() == [5, 5, 3]
     assert dumps_index(index) == dumps_index(oracles.build_index(corpus, "explanation", cfg))
 
 
