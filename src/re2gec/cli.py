@@ -321,16 +321,24 @@ def _load(opts: _Options, name: str):
     return load_corpus(opts.require(name), strict=bool(opts.get("strict")))
 
 
-def _corpus_and_index(opts: _Options, name: str, index_required: bool = True):
+def _corpus_and_index(
+    opts: _Options, name: str, index_required: bool = True, field_name: str | None = None
+):
     """The example corpus of option ``name`` and the ``--index`` built over it.
 
-    The index is None when it is optional and not given.
+    The index is None when it is optional and not given.  Given a
+    ``field_name``, an index over another field is rejected.
     """
     corpus = _load(opts, name)
     path = opts.require("index") if index_required else opts.get("index")
     if path is None:
         return corpus, None
     index = load_index(path)
+    if field_name is not None and index.field_name != field_name:
+        raise Re2Error(
+            f"index was built over the {index.field_name} field, not {field_name}: "
+            f"rebuild it with build-index --field {field_name}"
+        )
     check_corpus(index, corpus)
     return corpus, index
 
@@ -416,7 +424,7 @@ def cmd_explain(opts: _Options) -> list[str]:
 def cmd_correct(opts: _Options) -> list[str]:
     config = _re2_config(opts, "in", "corpus", "index")
     dev = _load(opts, "in")
-    train, index = _corpus_and_index(opts, "corpus")
+    train, index = _corpus_and_index(opts, "corpus", field_name="explanation")
     outcomes = correct_corpus(
         [rec.source for rec in dev],
         index,
@@ -501,7 +509,7 @@ def cmd_make_sft_data(opts: _Options) -> list[str]:
 def cmd_sweep_theta(opts: _Options) -> list[str]:
     config = _re2_config(opts, "dev", "train", "index", "thetas")
     dev = _load(opts, "dev")
-    train, index = _corpus_and_index(opts, "train")
+    train, index = _corpus_and_index(opts, "train", field_name="explanation")
     thetas = opts.require("thetas")
     rows = sweep_threshold(dev, thetas, config, index, train, **opts.fields("jobs"))
     return [json.dumps(rows, ensure_ascii=False)]

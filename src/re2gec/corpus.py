@@ -1,4 +1,4 @@
-"""Corpus data model and JSON-lines I/O.
+"""Corpus data model and JSON-lines reader; the package writes no corpus.
 
 A corpus file holds one JSON object per line:
 
@@ -8,6 +8,8 @@ A corpus file holds one JSON object per line:
 
 ``id``, ``source`` and ``targets`` are required.  ``targets`` must be
 non-empty; a sentence without errors carries ``targets == [source]``.
+``error_types`` is optional and lists codes of ``ERROR_TYPES``, kept as the
+file spells them.
 ``edits`` is optional and, when present, holds one edit list per target,
 each edit a ``[offset, original, replacement]`` triple over 0-based
 character offsets into ``source``.  ``Edit`` is that triple as a tuple, and
@@ -19,37 +21,29 @@ rebuilding its target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .edit_extract import Edit, apply_edits
-from .errors import CorpusError, EditError, decode_json, decode_text, replace_file
+from .errors import CorpusError, EditError, decode_json, decode_text
 
 _REQUIRED_FIELDS = ("id", "source", "targets")
 _OPTIONAL_FIELDS = ("error_types", "edits", "explanation", "rough_explanation")
 _KNOWN_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
 
 
-class ErrorType(Enum):
-    """The seven grammatical error categories."""
-
-    IWO = "IWO"  # incorrect word order
-    IWC = "IWC"  # incorrect word collocation
-    CM = "CM"    # component missing
-    CR = "CR"    # component redundancy
-    SC = "SC"    # structure confusion
-    ILL = "ILL"  # illogical
-    AM = "AM"    # ambiguity
-
-    @classmethod
-    def parse(cls, code: str) -> "ErrorType":
-        try:
-            return cls(code)
-        except ValueError:
-            raise CorpusError(f"unknown error type {code!r}") from None
+# The seven grammatical error types, as a record's ``error_types`` spells them.
+ERROR_TYPES = (
+    "IWO",  # incorrect word order
+    "IWC",  # incorrect word collocation
+    "CM",   # component missing
+    "CR",   # component redundancy
+    "SC",   # structure confusion
+    "ILL",  # illogical
+    "AM",   # ambiguity
+)
 
 
 @dataclass
@@ -59,7 +53,7 @@ class SentencePair:
     id: str
     source: str
     targets: list[str]
-    error_types: list[ErrorType] = field(default_factory=list)
+    error_types: list[str] = field(default_factory=list)
     edits: list[list[Edit]] | None = None
     explanation: str | None = None
     rough_explanation: str | None = None
@@ -75,13 +69,13 @@ class Corpus:
     def __iter__(self):
         return iter(self.records)
 
+    @cached_property
+    def _by_id(self) -> dict[str, SentencePair]:
+        return {rec.id: rec for rec in self.records}
+
     def get(self, record_id: str) -> SentencePair:
-        by_id = self.__dict__.get("_by_id")
-        if by_id is None or len(by_id) != len(self.records):
-            by_id = {rec.id: rec for rec in self.records}
-            self.__dict__["_by_id"] = by_id
         try:
-            return by_id[record_id]
+            return self._by_id[record_id]
         except KeyError:
             raise CorpusError(f"unknown record id {record_id!r}") from None
 
@@ -113,15 +107,12 @@ def _parse_record(
     ):
         raise CorpusError(f"line {line_no}: targets must be a non-empty list of strings")
 
-    error_types = []
-    if "error_types" in obj:
-        raw = obj["error_types"]
-        if not isinstance(raw, list):
-            raise CorpusError(f"line {line_no}: error_types must be a list")
-        try:
-            error_types = [ErrorType.parse(code) for code in raw]
-        except CorpusError as exc:
-            raise CorpusError(f"line {line_no}: {exc}") from None
+    error_types = obj.get("error_types", [])
+    if not isinstance(error_types, list):
+        raise CorpusError(f"line {line_no}: error_types must be a list")
+    for code in error_types:
+        if code not in ERROR_TYPES:
+            raise CorpusError(f"line {line_no}: unknown error type {code!r}")
 
     edits = None
     if obj.get("edits") is not None:
@@ -239,25 +230,3 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
             )
     return Corpus(records=records)
 
-
-def record_to_dict(rec: SentencePair) -> dict:
-    """Record as a JSON-ready dict with stable field order, omitting absent optionals."""
-    obj = {"id": rec.id, "source": rec.source, "targets": list(rec.targets)}
-    if rec.error_types:
-        obj["error_types"] = [t.value for t in rec.error_types]
-    if rec.edits is not None:
-        obj["edits"] = [list(edit_list) for edit_list in rec.edits]
-    if rec.explanation is not None:
-        obj["explanation"] = rec.explanation
-    if rec.rough_explanation is not None:
-        obj["rough_explanation"] = rec.rough_explanation
-    return obj
-
-
-def dumps_record(rec: SentencePair) -> str:
-    return json.dumps(record_to_dict(rec), ensure_ascii=False, separators=(",", ":"))
-
-
-def dump_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back to JSON-lines; load_corpus(dump_corpus(c)) round-trips."""
-    replace_file(path, "".join(dumps_record(rec) + "\n" for rec in corpus.records).encode())

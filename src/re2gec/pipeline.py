@@ -260,6 +260,11 @@ def check_baseline(
         problem = f"corpus has {len(corpus)} records, need k={config.k}"
     elif mode == "textsim" and source_index is None:
         problem = "textsim requires a source-text index"
+    elif mode == "textsim" and source_index.field_name != "source":
+        problem = (
+            "textsim requires a source-text index, not one built over the "
+            f"{source_index.field_name} field"
+        )
     else:
         return
     raise PipelineError("baseline", problem)
@@ -436,8 +441,7 @@ def compare_retrievers(
     vectors: dict[str, list[float]] = {}
     if "embedding" in rankings:
         distinct = list(dict.fromkeys(explanations))
-        if distinct:
-            vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
+        vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
     looked_up = lambda texts: [vectors[text] for text in texts]
 
     rows = []

@@ -32,13 +32,8 @@ CORRECTION_LABELS = ("纠正后：", "纠正后:")
 _PLACEHOLDER = re.compile(r"\{([^{}?]+)(\?)?\}")
 _EXAMPLE_MARKS = ("{Source #i}", "{Target #i}")
 
-_TEMPLATE_FILES = {
-    "gec_with_examples": "gec_with_examples.txt",
-    "gec_without_examples": "gec_without_examples.txt",
-    "gee": "gee.txt",
-    "gee_input_only": "gee_input_only.txt",
-}
 # Per template, the names that some prompt of it binds (render_gec_prompt, render_gee_prompt).
+# A set's directory holds each template as ``<key>.txt``.
 _BOUND_NAMES = {
     "gec_with_examples": {"Input"},
     "gec_without_examples": {"Input"},
@@ -91,7 +86,7 @@ def load_template_set(name_or_dir: str = "default") -> TemplateSet:
     base = Path(str(packaged)) if packaged.is_dir() else Path(name_or_dir)
     if not base.is_dir():
         raise TemplateError(f"template set not found: {name_or_dir!r}")
-    loaded = {key: load_template(base / fname) for key, fname in _TEMPLATE_FILES.items()}
+    loaded = {key: load_template(base / f"{key}.txt") for key in _BOUND_NAMES}
     return TemplateSet(**loaded)
 
 
@@ -161,7 +156,7 @@ def render_gee_prompt(pair: SentencePair, variant: str, template_set: TemplateSe
         "Source": pair.source,
         "Target": pair.targets[0],
         "edits": format_edits(pair.edits[0]),
-        "error type": ", ".join(t.value for t in pair.error_types),
+        "error type": ", ".join(pair.error_types),
     }
     if variant == "with_rough_explanation":
         if not pair.rough_explanation:

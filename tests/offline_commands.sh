@@ -20,6 +20,16 @@ re2gec score --src "$dir/src.jsonl" --hyp "$dir/hyp.txt"
 re2gec detect --src "$dir/src.jsonl" --hyp "$dir/hyp.txt"
 re2gec rouge --cand-file "$dir/hyp.txt" --ref-file "$dir/ref.txt"
 
+# A record holding every optional field the corpus reader knows loads, and
+# scores as the same record without them.
+printf '%s\n' '{"id": "a", "source": "他去了的", "targets": ["他去了"], "error_types": ["CR"], "edits": [[[3, "的", ""]]], "explanation": "句末多了“的”，应当删去", "rough_explanation": "成分赘余"}' > "$dir/full.jsonl"
+full=$(re2gec score --src "$dir/full.jsonl" --hyp "$dir/hyp.txt")
+plain=$(re2gec score --src "$dir/src.jsonl" --hyp "$dir/hyp.txt")
+if [ "$full" != "$plain" ]; then
+    printf 'a record with every field scores differently\nfull:  %s\nplain: %s\n' "$full" "$plain"
+    exit 1
+fi
+
 # ROUGE means of 1/3, 1 and 1 read ...777 added left to right, but ...778
 # from Python 3.12's sum(), which compensates. The literal is the output on
 # Python 3.11; every Python must print it.

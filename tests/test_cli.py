@@ -1390,6 +1390,42 @@ def test_index_over_another_corpus_is_rejected(
     assert f"index does not match the corpus: it was built over the {field} field" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "command, field, message",
+    [
+        ("correct", "source", "index was built over the source field, not explanation: "
+         "rebuild it with build-index --field explanation"),
+        ("sweep-theta", "source", "index was built over the source field, not explanation: "
+         "rebuild it with build-index --field explanation"),
+        ("baseline", "explanation", "baseline: textsim requires a source-text index, "
+         "not one built over the explanation field"),
+    ],
+    ids=["correct", "sweep-theta", "baseline textsim"],
+)
+def test_index_over_the_wrong_field_is_rejected(
+    run, command, field, message, gee_jsonl, dev_jsonl, write_script, monkeypatch, tmp_path
+):
+    # The index matches the corpus, but holds the text the command does not retrieve by.
+    index = str(tmp_path / "wrong.re2idx")
+    assert run("build-index", "--in", gee_jsonl, "--field", field, "--out", index) == (0, "", "")
+    calls = []
+    monkeypatch.setattr(re2gec.pipeline, "complete", lambda *args: calls.append(args) or "句")
+    script = write_script({})
+    argv = {
+        "correct": ("correct", "--in", dev_jsonl, "--corpus", gee_jsonl,
+                    "--script", script, "--explainer-script", script),
+        "sweep-theta": ("sweep-theta", "--dev", dev_jsonl, "--train", gee_jsonl,
+                        "--thetas", "0.5", "--script", script, "--explainer-script", script),
+        "baseline": ("baseline", "--mode", "textsim", "--in", dev_jsonl, "--corpus", gee_jsonl,
+                     "--script", script),
+    }[command]
+    out_file = tmp_path / "out.jsonl"
+    code, out, err = run(*argv, "--index", index, "--out", str(out_file))
+    assert (code, out, calls) == (1, "", [])
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out_file.exists()
+
+
 def test_make_sft_data_needs_no_backend(run, gee_jsonl, index_file):
     code, out, err = run("make-sft-data", "--train", gee_jsonl, "--index", index_file)
     assert code == 0, err

@@ -5,36 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from re2gec.corpus import (
-    Corpus,
-    Edit,
-    ErrorType,
-    SentencePair,
-    dump_corpus,
-    dumps_record,
-    load_corpus,
-)
+from re2gec.corpus import ERROR_TYPES, Edit, SentencePair, load_corpus
 from re2gec.errors import CorpusError
-
-
-def test_error_type_has_exactly_seven_codes():
-    assert {t.value for t in ErrorType} == {"IWO", "IWC", "CM", "CR", "SC", "ILL", "AM"}
-
-
-@pytest.mark.parametrize("code", ["IWO", "IWC", "CM", "CR", "SC", "ILL", "AM"])
-def test_error_type_parse_roundtrip(code):
-    assert ErrorType.parse(code).value == code
-
-
-def test_error_type_parse_rejects_unknown():
-    with pytest.raises(CorpusError, match="unknown error type 'XYZ'"):
-        ErrorType.parse("XYZ")
 
 
 def _write_lines(tmp_path, lines, name="corpus.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def _with_error_types(codes) -> str:
+    return json.dumps({"id": "a", "source": "s", "targets": ["t"], "error_types": codes})
+
+
+def test_error_type_has_exactly_seven_codes():
+    assert ERROR_TYPES == ("IWO", "IWC", "CM", "CR", "SC", "ILL", "AM")
+
+
+@pytest.mark.parametrize("code", ["IWO", "IWC", "CM", "CR", "SC", "ILL", "AM"])
+def test_error_type_parse_roundtrip(tmp_path, code):
+    # A code loads as the string the file spells.
+    rec = load_corpus(_write_lines(tmp_path, [_with_error_types([code, code])])).records[0]
+    assert rec.error_types == [code, code]
+
+
+def test_error_type_parse_rejects_unknown(tmp_path):
+    # Codes are case-sensitive; a non-string or unhashable code gets the same one line.
+    for code in ["XYZ", "sc", "", 1, 1.5, True, None, [1], {"a": 1}]:
+        path = _write_lines(tmp_path, [_with_error_types(["SC", code])])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"line 1: unknown error type {code!r}"
 
 
 def test_load_minimal_record(tmp_path):
@@ -60,7 +62,7 @@ def test_load_full_record(tmp_path):
     }
     corpus = load_corpus(_write_lines(tmp_path, [json.dumps(obj)]))
     rec = corpus.records[0]
-    assert rec.error_types == [ErrorType.SC, ErrorType.CM]
+    assert rec.error_types == ["SC", "CM"]
     assert rec.edits == [[Edit(1, "b", "x")], []]
     assert rec.explanation == "why" and rec.rough_explanation == "rough"
 
@@ -146,63 +148,75 @@ def test_corpus_get_by_id(mini_gee_corpus):
         mini_gee_corpus.get("nope")
 
 
+def _pair(obj: dict) -> SentencePair:
+    """The record that ``load_corpus`` gives for the schema-true JSON object ``obj``."""
+    edits = obj.get("edits")
+    return SentencePair(
+        id=obj["id"],
+        source=obj["source"],
+        targets=obj["targets"],
+        error_types=obj.get("error_types", []),
+        edits=None if edits is None else [[Edit(*t) for t in triples] for triples in edits],
+        explanation=obj.get("explanation"),
+        rough_explanation=obj.get("rough_explanation"),
+    )
+
+
+def _write_objects(path, objects) -> None:
+    path.write_text(
+        "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects), encoding="utf-8"
+    )
+
+
 def test_dump_load_roundtrip(tmp_path):
-    records = [
-        SentencePair(id="a", source="abc", targets=["axc"], edits=[[Edit(1, "b", "x")]]),
-        SentencePair(
-            id="b",
-            source="句子",
-            targets=["句子", "句子呀"],
-            error_types=[ErrorType.AM],
-            explanation="解释",
-            rough_explanation="粗解",
-        ),
-        SentencePair(id="c", source="", targets=["x"]),
+    objects = [
+        {"id": "a", "source": "abc", "targets": ["axc"], "edits": [[[1, "b", "x"]]]},
+        {
+            "id": "b",
+            "source": "句子",
+            "targets": ["句子", "句子呀"],
+            "error_types": ["AM"],
+            "explanation": "解释",
+            "rough_explanation": "粗解",
+        },
+        {"id": "c", "source": "", "targets": ["x"], "edits": None, "explanation": None},
     ]
-    corpus = Corpus(records=records)
     path = tmp_path / "out.jsonl"
-    dump_corpus(corpus, path)
-    reloaded = load_corpus(path)
-    assert reloaded.records == records
+    _write_objects(path, objects)
+    assert load_corpus(path).records == [_pair(obj) for obj in objects]
 
 
-def test_dumps_record_field_order_and_omission():
-    rec = SentencePair(id="a", source="s", targets=["t"])
-    assert dumps_record(rec) == '{"id":"a","source":"s","targets":["t"]}'
-
-
-# Schema-true record strategy for the serialization round-trip property.
+# Schema-true JSON objects for the load property; optional fields appear in any order.
 _ids = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8)
 _texts = st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=20
 )
+_OPTIONAL = {
+    "error_types": st.lists(st.sampled_from(ERROR_TYPES), max_size=3),
+    "edits": st.none(),
+    "explanation": st.none() | _texts,
+    "rough_explanation": st.none() | _texts,
+}
 
 
 @st.composite
-def _records(draw):
-    source = draw(_texts)
-    targets = draw(st.lists(_texts, min_size=1, max_size=3))
-    error_types = draw(st.lists(st.sampled_from(list(ErrorType)), max_size=3))
-    explanation = draw(st.none() | _texts)
-    rough = draw(st.none() | _texts)
-    return SentencePair(
-        id=draw(_ids),
-        source=source,
-        targets=targets,
-        error_types=error_types,
-        edits=None,
-        explanation=explanation,
-        rough_explanation=rough,
-    )
+def _objects(draw):
+    obj = {
+        "id": draw(_ids),
+        "source": draw(_texts),
+        "targets": draw(st.lists(_texts, min_size=1, max_size=3)),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(_OPTIONAL)), unique=True)):
+        obj[name] = draw(_OPTIONAL[name])
+    return obj
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_records(), max_size=6, unique_by=lambda r: r.id))
-def test_roundtrip_property(tmp_path_factory, records):
-    corpus = Corpus(records=records)
+@given(st.lists(_objects(), max_size=6, unique_by=lambda obj: obj["id"]))
+def test_roundtrip_property(tmp_path_factory, objects):
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
-    dump_corpus(corpus, path)
-    assert load_corpus(path).records == records
+    _write_objects(path, objects)
+    assert load_corpus(path).records == [_pair(obj) for obj in objects]
 
 
 _VALID_LINE = {"id": "ok", "source": "abcdef", "targets": ["abXdef"], "edits": [[[2, "c", "X"]]]}

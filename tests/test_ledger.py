@@ -1,10 +1,12 @@
 """The output ledger: every command's output bytes, pinned across commits.
 
 Each line of ``tests/ledger.jsonl`` names one command line (``argv``), one
-file it writes (``"-"`` for stdout), that file's sha256, and an 8-digit
-digest of each of its lines, so that a mismatch can name the first line that
-moved.  An ``omit`` list names JSON keys whose values are timings: each
-``, "key": <number>`` is cut from the file before it is hashed.
+file it writes (``"-"`` for stdout) and that file's sha256.  A file that is
+UTF-8 text also gets an 8-digit digest of each of its lines (``lines``), so
+that a mismatch can name the first line that moved; a binary file, such as
+an index, keeps its sha256 alone.  An ``omit`` list names JSON keys whose
+values are timings: each ``, "key": <number>`` is cut from the file before
+it is hashed.
 
 The command lines run in process, in ledger order, in one directory that
 ``ledger_inputs.write_inputs`` fills, with ``COLUMNS=80`` so that argparse
@@ -68,10 +70,16 @@ def _pinned(data: bytes, omit: list[str]) -> bytes:
     return data
 
 
-def _digests(data: bytes) -> tuple[str, list[str]]:
+def _digests(data: bytes) -> dict:
+    """The ``sha256`` of ``data``, and its ``lines`` digests if it is UTF-8 text."""
+    digests = {"sha256": hashlib.sha256(data).hexdigest()}
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return digests
     lines = data.splitlines(keepends=True)
-    return (hashlib.sha256(data).hexdigest(),
-            [hashlib.sha256(line).hexdigest()[:8] for line in lines])
+    digests["lines"] = [hashlib.sha256(line).hexdigest()[:8] for line in lines]
+    return digests
 
 
 ENTRIES = _read_ledger()
@@ -92,21 +100,21 @@ def test_output_bytes_match_the_ledger(entry, ledger_runs):
     code, stderr, files = ledger_runs[tuple(entry["argv"])]
     assert code == 0, stderr
     data = _pinned(files[entry["file"]], entry.get("omit", []))
-    sha, lines = _digests(data)
-    if sha == entry["sha256"]:
+    digests = _digests(data)
+    if digests["sha256"] == entry["sha256"]:
         return
-    got = data.splitlines(keepends=True)
+    moved = (f"{entry['file']} of `re2gec {' '.join(entry['argv'])}` moved: "
+             f"sha256 {digests['sha256']}, ledger {entry['sha256']}")
+    if "lines" not in entry or "lines" not in digests:
+        pytest.fail(moved, pytrace=False)
+    lines, got = digests["lines"], data.splitlines(keepends=True)
     first = next((i for i, (a, b) in enumerate(zip(lines, entry["lines"])) if a != b),
                  min(len(lines), len(entry["lines"])))
     if first < len(got):
         shown = repr(got[first].decode("utf-8", "backslashreplace")[:200])
     else:
         shown = "(missing: the file is shorter)"
-    pytest.fail(
-        f"{entry['file']} of `re2gec {' '.join(entry['argv'])}` moved: sha256 {sha}, "
-        f"ledger {entry['sha256']}; first differing line {first + 1} of {len(got)}: {shown}",
-        pytrace=False,
-    )
+    pytest.fail(f"{moved}; first differing line {first + 1} of {len(got)}: {shown}", pytrace=False)
 
 
 def _rewrite() -> None:
@@ -118,10 +126,11 @@ def _rewrite() -> None:
         code, stderr, files = runs[tuple(entry["argv"])]
         if code != 0:
             sys.exit(f"re2gec {' '.join(entry['argv'])}: exit {code}: {stderr}")
-        sha, lines = _digests(_pinned(files[entry["file"]], entry.get("omit", [])))
-        if sha != entry["sha256"]:
+        digests = _digests(_pinned(files[entry["file"]], entry.get("omit", [])))
+        if digests["sha256"] != entry["sha256"]:
             print(f"moved: {_entry_id(entry)} {' '.join(entry['argv'])}")
-        out.append(json.dumps({**entry, "sha256": sha, "lines": lines}, ensure_ascii=False))
+        entry = {key: value for key, value in entry.items() if key != "lines"}
+        out.append(json.dumps({**entry, **digests}, ensure_ascii=False))
     LEDGER.write_text("".join(line + "\n" for line in out), encoding="utf-8")
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from re2gec.corpus import Edit, ErrorType, SentencePair
+from re2gec.corpus import ERROR_TYPES, Edit, SentencePair
 from re2gec.errors import ParseError, TemplateError
 from re2gec.prompting import (
     CORRECTION_LABELS,
@@ -115,7 +115,7 @@ def full_pair(**overrides) -> SentencePair:
         id="r1",
         source="他是一个很好",
         targets=["他是一个很好的人"],
-        error_types=[ErrorType.CM],
+        error_types=["CM"],
         edits=[[Edit(6, "", "的人")]],
         rough_explanation="句末缺少宾语",
     )
@@ -149,12 +149,12 @@ def test_gee_with_rough_explanation_adds_line():
 
 def test_gee_legend_lists_all_error_types():
     for body in (SET.gee.body, SET.gee_input_only.body):
-        for code in ("IWO", "IWC", "CM", "CR", "SC", "ILL", "AM"):
+        for code in ERROR_TYPES:
             assert code in body
 
 
 def test_gee_multiple_error_types_joined():
-    pair = full_pair(error_types=[ErrorType.CM, ErrorType.SC])
+    pair = full_pair(error_types=["CM", "SC"])
     assert "Error Type: CM, SC\n" in render_gee_prompt(pair, "with_edits", SET)
 
 
