@@ -501,7 +501,7 @@ def cmd_detect(opts: _Options) -> list[str]:
 
 def cmd_make_sft_data(opts: _Options) -> list[str]:
     config = _re2_config(opts, "train", "index", need_correction=False, need_explainer=False)
-    train, index = _corpus_and_index(opts, "train")
+    train, index = _corpus_and_index(opts, "train", field_name="explanation")
     pairs = map_ordered(lambda rec: sft_examples(rec, index, train, config), train.records)
     return _input_lines(train.records, pairs, lambda rec, pair: [ex.to_dict() for ex in pair])
 

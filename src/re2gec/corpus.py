@@ -17,6 +17,11 @@ character offsets into ``source``.  ``Edit`` is that triple as a tuple, and
 ``_parse_edits``, as the record loads: its shape, each edit's types, a
 non-negative offset, an edit that changes something, and each list
 rebuilding its target.
+
+``json_objects`` reads every file: it decodes the whole file first, so a
+byte that is not UTF-8 is reported before any line's JSON, and then cuts out
+one line at a time at ``\n`` (after ``\r\n`` and ``\r`` become ``\n``),
+making no list of every line.
 """
 
 from __future__ import annotations
@@ -182,7 +187,14 @@ def json_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
     text = decode_text(Path(path).read_bytes(), where, CorpusError, universal_newlines=True)
     # Records end at a newline; str.splitlines() would also split on
     # U+2028-style separators that may appear raw inside JSON strings.
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    line_no, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line_no += 1
+        line = text[start:end]
+        start = end + 1
         if not line.strip():
             continue
         obj = decode_json(line, f"line {line_no}: invalid JSON in {where}", CorpusError)

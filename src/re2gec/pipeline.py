@@ -314,12 +314,14 @@ def correct_corpus(
 
 def sft_examples(
     rec: SentencePair, index: ExplanationIndex, train: Corpus, config: Re2Config
-) -> tuple[SftExample, SftExample]:
-    """A record's fine-tuning pairs: one with-examples and one without-examples prompt.
+) -> tuple[SftExample, ...]:
+    """A record's fine-tuning pairs: a with-examples prompt, if any, then a without-examples one.
 
     Retrieval queries the record's own explanation, excludes the record
     itself, and is not theta-gated (every with-examples prompt carries the
-    nearest other examples available).  The response is always the record's
+    nearest other examples available).  A record whose retrieval finds no
+    other example gets the without-examples pair alone, so each pair's mode
+    names the template it renders.  The response is always the record's
     first target.
     """
     if not rec.explanation:
@@ -328,10 +330,13 @@ def sft_examples(
     render = lambda examples: _stage(
         "sft", render_gec_prompt, rec.source, examples, config.template_set
     )
+    without = SftExample(render([]), rec.targets[0], {"id": rec.id, "mode": MODE_WITHOUT})
+    if not result.hits:
+        return (without,)
     with_ids = {"id": rec.id, "mode": MODE_WITH, "example_ids": [h.doc_id for h in result.hits]}
     return (
         SftExample(render(_examples_for_hits(result.hits, train)), rec.targets[0], with_ids),
-        SftExample(render([]), rec.targets[0], {"id": rec.id, "mode": MODE_WITHOUT}),
+        without,
     )
 
 

@@ -41,6 +41,11 @@ contents.  A loaded index holds the header's doc id list, and numpy views
 into the file bytes for every block: no per-gram or per-posting Python
 object is made.  Load derives each column's document frequency from
 ``indptr`` and, for n-gram indexes, the tf-idf idf from that.
+
+The header's ``corpus_sha256`` hashes the compact JSON list of the indexed
+``[id, text]`` pairs; ``check_corpus`` recomputes it to reject a corpus the
+index was not built over.  Both feed sha256 one pair at a time and never
+build that list, so the check's memory does not grow with the corpus.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_quoted
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -394,18 +400,27 @@ def _check_encodable(doc_ids: Sequence[str], texts: Sequence[str], field_name: s
             raise RetrievalError(f"record {doc_id!r}: the {field_name} holds U+0000")
 
 
-def _corpus_sha256(doc_ids: Sequence[str], texts: Sequence[str]) -> str:
-    """sha256 of the compact JSON list of ``[id, text]`` pairs, in corpus order."""
+def _corpus_sha256(doc_ids: Iterable[str], texts: Iterable[str]) -> str:
+    """sha256 of the compact JSON list of ``[id, text]`` pairs, in corpus order.
+
+    The list is never built: sha256 takes it one pair at a time, each string
+    escaped as ``json.dumps`` escapes it, so memory does not grow with the corpus.
+    """
     import hashlib  # here, not at the top: it loads OpenSSL, which scoring never needs
 
-    pairs = json.dumps([list(pair) for pair in zip(doc_ids, texts)], separators=(",", ":"))
-    return hashlib.sha256(pairs.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(b"[")
+    sep = ""
+    for doc_id, text in zip(doc_ids, texts):
+        digest.update(f"{sep}[{_json_quoted(doc_id)},{_json_quoted(text)}]".encode("ascii"))
+        sep = ","
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def check_corpus(index: ExplanationIndex, corpus: Corpus) -> None:
     """Raise unless ``corpus`` holds, in order, the (id, text) pairs the index was built over."""
-    ids = [rec.id for rec in corpus]
-    texts = [getattr(rec, index.field_name) or "" for rec in corpus]
+    ids = (rec.id for rec in corpus)
+    texts = (getattr(rec, index.field_name) or "" for rec in corpus)
     if _corpus_sha256(ids, texts) != index.corpus_sha256:
         raise RetrievalError(
             f"index does not match the corpus: it was built over the {index.field_name} "

@@ -17,10 +17,11 @@ import json
 import math
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 from typing import Sequence
 
 from re2gec.corpus import Corpus, Edit
-from re2gec.errors import RetrievalError
+from re2gec.errors import CorpusError, RetrievalError, decode_json, decode_text
 from re2gec.retriever import (
     INDEX_FIELDS,
     NGRAM_JOIN,
@@ -475,3 +476,22 @@ def char_level_edits(source: str, target: str) -> list[Edit]:
     spans_t = [(i, i + 1) for i in range(len(target))]
     pairs = _match_pairs(source, target)
     return _edits_from_alignment(source, target, pairs, spans_s, spans_t)
+
+
+# The corpus reader that preceded the line walk in re2gec.corpus.json_objects:
+# it split the whole decoded text into a list of every line first.
+
+
+def json_objects(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, JSON object) per non-blank line; CorpusError names any other line."""
+    where = repr(str(path))
+    text = decode_text(Path(path).read_bytes(), where, CorpusError, universal_newlines=True)
+    objects = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        obj = decode_json(line, f"line {line_no}: invalid JSON in {where}", CorpusError)
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {line_no}: record must be a JSON object")
+        objects.append((line_no, obj))
+    return objects

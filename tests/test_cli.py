@@ -874,7 +874,11 @@ def test_hostile_input_file_is_one_error_line(run, hostile_inputs, tmp_path, dat
     written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     errors = [obj["error"]["message"] for obj in written if "error" in obj]
     assert len(errors) == k
-    assert len(written) == n + (n - k) * (label == "make-sft-data")
+    # make-sft-data adds a with-examples line for each record whose retrieval found a hit.
+    metas = [obj["meta"] for obj in written if "meta" in obj]
+    example_ids = [meta["example_ids"] for meta in metas if "example_ids" in meta]
+    assert all(example_ids)
+    assert len(written) == n + len(example_ids)
     file_faults = ("cannot read mock script", "mock script '", "template ")
     assert not [message for message in errors if message.startswith(file_faults)]
 
@@ -1684,24 +1688,45 @@ def test_a_line_that_hangs_the_segmenter_costs_one_input_at_any_jobs(
     assert err.splitlines() == [f"error: 1 of 8 inputs failed (first: d3 at retrieve: {message})"]
 
 
-def test_make_sft_data_record_without_explanation_is_one_error_line(run, write_corpus, tmp_path):
+def test_make_sft_data_rejects_a_source_text_index(run, write_corpus, tmp_path):
+    # make-sft-data retrieves by explanation, so an index over the sources fails once,
+    # before any record: here even before record d1, which has no explanation.
     records = [
         {"id": doc_id, "source": f"原句{i}", "targets": [f"改句{i}"], "explanation": text}
         for i, (doc_id, text) in enumerate(GEE_DOCS)
     ]
     del records[1]["explanation"]
     train = write_corpus(records)
-    # An index over the sources accepts the record.
     index = str(tmp_path / "source.re2idx")
     assert run("build-index", "--in", train, "--field", "source", "--out", index) == (0, "", "")
-    code, out, err = run("make-sft-data", "--train", train, "--index", index)
-    assert code == 1
-    lines = [json.loads(line) for line in out.splitlines()]
-    assert [line.get("meta", {}).get("id") for line in lines] == ["d0", "d0", None, "d2", "d2"]
-    error = {"stage": "sft", "message": "record d1: missing explanation"}
-    assert lines[2] == {"id": "d1", "input": "原句1", "error": error}
+    out_file = tmp_path / "sft.jsonl"
+    code, out, err = run("make-sft-data", "--train", train, "--index", index, "--out", str(out_file))
+    assert (code, out) == (1, "")
     assert err.splitlines() == [
-        "error: 1 of 3 inputs failed (first: d1 at sft: record d1: missing explanation)"
+        "error: index was built over the source field, not explanation: "
+        "rebuild it with build-index --field explanation"
+    ]
+    assert not out_file.exists()
+
+
+def test_make_sft_data_record_without_a_hit_gets_one_plain_pair(run, write_corpus, tmp_path):
+    # c's explanation shares no character bigram or trigram with a's or b's.
+    texts = {"a": "主谓搭配不当，谓语动词使用错误", "b": "主谓搭配不当，宾语中心语残缺", "c": "语序颠倒"}
+    train = write_corpus([
+        {"id": doc_id, "source": f"原句{doc_id}", "targets": [f"改句{doc_id}"], "explanation": text}
+        for doc_id, text in texts.items()
+    ])
+    index = str(tmp_path / "train.re2idx")
+    assert run("build-index", "--in", train, "--out", index) == (0, "", "")
+    code, out, err = run("make-sft-data", "--train", train, "--index", index)
+    assert (code, err) == (0, "")
+    metas = [json.loads(line)["meta"] for line in out.splitlines()]
+    assert metas == [
+        {"id": "a", "mode": "with_examples", "example_ids": ["b"]},
+        {"id": "a", "mode": "without_examples"},
+        {"id": "b", "mode": "with_examples", "example_ids": ["a"]},
+        {"id": "b", "mode": "without_examples"},
+        {"id": "c", "mode": "without_examples"},
     ]
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from re2gec.corpus import ERROR_TYPES, Edit, SentencePair, load_corpus
+import oracles
+from re2gec.corpus import ERROR_TYPES, Edit, SentencePair, json_objects, load_corpus
 from re2gec.errors import CorpusError
 
 
@@ -93,6 +94,48 @@ def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path.write_bytes(b'{"id": "a", "source": "s", "targets": ["t"]}\n{"id": "\xff"}\n')
     with pytest.raises(CorpusError, match=r"^'.*c\.jsonl': line 2 is not UTF-8 \(invalid start"):
         load_corpus(path)
+
+
+def test_a_byte_that_is_not_utf8_is_named_before_invalid_json_above_it(tmp_path):
+    # The whole file decodes before any line parses, so line 5's byte wins over line 2.
+    path = tmp_path / "c.jsonl"
+    record = b'{"id": "a", "source": "s", "targets": ["t"]}\n'
+    path.write_bytes(record + b"{not json\n" + record * 2 + b'{"id": "\xff"}\n')
+    with pytest.raises(CorpusError, match=r"^'.*c\.jsonl': line 5 is not UTF-8 \(invalid start"):
+        list(json_objects(path))
+
+
+# Line bodies: JSON objects whose strings hold characters that str.splitlines()
+# would split at, blank and whitespace-only lines, and lines that fail to parse.
+_LINE_CHARS = st.characters() | st.sampled_from("\u2028\u2029\x85\x0b\x0c")
+_LINE_BODIES = st.one_of(
+    st.dictionaries(st.sampled_from(["id", "source"]), st.text(_LINE_CHARS, max_size=6)).map(
+        lambda obj: json.dumps(obj, ensure_ascii=False)
+    ),
+    st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028\u3000"), max_size=3),
+    st.sampled_from(["{not json", "[1]", '"text"']),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_LINE_BODIES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+    final_newline=st.booleans(),
+)
+def test_json_objects_equal_the_split_reference(tmp_path_factory, lines, final_newline):
+    text = "".join(body + eol for body, eol in lines)
+    if lines and not final_newline:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("lines") / "c.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = oracles.json_objects(path)
+    except CorpusError as exc:
+        with pytest.raises(CorpusError) as info:
+            list(json_objects(path))
+        assert str(info.value) == str(exc)
+    else:
+        assert list(json_objects(path)) == want
 
 
 def test_load_rejects_duplicate_id(tmp_path):

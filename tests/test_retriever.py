@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -912,6 +913,48 @@ def test_build_index_bytes_equal_oracle_build(case, ranking, mode, dim):
     embedder = _float_embedder(dim)
     got = dumps_index(build_index(corpus, "explanation", cfg, embedder))
     assert got == dumps_index(oracles.build_index(corpus, "explanation", cfg, embedder))
+
+
+# Characters json.dumps escapes: quotes, backslashes, controls, U+2028, U+0000,
+# non-BMP characters (as surrogate pairs) and lone surrogates, which load_corpus
+# yields from "\ud800"-style escapes.
+_HASHED_TEXTS = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff\U0001f600')
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_HASHED_TEXTS, _HASHED_TEXTS), max_size=6))
+@example([])
+def test_corpus_sha256_equals_the_json_list_oracle(pairs):
+    ids, texts = [doc_id for doc_id, _ in pairs], [text for _, text in pairs]
+    assert retriever._corpus_sha256(ids, texts) == oracles.corpus_sha256(ids, texts)
+
+
+def test_corpus_sha256_of_no_records_hashes_an_empty_list():
+    assert retriever._corpus_sha256([], []) == hashlib.sha256(b"[]").hexdigest()
+
+
+def test_check_corpus_memory_does_not_grow_with_the_corpus():
+    # 2,000 records of 1,000 CJK characters: one JSON copy of the pairs takes over
+    # 12 MB as text and as much again as bytes.  The index is a small one that
+    # carries the oracle's hash of the large corpus.
+    base = "".join(map(chr, range(0x4E00, 0x4E00 + 2000)))
+    texts = {f"d{i:04d}": base[i % 1000 : i % 1000 + 1000] for i in range(2000)}
+    corpus = gee_corpus(texts)
+    small = build_index(gee_corpus({"d0000": "主谓搭配"}), "explanation", IndexConfig())
+    index = dataclasses.replace(
+        small, corpus_sha256=oracles.corpus_sha256(list(texts), list(texts.values()))
+    )
+    tracemalloc.start()
+    try:
+        retriever.check_corpus(index, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
+    with pytest.raises(RetrievalError, match="^index does not match the corpus"):
+        retriever.check_corpus(small, corpus)
 
 
 # One token per character, except that "x\x1fy" stays one token: then the
