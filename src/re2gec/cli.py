@@ -24,22 +24,23 @@ where they enter, through ``errors``, so ``dispatch`` catches only ``Re2Error``
 and ``OSError``: any other exception is a bug, and keeps its traceback.
 
 Scoring and edit extraction need none of the pipeline, so this module
-imports only ``corpus``, ``edit_extract``, ``errors``, ``scorer`` and
-``segmentation``.  The names it uses from ``pipeline``, ``retriever`` and
-``llm_backend`` are imported on first use and bound as globals of this
-module, where handlers look them up: a wrapper or stand-in set on this
-module (``bench/traced.py`` replaces ``load_index`` here) is what the
-handlers call, and a later import keeps it.  The parser names every
-subcommand, but adds a subcommand's options only when that subcommand
-parses, so a run builds no other subcommand's options and reads no
-pipeline default for them.
+imports only ``corpus``, ``edit_extract``, ``errors`` and ``scorer``.
+``segmentation`` is imported where a command builds or reads
+``--segmenter``, and ``inspect`` where ``_default`` reads a default, so
+``score``, ``detect`` and ``rouge`` load neither.  The names this module
+uses from ``pipeline``, ``retriever`` and ``llm_backend`` are imported on
+first use and bound as globals of this module, where handlers look them
+up: a wrapper or stand-in set on this module (``bench/traced.py`` replaces
+``load_index`` here) is what the handlers call, and a later import keeps
+it.  The parser names every subcommand, but adds a subcommand's options
+only when that subcommand parses, so a run builds no other subcommand's
+options and reads no pipeline default for them.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import json
 import re
 import sys
@@ -49,7 +50,6 @@ from .corpus import SentencePair, load_corpus, string_fields
 from .edit_extract import extract_edits
 from .errors import Re2Error, decode_json, decode_text, replace_file
 from .scorer import detection_metrics, rouge_l, score_corpus, score_sentence
-from .segmentation import SEGMENTER_MODES, SegmenterConfig
 
 # The module of each pipeline-side name.  These names are read as globals of
 # this module, bound on first use.
@@ -205,6 +205,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> _Options:
 
 def _default(owner, name: str):
     """The default of keyword ``name`` of a function or dataclass."""
+    import inspect  # here: it loads ast, dis and tokenize, which scoring never uses
+
     return inspect.signature(owner).parameters[name].default
 
 
@@ -224,6 +226,8 @@ def _config(cls, opts: _Options, *names: str, values: dict | None = None, **rena
 
 
 def _segmenter(opts: _Options) -> SegmenterConfig:
+    from .segmentation import SegmenterConfig
+
     return _config(
         SegmenterConfig,
         opts,
@@ -560,6 +564,8 @@ def _thetas(text: str) -> list[float]:
 
 
 def _add_segmenter(sub: argparse.ArgumentParser) -> None:
+    from .segmentation import SEGMENTER_MODES, SegmenterConfig
+
     sub.add_argument("--segmenter", choices=SEGMENTER_MODES,
                      help=f"token segmenter (default: {_default(SegmenterConfig, 'mode')})")
     sub.add_argument("--segmenter-cmd", help="external segmenter command line")

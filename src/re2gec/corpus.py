@@ -18,18 +18,24 @@ character offsets into ``source``.  ``Edit`` is that triple as a tuple, and
 non-negative offset, an edit that changes something, and each list
 rebuilding its target.
 
+``SentencePair`` is a named tuple and ``Corpus`` a plain class, so loading a
+corpus imports no ``dataclasses`` (nor the ``inspect`` it imports).
+
 ``json_objects`` reads every file: it decodes the whole file first, so a
 byte that is not UTF-8 is reported before any line's JSON, and then cuts out
 one line at a time at ``\n`` (after ``\r\n`` and ``\r`` become ``\n``),
-making no list of every line.
+making no list of every line.  Each line's JSON goes through
+``errors.decode_json``, which reads a line that is one bare JSON value with
+one ``raw_decode``; a line with a BOM, whitespace around its value, extra
+data or an error takes ``json.loads``' path, so every record and message is
+as ``json.loads`` gives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .edit_extract import Edit, apply_edits
 from .errors import CorpusError, EditError, decode_json, decode_text
@@ -51,22 +57,23 @@ ERROR_TYPES = (
 )
 
 
-@dataclass
-class SentencePair:
+class SentencePair(NamedTuple):
     """One corpus record: a source sentence with its reference corrections."""
 
     id: str
     source: str
     targets: list[str]
-    error_types: list[str] = field(default_factory=list)
+    error_types: Sequence[str] = ()
     edits: list[list[Edit]] | None = None
     explanation: str | None = None
     rough_explanation: str | None = None
 
 
-@dataclass
 class Corpus:
-    records: list[SentencePair]
+    """The records of a corpus, in file order."""
+
+    def __init__(self, records: list[SentencePair]):
+        self.records = records
 
     def __len__(self) -> int:
         return len(self.records)

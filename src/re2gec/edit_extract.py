@@ -39,10 +39,12 @@ holds, and ``apply_edits`` rejects a script that does not fit its source.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import EditError
-from .segmentation import SegmenterConfig, segment
+
+if TYPE_CHECKING:
+    from .segmentation import SegmenterConfig
 
 
 class Edit(NamedTuple):
@@ -93,12 +95,8 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
     if set(a).isdisjoint(b):
         return []
     la, lb = len(a), len(b)
+    # LCS(a[i:], b[j:]) == n - popcount(rows[la - i] & mask), where n = lb - j, mask = 2**n - 1.
     rows = _lcs_rows(a[::-1], b[::-1])
-
-    def suffix(i: int, j: int) -> int:  # LCS of a[i:], b[j:]
-        n = lb - j
-        return n - (rows[la - i] & ((1 << n) - 1)).bit_count()
-
     pairs = []
     i = j = 0
     while i < la and j < lb:
@@ -107,7 +105,11 @@ def _lcs_pairs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int]]:
             pairs.append((i, j))
             i += 1
             j += 1
-        elif suffix(i + 1, j) >= suffix(i, j + 1):
+            continue
+        # With n = lb - j: skip a[i] iff LCS(a[i+1:], b[j:]) >= LCS(a[i:], b[j+1:]),
+        # that is n - popcount(rows[la-i-1] & mask) >= n - 1 - popcount(rows[la-i] & mask >> 1).
+        mask = (1 << (lb - j)) - 1
+        if (rows[la - i - 1] & mask).bit_count() <= (rows[la - i] & mask >> 1).bit_count() + 1:
             i += 1
         else:
             j += 1
@@ -179,6 +181,8 @@ def extract_edits(source: str, target: str, config: SegmenterConfig) -> list[Edi
         return char_level_edits(source, target)
     if source == target:
         return []
+    from .segmentation import segment  # here: character mode and scoring need no segmenter
+
     source_tokens = segment(source, config)
     target_tokens = segment(target, config)
     pairs = _match_pairs(

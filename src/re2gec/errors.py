@@ -1,7 +1,9 @@
 """Exception hierarchy, and the one place outside bytes become values and values bytes.
 
 Each decoding helper raises the caller's ``Re2Error`` subclass, naming ``where`` and, if
-known, the line.  ``replace_file`` is the one way the package writes a file.
+known, the line.  ``decode_json`` reads a well-formed document with one ``raw_decode``
+and hands any other to ``json.loads``.  ``replace_file`` is the one way the package
+writes a file.
 """
 
 import json
@@ -62,15 +64,27 @@ def decode_text(data: bytes, where: str, error: type[Re2Error], universal_newlin
     return text.replace("\r\n", "\n").replace("\r", "\n") if universal_newlines else text
 
 
+_DECODER = json.JSONDecoder()
+
+
 def decode_json(data: str | bytes, where: str, error: type[Re2Error]):
     """The JSON value of ``data``, which is UTF-8 when bytes.
 
-    Every failure names its position in ``JSONDecodeError``'s form.  The parser gives
-    none for a document nested too deeply or an integer too long for ``int()``, so
-    ``_json_failure_at`` finds those two.
+    One ``raw_decode`` that reads the whole string gives the value.  Anything else
+    (a failure, whitespace around the value, a BOM, extra data) takes the path of
+    ``json.loads``, whose values and messages it keeps.  Every failure names its
+    position in ``JSONDecodeError``'s form.  The parser gives none for a document
+    nested too deeply or an integer too long for ``int()``, so ``_json_failure_at``
+    finds those two.
     """
     if isinstance(data, bytes):
         data = decode_text(data, where, error)
+    try:
+        value, end = _DECODER.raw_decode(data)
+        if end == len(data):
+            return value
+    except (ValueError, RecursionError):
+        pass
     try:
         return json.loads(data)
     except RecursionError:

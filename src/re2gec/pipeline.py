@@ -350,6 +350,8 @@ def _dev_scorer(
     cached per distinct prompt across calls, and returns the precision,
     recall and F0.5 against the dev targets.  Explanations run on ``jobs``
     threads, and the gold edits are extracted once, before any hypothesis.
+    Each distinct correction of an input is extracted once across every
+    ``score`` call, and one equal to a target reuses that target's edits.
     An empty ``dev`` is an error: a score over nothing would read as a perfect one.
     """
     records = list(dev)
@@ -359,7 +361,15 @@ def _dev_scorer(
     explanations = _all_or_raise(
         map_ordered(lambda source: generate_explanation(source, config), sources, jobs)
     )
-    gold = [[edit_triples(rec.source, t) for t in rec.targets] for rec in records]
+    extracted = [{} for _ in records]  # input i's edit sets by text, kept across score() calls
+
+    def edits(i: int, text: str) -> frozenset:
+        known = extracted[i]
+        if text not in known:
+            known[text] = edit_triples(records[i].source, text)
+        return known[text]
+
+    gold = [[edits(i, t) for t in rec.targets] for i, rec in enumerate(records)]
     completer = _cached_completer(config)
 
     def score(results: Sequence[RetrievalResult]) -> dict:
@@ -369,8 +379,8 @@ def _dev_scorer(
             jobs,
         ))
         report = score_corpus(
-            score_triples(edit_triples(rec.source, correction), references)
-            for rec, references, correction in zip(records, gold, corrections)
+            score_triples(edits(i, correction), references)
+            for i, (references, correction) in enumerate(zip(gold, corrections))
         )
         return {"precision": report.precision, "recall": report.recall, "f_half": report.f_half}
 

@@ -9,6 +9,11 @@ best reference (highest F0.5, ties to higher tp then lower reference index).
 which callers that score one set of references many times use directly.
 ``score_corpus`` micro-averages the tp/fp/fn counts of those sentence scores,
 so per-sentence and corpus reports share one scoring pass.
+``score_sentence`` and ``detection_metrics`` extract the edits of each
+distinct text of a sentence once: a reference equal to the hypothesis, or to
+an earlier reference, reuses that set.  Every extraction calls this module's
+``char_level_edits``.  The score and report types are named tuples, so this
+module loads no ``dataclasses`` (nor the ``inspect`` it imports).
 
 Zero-denominator conventions: a sentence with neither predicted nor gold
 edits scores P = R = F = 1; a side with an undefined ratio otherwise scores
@@ -17,8 +22,7 @@ edits scores P = R = F = 1; a side with an undefined ratio otherwise scores
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .edit_extract import char_level_edits, lcs_length
 
@@ -47,8 +51,7 @@ def edit_triples(source: str, text: str) -> frozenset[tuple[int, str, str]]:
     return frozenset(char_level_edits(source, text))
 
 
-@dataclass(frozen=True)
-class SentenceScore:
+class SentenceScore(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -70,14 +73,19 @@ def score_triples(
     return max(scores, key=lambda s: (_prf(s.tp, s.fp, s.fn, 0.5)[2], s.tp))
 
 
+def _per_text(extract, source: str, texts: Sequence[str]) -> list:
+    """``extract(source, text)`` per text of ``texts``, called once per distinct text."""
+    done = {}
+    return [done[t] if t in done else done.setdefault(t, extract(source, t)) for t in texts]
+
+
 def score_sentence(source: str, hypothesis: str, references: Sequence[str]) -> SentenceScore:
     """Score one hypothesis against its best reference by exact edit-triple overlap."""
-    hyp = edit_triples(source, hypothesis)
-    return score_triples(hyp, [edit_triples(source, reference) for reference in references])
+    hyp, *gold = _per_text(edit_triples, source, [hypothesis, *references])
+    return score_triples(hyp, gold)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -120,8 +128,7 @@ def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     sentence_precision: float
     sentence_recall: float
     sentence_f1: float
@@ -183,11 +190,9 @@ def detection_metrics(
         elif gold:
             s_fn += 1
 
-        pred_pos = _edit_positions(source, hypothesis)
+        pred_pos, *gold_pos = _per_text(_edit_positions, source, [hypothesis, *targets])
         # The first target with the largest overlap, as max() keeps the first.
-        best_gold = max(
-            (_edit_positions(source, t) for t in targets), key=lambda g: len(pred_pos & g)
-        )
+        best_gold = max(gold_pos, key=lambda g: len(pred_pos & g))
         p_tp += len(pred_pos & best_gold)
         p_fp += len(pred_pos - best_gold)
         p_fn += len(best_gold - pred_pos)

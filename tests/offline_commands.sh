@@ -30,6 +30,30 @@ if [ "$full" != "$plain" ]; then
     exit 1
 fi
 
+# A hypothesis equal to the second of two references: its edits serve that
+# reference too. The literals are the output of the scorer that extracted
+# every text again.
+printf '%s\n' '{"id": "b", "source": "他昨天去了学校的", "targets": ["他昨天去了学校", "她昨天去学校了"]}' > "$dir/two.jsonl"
+printf '%s\n' '她昨天去学校了' > "$dir/hyp2.txt"
+got=$(re2gec score --src "$dir/two.jsonl" --hyp "$dir/hyp2.txt" --per-sentence "$dir/per.tsv")
+want='{"tp": 3, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, "f0.5": 1.0}'
+if [ "$got" != "$want" ]; then
+    printf 'score of a hypothesis equal to a reference moved\ngot:  %s\nwant: %s\n' "$got" "$want"
+    exit 1
+fi
+printf 'index\ttp\tfp\tfn\tchosen_reference\n0\t3\t0\t0\t1\n' > "$dir/per.want"
+if ! cmp -s "$dir/per.tsv" "$dir/per.want"; then
+    printf 'per-sentence TSV moved\ngot:\n%s\n' "$(cat "$dir/per.tsv")"
+    exit 1
+fi
+got=$(re2gec detect --src "$dir/two.jsonl" --hyp "$dir/hyp2.txt")
+one='{"precision": 1.0, "recall": 1.0, "f1": 1.0}'
+want="{\"sentence_level\": $one, \"position_level\": $one}"
+if [ "$got" != "$want" ]; then
+    printf 'detect of a hypothesis equal to a reference moved\ngot:  %s\nwant: %s\n' "$got" "$want"
+    exit 1
+fi
+
 # ROUGE means of 1/3, 1 and 1 read ...777 added left to right, but ...778
 # from Python 3.12's sum(), which compensates. The literal is the output on
 # Python 3.11; every Python must print it.

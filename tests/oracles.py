@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from re2gec.corpus import Corpus, Edit
-from re2gec.errors import CorpusError, RetrievalError, decode_json, decode_text
+from re2gec.errors import CorpusError, Re2Error, RetrievalError, _json_failure_at, decode_text
 from re2gec.retriever import (
     INDEX_FIELDS,
     NGRAM_JOIN,
@@ -479,7 +479,23 @@ def char_level_edits(source: str, target: str) -> list[Edit]:
 
 
 # The corpus reader that preceded the line walk in re2gec.corpus.json_objects:
-# it split the whole decoded text into a list of every line first.
+# it split the whole decoded text into a list of every line first, and
+# decoded each line with ``decode_json`` as it was before its raw_decode path.
+
+
+def decode_json(data: str, where: str, error: type[Re2Error]):
+    """``re2gec.errors.decode_json`` of a str, every one through ``json.loads``."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        reason, at = "nested too deeply", _json_failure_at(data, too_deep=True)
+    except json.JSONDecodeError as exc:
+        reason, at = str(exc), None
+    except ValueError as exc:  # an integer with more digits than int() takes
+        reason, at = str(exc).partition(";")[0], _json_failure_at(data, too_deep=False)
+    if at is not None:
+        reason = str(json.JSONDecodeError(reason, data, at))
+    raise error(f"{where}: {reason}")
 
 
 def json_objects(path: str | Path) -> list[tuple[int, dict]]:
@@ -495,3 +511,65 @@ def json_objects(path: str | Path) -> list[tuple[int, dict]]:
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         objects.append((line_no, obj))
     return objects
+
+
+# Scoring as plain loops: every text of a sentence is extracted, none reused,
+# with the edit extraction above.
+
+
+def _f_beta(precision: float, recall: float, beta: float) -> float:
+    denom = beta * beta * precision + recall
+    return (1 + beta * beta) * precision * recall / denom if denom else 0.0
+
+
+def score_sentence(source: str, hypothesis: str, references: Sequence[str]) -> tuple:
+    """(tp, fp, fn, chosen reference): the reference of highest sentence F0.5, then of
+    higher tp, then the first."""
+    hyp = set(char_level_edits(source, hypothesis))
+    best = best_key = None
+    for idx, reference in enumerate(references):
+        gold = set(char_level_edits(source, reference))
+        tp, fp, fn = len(hyp & gold), len(hyp - gold), len(gold - hyp)
+        if tp + fp == 0 and tp + fn == 0:
+            f = 1.0
+        else:
+            f = _f_beta(tp / (tp + fp) if tp + fp else 0.0, tp / (tp + fn) if tp + fn else 0.0, 0.5)
+        if best_key is None or (f, tp) > best_key:
+            best, best_key = (tp, fp, fn, idx), (f, tp)
+    return best
+
+
+def _positions(source: str, text: str) -> set[int]:
+    positions = set()
+    for offset, original, _ in char_level_edits(source, text):
+        positions.update(range(offset, offset + len(original)) if original else [offset])
+    return positions
+
+
+def detection_metrics(items) -> tuple:
+    """Sentence (precision, recall, F1), then position (precision, recall, F1).
+
+    Position level takes, per sentence, the first target of largest overlap.
+    """
+    s_tp = s_fp = s_fn = p_tp = p_fp = p_fn = 0
+    for source, hypothesis, targets in items:
+        predicted = hypothesis != source
+        gold = all(t != source for t in targets)
+        s_tp += predicted and gold
+        s_fp += predicted and not gold
+        s_fn += gold and not predicted
+        pred = _positions(source, hypothesis)
+        best = None
+        for target in targets:
+            positions = _positions(source, target)
+            if best is None or len(pred & positions) > len(pred & best):
+                best = positions
+        p_tp += len(pred & best)
+        p_fp += len(pred - best)
+        p_fn += len(best - pred)
+    scores = []
+    for tp, fp, fn in ((s_tp, s_fp, s_fn), (p_tp, p_fp, p_fn)):
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        recall = tp / (tp + fn) if tp + fn else 1.0
+        scores += [precision, recall, _f_beta(precision, recall, 1.0)]
+    return tuple(scores)

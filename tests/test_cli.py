@@ -960,21 +960,23 @@ def test_bad_scoring_input_line_is_one_error_line(
     assert re.match(f"error: line 2: {message}", line)
 
 
-def test_score_per_sentence_scores_each_sentence_once(run, write_corpus, tmp_path, monkeypatch):
+# Records a and b have a hypothesis equal to a target; d's hypothesis differs from its one target.
+_ONCE_RECORDS = [
+    {"id": "a", "source": "他昨天去学校了的", "targets": ["他昨天去学校了"]},
+    {"id": "b", "source": "我很喜欢吃苹果苹果", "targets": ["我很喜欢吃苹果", "我很喜欢吃苹果。"]},
+    {"id": "c", "source": "她看书在图书馆", "targets": ["她在图书馆看书", "她在图书馆里看书"]},
+    {"id": "d", "source": "正确的句子", "targets": ["正确的句子"]},
+]
+_ONCE_HYPS = ["他昨天去学校了", "我很喜欢吃苹果。", "她在图书馆看书了", "正确的句子呀"]
+
+
+def _extractions(run, write_corpus, tmp_path, monkeypatch, command, *options):
+    """(exit code, stdout, the (source, text) of each char_level_edits call) of one scoring run."""
     import re2gec.scorer
 
-    src = write_corpus(
-        [
-            {"id": "a", "source": "他昨天去学校了的", "targets": ["他昨天去学校了"]},
-            {"id": "b", "source": "我很喜欢吃苹果苹果",
-             "targets": ["我很喜欢吃苹果", "我很喜欢吃苹果。"]},
-            {"id": "c", "source": "她看书在图书馆", "targets": ["她在图书馆看书", "她在图书馆里看书"]},
-            {"id": "d", "source": "正确的句子", "targets": ["正确的句子"]},
-        ]
-    )
+    src = write_corpus(_ONCE_RECORDS)
     hyp = tmp_path / "hyp.txt"
-    hyps = ["他昨天去学校了", "我很喜欢吃苹果。", "她在图书馆看书了", "正确的句子呀"]
-    hyp.write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
+    hyp.write_text("".join(h + "\n" for h in _ONCE_HYPS), encoding="utf-8")
     calls = []
     original = re2gec.scorer.char_level_edits
 
@@ -983,16 +985,28 @@ def test_score_per_sentence_scores_each_sentence_once(run, write_corpus, tmp_pat
         return original(source, target)
 
     monkeypatch.setattr(re2gec.scorer, "char_level_edits", counting)
-    tsv = tmp_path / "per.tsv"
-    code, out, _ = run("score", "--src", src, "--hyp", str(hyp), "--per-sentence", str(tsv))
-    assert code == 0
-    # one extraction per hypothesis, then one per reference, sentence by sentence
-    records = [json.loads(line) for line in Path(src).read_text(encoding="utf-8").splitlines()]
-    assert calls == [
+    code, out, _ = run(command, "--src", src, "--hyp", str(hyp), *options)
+    return code, out, calls
+
+
+def _each_distinct_text_once():
+    """The hypothesis and then each reference, sentence by sentence, skipping a text seen before."""
+    return [
         (rec["source"], text)
-        for rec, h in zip(records, hyps)
-        for text in [h, *rec["targets"]]
+        for rec, h in zip(_ONCE_RECORDS, _ONCE_HYPS)
+        for text in dict.fromkeys([h, *rec["targets"]])
     ]
+
+
+def test_score_per_sentence_scores_each_sentence_once(run, write_corpus, tmp_path, monkeypatch):
+    tsv = tmp_path / "per.tsv"
+    code, out, calls = _extractions(
+        run, write_corpus, tmp_path, monkeypatch, "score", "--per-sentence", str(tsv)
+    )
+    assert code == 0
+    # a and b reuse the hypothesis's edits for the target equal to it
+    assert calls == _each_distinct_text_once()
+    assert len(calls) == 8  # 10 with every text extracted
     # expected bytes are the output of the two-pass scorer this replaced
     assert out == (
         '{"tp": 3, "fp": 2, "fn": 1, "precision": 0.6, "recall": 0.75, "f0.5": 0.625}\n'
@@ -1004,6 +1018,61 @@ def test_score_per_sentence_scores_each_sentence_once(run, write_corpus, tmp_pat
         "2\t1\t1\t1\t0\n"
         "3\t0\t1\t0\t0\n"
     )
+
+
+def test_detect_extracts_each_distinct_text_once(run, write_corpus, tmp_path, monkeypatch):
+    code, out, calls = _extractions(run, write_corpus, tmp_path, monkeypatch, "detect")
+    assert code == 0
+    assert calls == _each_distinct_text_once()
+    # expected bytes are the output of the scorer that extracted every text
+    assert out == (
+        '{"sentence_level": {"precision": 0.75, "recall": 1.0, "f1": 0.8571428571428571}, '
+        '"position_level": {"precision": 0.8571428571428571, "recall": 1.0, '
+        '"f1": 0.923076923076923}}\n'
+    )
+
+
+def test_sweep_theta_extracts_each_distinct_text_of_an_input_once(run, tmp_path, monkeypatch):
+    import ledger_inputs
+    import re2gec.pipeline
+    import re2gec.scorer
+
+    ledger_inputs.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run("build-index", "--in", "train.jsonl", "--out", "tfidf.idx")[0] == 0
+    calls, corrections = [], []
+    original_edits, original_correct = re2gec.scorer.char_level_edits, re2gec.pipeline._correct
+
+    def counting(source, target):
+        calls.append((source, target))
+        return original_edits(source, target)
+
+    def correct(source, *args):
+        outcome = original_correct(source, *args)
+        corrections.append((source, outcome.correction))
+        return outcome
+
+    monkeypatch.setattr(re2gec.scorer, "char_level_edits", counting)
+    monkeypatch.setattr(re2gec.pipeline, "_correct", correct)
+    code, _, _ = run(
+        "sweep-theta", "--dev", "dev.jsonl", "--train", "train.jsonl", "--index", "tfidf.idx",
+        "--thetas", "0,0.6,0.9", "--script", "corrector.json", "--explainer-script",
+        "explainer.json",
+    )
+    assert code == 0
+    dev = [json.loads(line) for line in (tmp_path / "dev.jsonl").read_text("utf-8").splitlines()]
+    assert len(corrections) == 3 * len(dev)
+    assert len({r["source"] for r in dev}) == len(dev)  # so a source names its input
+    # Each input's targets first, then each theta's corrections, input by input;
+    # a text already extracted for that input, in any earlier theta, is not again.
+    want, seen = [], set()
+    for source, text in [(r["source"], t) for r in dev for t in r["targets"]] + corrections:
+        if (source, text) not in seen:
+            seen.add((source, text))
+            want.append((source, text))
+    assert calls == want
+    assert sum(len(r["targets"]) for r in dev) + len(corrections) == 52
+    assert len(calls) == 31
 
 
 # --- index and query ---
@@ -2201,6 +2270,16 @@ def test_scoring_loads_no_pipeline_backend_or_segmenter_modules(tmp_path):
     codes, seen = _modules_loaded_by_offline_commands(tmp_path, names)
     assert codes == [0, 0, 0, 0]
     assert seen == [[], [], [], [], []]
+
+
+def test_inspect_and_segmentation_first_load_at_extract_edits(tmp_path):
+    # score, detect and rouge segment nothing and read no signature; inspect
+    # (with ast, dis and tokenize) loads with the dataclasses of segmentation
+    # and where extract-edits reads the --segmenter default for its help.
+    names = ("inspect", "dataclasses", "re2gec.segmentation")
+    codes, seen = _modules_loaded_by_offline_commands(tmp_path, names)
+    assert codes == [0, 0, 0, 0]
+    assert seen == [[], [], [], [], list(names)]
 
 
 def test_scoring_loads_no_pipeline_side_modules(tmp_path, text_commands):

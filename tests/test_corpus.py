@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -106,14 +107,30 @@ def test_a_byte_that_is_not_utf8_is_named_before_invalid_json_above_it(tmp_path)
 
 
 # Line bodies: JSON objects whose strings hold characters that str.splitlines()
-# would split at, blank and whitespace-only lines, and lines that fail to parse.
+# would split at, blank and whitespace-only lines, lines that fail to parse,
+# and lines that one raw_decode does not read whole, which json.loads must
+# read instead: a BOM, JSON whitespace around the object, two values, the
+# non-standard constants, nesting past the recursion limit and an integer
+# too long for int().
 _LINE_CHARS = st.characters() | st.sampled_from("\u2028\u2029\x85\x0b\x0c")
+_HANDED_BACK = [
+    '\ufeff{"id": "a"}',
+    ' {"id": "a"}',
+    '{"id": "a"}\t ',
+    '\t{"id": "a"} ',
+    '{"id": "a"} {"id": "b"}',
+    '{"id": "a"}[1]',
+    '{"a": NaN, "b": -Infinity, "c": Infinity}',
+    '{"a": ' + "[" * 100_000,
+    '{"a": ' + "[" * 5_000 + "]" * 5_000 + "}",
+    '{"a": ' + "7" * (sys.get_int_max_str_digits() + 1) + "}",
+]
 _LINE_BODIES = st.one_of(
     st.dictionaries(st.sampled_from(["id", "source"]), st.text(_LINE_CHARS, max_size=6)).map(
         lambda obj: json.dumps(obj, ensure_ascii=False)
     ),
     st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028\u3000"), max_size=3),
-    st.sampled_from(["{not json", "[1]", '"text"']),
+    st.sampled_from(["{not json", "[1]", '"text"', *_HANDED_BACK]),
 )
 
 
@@ -128,6 +145,21 @@ def test_json_objects_equal_the_split_reference(tmp_path_factory, lines, final_n
         text = text[: -len(lines[-1][1])]
     path = tmp_path_factory.mktemp("lines") / "c.jsonl"
     path.write_bytes(text.encode("utf-8"))
+    try:
+        want = oracles.json_objects(path)
+    except CorpusError as exc:
+        with pytest.raises(CorpusError) as info:
+            list(json_objects(path))
+        assert str(info.value) == str(exc)
+    else:
+        assert list(json_objects(path)) == want
+
+
+@pytest.mark.parametrize("body", _HANDED_BACK)
+def test_json_objects_equal_the_split_reference_on_each_handed_back_line(tmp_path, body):
+    # Each line alone, so a failure on it is not hidden by an earlier line's.
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(('{"id": "z"}\n' + body + "\n").encode("utf-8"))
     try:
         want = oracles.json_objects(path)
     except CorpusError as exc:

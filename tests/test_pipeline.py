@@ -419,9 +419,10 @@ def test_sweep_threshold_extracts_gold_edits_once(
     thetas = [0.0, 0.6, 1.0]
     sweep_threshold(dev_corpus, thetas, sweep_config, gee_index, mini_gee_corpus)
     n_refs = sum(len(rec.targets) for rec in dev_corpus)
-    # each reference once, then each theta's hypotheses
-    assert len(calls) == n_refs + len(thetas) * len(dev_corpus)
+    # each reference once, then each input's distinct hypotheses once over every
+    # theta: 4 texts, where extracting each theta's hypotheses again made 8 calls
     assert calls[:n_refs] == [(rec.source, t) for rec in dev_corpus for t in rec.targets]
+    assert len(calls) == len(set(calls)) == 4 < n_refs + len(thetas) * len(dev_corpus)
 
 
 def test_sweep_threshold_validates_thetas(dev_corpus, gee_index, mini_gee_corpus, sweep_config):
@@ -452,7 +453,9 @@ def test_compare_retrievers_extracts_gold_edits_once(
     rankings = ["tfidf_cosine", "bm25"]
     compare_retrievers(dev_corpus, rankings, sweep_config, mini_gee_corpus)
     n_refs = sum(len(rec.targets) for rec in dev_corpus)
-    assert len(calls) == n_refs + len(rankings) * len(dev_corpus)
+    # 3 distinct texts, where extracting each ranking's hypotheses again made 6 calls
+    assert calls[:n_refs] == [(rec.source, t) for rec in dev_corpus for t in rec.targets]
+    assert len(calls) == len(set(calls)) == 3 < n_refs + len(rankings) * len(dev_corpus)
 
 
 def test_compare_retrievers_embedding_needs_backend(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import lcs_len
 from re2gec.scorer import (
     DetectionReport,
@@ -108,6 +109,32 @@ def test_score_sentence_tie_on_f_prefers_higher_tp():
     s = score_sentence(source, hypothesis, [ref_a, "".join(ref_b)])
     assert (s.tp, s.fp, s.fn) == (2, 0, 10)
     assert s.chosen_reference == 1
+
+
+# Sentences over a few symbols, so that edits overlap and collide; the
+# hypothesis is often one of the references, and references often repeat.
+_SYMBOLS = "ab他去了"
+
+
+@st.composite
+def _scoring_items(draw):
+    source = draw(st.text(_SYMBOLS, max_size=7))
+    pool = [source, *draw(st.lists(st.text(_SYMBOLS, max_size=7), min_size=1, max_size=3))]
+    hypothesis = draw(st.sampled_from(pool))
+    references = draw(st.lists(st.sampled_from([hypothesis, *pool]), min_size=1, max_size=4))
+    return source, hypothesis, references
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scoring_items())
+def test_score_sentence_equals_the_extract_every_text_oracle(item):
+    assert tuple(score_sentence(*item)) == oracles.score_sentence(*item)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_scoring_items(), min_size=1, max_size=5))
+def test_detection_metrics_equal_the_extract_every_text_oracle(items):
+    assert tuple(detection_metrics(items)) == oracles.detection_metrics(items)
 
 
 def test_score_sentence_requires_references():
