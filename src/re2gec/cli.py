@@ -17,8 +17,10 @@ before the handler runs.  ``explain``,
 line in place of its output; ``dispatch`` writes every line and then fails
 with one line counting the failed inputs.  Exit codes: 0 on success, 1 on
 runtime errors and failed inputs, 2 on usage errors (a bad flag or manifest
-value, a missing option, a backend's model or timeout without that backend,
-or a value a config dataclass rejects, named by its flag).  Either error is
+value, a missing option, a missing backend role, a backend's model or
+timeout without that backend, or a value a config dataclass rejects, named
+by its flag).  A command takes the options of the backend roles it runs,
+and ``_re2_config`` requires its corrector and explainer.  Either error is
 one line on stderr, ``error: ...`` or ``usage error: ...``.  Inputs are decoded
 where they enter, through ``errors``, so ``dispatch`` catches only ``Re2Error``
 and ``OSError``: any other exception is a bug, and keeps its traceback.
@@ -271,21 +273,21 @@ def _backend(opts: _Options, prefix: str = "") -> BackendConfig | None:
     )
 
 
-def _re2_config(
-    opts: _Options, *required: str, need_correction: bool = True, need_explainer: bool = True
-) -> Re2Config:
+def _re2_config(opts: _Options, *required: str) -> Re2Config:
     """The run's config; each of the ``required`` options is checked first.
 
-    So a missing option is a usage error before the config reads any mock script.
+    The command takes, and so requires, the correction and explainer roles
+    whose options it registers; no role stands in for another.  So a missing
+    option is a usage error before the config reads any mock script.
     """
     for name in required:
         opts.require(name)
-    backend = _backend(opts)
-    explainer = _backend(opts, "explainer_") or backend
-    if backend is None and need_correction:
-        raise _UsageError("missing required option --script or --backend")
-    if explainer is None and need_explainer:
-        raise _UsageError("missing required option --explainer-script or --explainer-backend")
+    backend, explainer = _backend(opts), _backend(opts, "explainer_")
+    for prefix, role in (("", backend), ("explainer_", explainer)):
+        # argparse gives every option the command registers an attribute.
+        if role is None and hasattr(opts, prefix + "backend"):
+            raise _UsageError(f"missing required option {opts.flag(prefix + 'script')} "
+                              f"or {opts.flag(prefix + 'backend')}")
     values = dict(
         backend=backend,
         explainer_backend=explainer,
@@ -361,7 +363,9 @@ def _text_lines(path: str) -> list[str]:
 def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
     """(source, hypothesis, targets) per --src record; hypotheses from --hyp or --hyp-log.
 
-    No record is an error: a score over nothing would read as a perfect one.
+    Each --hyp-log outcome must hold its record's source as its ``input``, so
+    a log of other inputs is an error, not a score.  No record is an error
+    too: a score over nothing would read as a perfect one.
     """
     from_text = opts.single_input(("hyp",), ("hyp_log",))
     if not from_text and opts.get("hyp_log") is None:
@@ -370,7 +374,12 @@ def _scoring_items(opts: _Options) -> list[tuple[str, str, list[str]]]:
     if from_text:
         hyps = _text_lines(opts.hyp)
     else:
-        hyps = [row[0] for row in string_fields(opts.hyp_log, ("correction",))]
+        rows = string_fields(opts.hyp_log, ("input", "correction"))
+        for n, (rec, (text, _)) in enumerate(zip(src, rows), 1):
+            if text != rec.source:
+                raise Re2Error(f"--hyp-log outcome {n} holds input {text!r}, but --src record "
+                               f"{rec.id!r} has source {rec.source!r}")
+        hyps = [correction for _, correction in rows]
     if len(hyps) != len(src):
         raise Re2Error(f"{len(src)} sources but {len(hyps)} hypotheses")
     if not hyps:
@@ -396,7 +405,7 @@ def cmd_build_index(opts: _Options) -> None:
 
 
 def cmd_query(opts: _Options) -> list[str]:
-    config = _re2_config(opts, "index", "text", need_correction=False, need_explainer=False)
+    config = _re2_config(opts, "index", "text")
     index = load_index(opts.require("index"))
     exclude = [x for x in (opts.get("exclude") or "").split(",") if x]
     result = query(
@@ -412,7 +421,7 @@ def cmd_query(opts: _Options) -> list[str]:
 
 def cmd_explain(opts: _Options) -> list[str]:
     single = opts.single_input(("text",), ("in",))
-    config = _re2_config(opts, "text" if single else "in", need_correction=False)
+    config = _re2_config(opts, "text" if single else "in")
     if single:
         records = [SentencePair(id="", source=opts.text, targets=[opts.text])]
     else:
@@ -440,7 +449,7 @@ def cmd_correct(opts: _Options) -> list[str]:
 
 
 def cmd_baseline(opts: _Options) -> list[str]:
-    config = _re2_config(opts, "mode", "in", "corpus", need_explainer=False)
+    config = _re2_config(opts, "mode", "in", "corpus")
     mode = opts.require("mode")
     dev = _load(opts, "in")
     train, source_index = _corpus_and_index(opts, "corpus", index_required=False)
@@ -504,7 +513,7 @@ def cmd_detect(opts: _Options) -> list[str]:
 
 
 def cmd_make_sft_data(opts: _Options) -> list[str]:
-    config = _re2_config(opts, "train", "index", need_correction=False, need_explainer=False)
+    config = _re2_config(opts, "train", "index")
     train, index = _corpus_and_index(opts, "train", field_name="explanation")
     pairs = map_ordered(lambda rec: sft_examples(rec, index, train, config), train.records)
     return _input_lines(train.records, pairs, lambda rec, pair: [ex.to_dict() for ex in pair])
@@ -672,7 +681,6 @@ def _explain_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--text", help="single input sentence")
     sub.add_argument("--templates")
     _add_backend(sub, "explainer_", "explainer")
-    _add_backend(sub)
     _add_decoding(sub)
 
 

@@ -78,6 +78,11 @@ class BackendConfig:
             )
         if self.kind == "mock" and not self.script_path:
             raise ValueError("mock backend requires a script_path")
+        # Each kind reads one of the two; the other given would be silently dropped.
+        if self.kind == "http" and self.script_path:
+            raise ValueError("script_path is only valid for a mock backend, not 'http'")
+        if self.kind == "mock" and self.endpoint:
+            raise ValueError("endpoint is only valid for an http backend, not 'mock'")
         if not 0 < self.timeout < math.inf:  # sockets and select take no NaN or infinity
             raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 

@@ -441,9 +441,11 @@ def compare_retrievers(
     Builds one index per ranking over the ``field_name`` field of the train
     corpus, from ``index_config`` (default ``IndexConfig()``), reuses the same
     explanations across rankings, and reports correction quality plus mean
-    per-query retrieval latency.  Explanations are embedded once, before any
-    query is timed, so the latency leaves the embedding backend out.
-    Explanations and corrections run on ``jobs`` threads.
+    per-query retrieval latency.  Each index is queried with the dev text of
+    its field: an input's explanation, or over ``source`` the input itself.
+    The query texts are embedded once, before any query is timed, so the
+    latency leaves the embedding backend out.  Explanations and corrections
+    run on ``jobs`` threads.
     """
     # The field and every ranking are checked before the first backend call.
     if field_name not in INDEX_FIELDS:
@@ -453,9 +455,10 @@ def compare_retrievers(
     if "embedding" in rankings and embedder is None:
         raise PipelineError("compare", "embedding ranking requires an embedding backend")
     explanations, score = _dev_scorer(dev, train, config, jobs)
+    queries = explanations if field_name == "explanation" else [rec.source for rec in dev]
     vectors: dict[str, list[float]] = {}
     if "embedding" in rankings:
-        distinct = list(dict.fromkeys(explanations))
+        distinct = list(dict.fromkeys(queries))
         vectors = dict(zip(distinct, _stage("retrieve", embedder, distinct)))
     looked_up = lambda texts: [vectors[text] for text in texts]
 
@@ -468,12 +471,11 @@ def compare_retrievers(
         # how many correction threads share the interpreter.
         results = []
         total_seconds = 0.0
-        for explanation in explanations:
+        for text in queries:
             start = time.perf_counter()
             results.append(
                 _stage(
-                    "retrieve", query, index, explanation, config.k, config.theta,
-                    embedder=looked_up,
+                    "retrieve", query, index, text, config.k, config.theta, embedder=looked_up
                 )
             )
             total_seconds += time.perf_counter() - start

@@ -68,3 +68,23 @@ if [ "$got" != "$want" ]; then
     printf 'rouge means moved\ngot:  %s\nwant: %s\n' "$got" "$want"
     exit 1
 fi
+
+# An outcome log scores as the hypothesis file of its corrections, and a log
+# whose outcomes corrected other inputs is one error line, not a score.
+printf '%s\n' '{"input": "他去了的", "correction": "他去了"}' > "$dir/log.jsonl"
+from_log=$(re2gec score --src "$dir/src.jsonl" --hyp-log "$dir/log.jsonl")
+from_hyp=$(re2gec score --src "$dir/src.jsonl" --hyp "$dir/hyp.txt")
+if [ "$from_log" != "$from_hyp" ]; then
+    printf 'an outcome log scores differently\nlog: %s\nhyp: %s\n' "$from_log" "$from_hyp"
+    exit 1
+fi
+printf '%s\n' '{"input": "她来了的", "correction": "他去了"}' > "$dir/other.jsonl"
+if re2gec score --src "$dir/src.jsonl" --hyp-log "$dir/other.jsonl" \
+        > "$dir/other.out" 2> "$dir/other.err"; then
+    printf 'a log of other inputs scored: %s\n' "$(cat "$dir/other.out")"
+    exit 1
+fi
+if [ -s "$dir/other.out" ] || [ "$(wc -l < "$dir/other.err")" -ne 1 ]; then
+    printf 'a log of other inputs did not fail with one line\n%s\n' "$(cat "$dir/other.err")"
+    exit 1
+fi

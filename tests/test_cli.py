@@ -195,16 +195,32 @@ def test_parse_error_is_one_usage_line(run, argv):
           "--segmenter-timeout", "0", "--in", "{missing}", "--out", "{out}"),
          "argument --segmenter-timeout: external_timeout must be positive"),
         # A backend option whose role has no backend is rejected, not dropped.
-        (("explain", "--text", "他吃饭了", "--script", "{missing}",
-          "--explainer-model", "nosuch", "--explainer-timeout", "0"),
+        (("explain", "--text", "他吃饭了", "--explainer-model", "nosuch",
+          "--explainer-timeout", "0"),
          "--explainer-model needs --explainer-backend, --explainer-endpoint or "
          "--explainer-script"),
-        (("explain", "--in", "{missing}", "--script", "{missing}", "--explainer-timeout", "5"),
+        (("explain", "--in", "{missing}", "--explainer-timeout", "5"),
          "--explainer-timeout needs --explainer-backend, --explainer-endpoint or "
          "--explainer-script"),
         (("correct", "--explainer-script", "{missing}", "--model", "m", "--in", "{missing}",
           "--corpus", "{missing}", "--index", "{missing}"),
          "--model needs --backend, --endpoint or --script"),
+        # A kind reads one of endpoint and script; the other given is rejected, not dropped.
+        (("correct", "--endpoint", "http://127.0.0.1:9/v1", "--script", "{missing}",
+          "--explainer-script", "{missing}", "--in", "{missing}", "--corpus", "{missing}",
+          "--index", "{missing}"),
+         "argument --script: script_path is only valid for a mock backend, not 'http'"),
+        (("correct", "--backend", "mock", "--script", "{missing}",
+          "--endpoint", "http://127.0.0.1:9/v1", "--explainer-script", "{missing}",
+          "--in", "{missing}", "--corpus", "{missing}", "--index", "{missing}"),
+         "argument --endpoint: endpoint is only valid for an http backend, not 'mock'"),
+        (("explain", "--explainer-backend", "http",
+          "--explainer-endpoint", "http://127.0.0.1:9/v1", "--explainer-script", "{missing}",
+          "--in", "{missing}"),
+         "argument --explainer-script: script_path is only valid for a mock backend, not 'http'"),
+        (("build-index", "--embed-endpoint", "http://127.0.0.1:9/v1",
+          "--embed-script", "{missing}", "--in", "{missing}", "--out", "{out}"),
+         "argument --embed-script: script_path is only valid for a mock backend, not 'http'"),
         (("build-index", "--in", "{missing}", "--out", "{out}", "--embed-model", "m"),
          "--embed-model needs --embed-backend, --embed-endpoint or --embed-script"),
         (("build-index", "--embed-timeout", "0", "--embed-script", "{missing}",
@@ -237,6 +253,8 @@ def test_parse_error_is_one_usage_line(run, argv):
          "explain explainer-timeout", "correct timeout", "build-index segmenter-cmd",
          "build-index segmenter-timeout", "explain explainer-model without backend",
          "explain explainer-timeout without backend", "correct model without backend",
+         "correct endpoint and script", "correct mock with endpoint",
+         "explain explainer http with script", "build-index embed endpoint and script",
          "build-index embed-model without backend", "build-index embed-timeout",
          "build-index embed-timeout without backend", "explain explainer-timeout nan",
          "correct timeout inf", "build-index segmenter-timeout nan",
@@ -373,6 +391,52 @@ def test_http_backend_without_endpoint_is_usage_error(run, dev_jsonl, gee_jsonl,
     assert "missing required option --endpoint" in err
 
 
+# The backend roles of each command, by the options it registers.
+_ROLES = {
+    "build-index": {"embed_"}, "query": {"embed_"}, "make-sft-data": {"embed_"},
+    "explain": {"explainer_"}, "baseline": {"", "embed_"},
+    "correct": {"", "explainer_", "embed_"}, "sweep-theta": {"", "explainer_", "embed_"},
+    "compare-retrievers": {"", "explainer_", "embed_"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ROLES))
+def test_each_command_registers_the_backend_roles_it_runs(command):
+    (populate,) = [p for name, _, _, p in re2gec.cli._COMMANDS if name == command]
+    parser = re2gec.cli._Parser(prog=command)
+    populate(parser)
+    options = {action.dest for action in parser._actions} - {"help"}
+    roles = {prefix for prefix in ("", "explainer_", "embed_") if prefix + "backend" in options}
+    assert roles == _ROLES[command]
+    # A role has all five options or none.
+    for prefix in ("", "explainer_", "embed_"):
+        names = {prefix + name for name in ("backend", "endpoint", "model", "script", "timeout")}
+        assert names <= options if prefix in roles else not names & options
+    if command == "explain":
+        assert len(options) == 15
+
+
+@pytest.mark.parametrize("command, role", [
+    ("explain", "explainer_"), ("correct", ""), ("correct", "explainer_"), ("baseline", ""),
+    ("sweep-theta", ""), ("sweep-theta", "explainer_"), ("compare-retrievers", ""),
+    ("compare-retrievers", "explainer_"),
+])
+def test_a_missing_backend_role_is_one_usage_line_before_any_work(
+    run, work_args, tmp_path, command, role
+):
+    # No role stands in for another: the corrector does not explain, nor the explainer correct.
+    argvs, calls = work_args
+    argv = list(argvs[command])
+    flag = f"--{role.replace('_', '-')}"
+    at = argv.index(flag + "script")
+    del argv[at:at + 2]
+    out = tmp_path / "out.jsonl"
+    message = f"usage error: missing required option {flag}script or {flag}backend\n"
+    assert run(command, *argv, "--out", str(out)) == (2, "", message)
+    assert calls == []
+    assert not out.exists()
+
+
 def test_missing_input_names_its_flag(run, write_script):
     code, _, err = run("explain", "--explainer-script", write_script({}))
     assert code == 2
@@ -467,12 +531,15 @@ def test_empty_input_gives_empty_output(run, text_commands, command, write_corpu
     ("detect", "--src", "no source/hypothesis pairs"),
     ("sweep-theta", "--dev", "score: no dev inputs"),
     ("compare-retrievers", "--dev", "score: no dev inputs"),
+    ("rouge", "--cand-file", "no candidate/reference pairs"),
 ])
 def test_an_aggregate_score_of_an_empty_input_fails(
     run, work_args, write_corpus, tmp_path, command, option, message
 ):
     argvs, calls = work_args
     argv = list(argvs[command])
+    if command == "rouge":  # its usual argv scores one pair given as flags
+        argv = ["--cand-file", "", "--ref-file", write_corpus([])]
     argv[argv.index(option) + 1] = write_corpus([])
     if "--hyp" in argv:
         empty = tmp_path / "empty.txt"
@@ -797,7 +864,8 @@ def hostile_inputs(
     }
     texts = {
         "pairs": json.dumps({"source": "AXB", "target": "AB"}) + "\n",
-        "hyp_log": _GOOD_HYP + "\n" + json.dumps({"correction": TARGET_HIGH}) + "\n",
+        "hyp_log": _GOOD_HYP + "\n"
+        + json.dumps({"input": INPUT_HIGH, "correction": TARGET_HIGH}, ensure_ascii=False) + "\n",
         "hyp": f"{TARGET_LOW}\r\n{INPUT_HIGH}\n",
         "cand": "ace\n同一句\n", "ref": "abcde\n同一句\n",
         "config": '{"strict": false}',
@@ -921,7 +989,8 @@ def test_extract_edits_file_mode(run, tmp_path):
 
 
 _GOOD_PAIR = json.dumps({"source": "AXB", "target": "AB"})
-_GOOD_HYP = json.dumps({"id": "devA", "correction": TARGET_LOW})
+_GOOD_HYP = json.dumps({"input": INPUT_LOW, "correction": TARGET_LOW}, ensure_ascii=False)
+_INPUT_B = json.dumps(INPUT_HIGH, ensure_ascii=False)
 
 
 @pytest.mark.parametrize(
@@ -932,8 +1001,9 @@ _GOOD_HYP = json.dumps({"id": "devA", "correction": TARGET_LOW})
         ("extract-edits", '{"source": "AB"}', "missing required field 'target'"),
         ("extract-edits", '{"source": "AB", "target"', "invalid JSON"),
         ("score", "[1]", "record must be a JSON object"),
-        ("score", '{"id": "devB"}', "missing required field 'correction'"),
-        ("score", '{"id": "devB", "correction": 5}', "correction must be a string"),
+        ("score", f'{{"input": {_INPUT_B}}}', "missing required field 'correction'"),
+        ("score", f'{{"input": {_INPUT_B}, "correction": 5}}', "correction must be a string"),
+        ("score", '{"correction": "句"}', "missing required field 'input'"),
         ("extract-edits", "[" * 2000 + "]" * 2000, "invalid JSON in '.*': nested too deeply"),
         ("score", '{"correction": ' * 2000 + '""' + "}" * 2000,
          "invalid JSON in '.*': nested too deeply"),
@@ -941,7 +1011,7 @@ _GOOD_HYP = json.dumps({"id": "devA", "correction": TARGET_LOW})
     ids=[
         "pair not an object", "source not a string", "target missing", "pair bad JSON",
         "log line not an object", "correction missing", "correction not a string",
-        "pair nested too deeply", "log line nested too deeply",
+        "input missing", "pair nested too deeply", "log line nested too deeply",
     ],
 )
 def test_bad_scoring_input_line_is_one_error_line(
@@ -1332,6 +1402,30 @@ def test_score_count_mismatch(run, dev_jsonl, tmp_path):
     assert "2 sources but 1 hypotheses" in err
 
 
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_a_hyp_log_of_other_inputs_fails(run, dev_jsonl, write_corpus, tmp_path, command):
+    # The log has one outcome per --src record, but its second corrected another input.
+    log = write_corpus([{"input": INPUT_LOW, "correction": TARGET_LOW},
+                        {"input": "别的句子", "correction": "别的句子"}])
+    out = tmp_path / "out.json"
+    code, stdout, err = run(command, "--src", dev_jsonl, "--hyp-log", log, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [
+        f"error: --hyp-log outcome 2 holds input '别的句子', but --src record 'devB' "
+        f"has source {INPUT_HIGH!r}"
+    ]
+    assert not out.exists()
+
+
+def test_rouge_files_of_different_lengths_fail(run, tmp_path):
+    cand, ref, out = tmp_path / "cand.txt", tmp_path / "ref.txt", tmp_path / "out.json"
+    cand.write_text("他去了\n学校\n", encoding="utf-8")
+    ref.write_text("他去了\n", encoding="utf-8")
+    argv = ("rouge", "--cand-file", str(cand), "--ref-file", str(ref), "--out", str(out))
+    assert run(*argv) == (1, "", "error: 2 candidates but 1 references\n")
+    assert not out.exists()
+
+
 def test_rouge_single_pair_golden(run):
     code, out, _ = run("rouge", "--candidate", "ace", "--reference", "abcde")
     assert code == 0
@@ -1529,6 +1623,36 @@ def test_sweep_theta_rows(
     assert rows[2]["recall"] == pytest.approx(0.0)
 
 
+def test_a_failed_shared_completion_fails_sweep_theta_once(
+    run, gee_jsonl, index_file, explainer_script, write_corpus, write_script, monkeypatch,
+    tmp_path,
+):
+    # Two inputs ask for the same correction prompt, which the corrector fails.
+    dev = write_corpus([{"id": f"dev{i}", "source": INPUT_LOW, "targets": [TARGET_LOW]}
+                        for i in range(2)])
+    corrector = write_script({}, fallback="none")
+    calls = []
+    complete = re2gec.pipeline.complete
+    monkeypatch.setattr(
+        re2gec.pipeline, "complete",
+        lambda prompt, params, backend: calls.append((backend.script_path, prompt))
+        or complete(prompt, params, backend),
+    )
+    out = tmp_path / "rows.json"
+    code, stdout, err = run(
+        "sweep-theta", "--dev", dev, "--train", gee_jsonl, "--index", index_file,
+        "--thetas", "0,0.6", "--script", corrector, "--explainer-script", explainer_script,
+        "--jobs", "2", "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: correct: mock backend: no scripted response")
+    assert not out.exists()
+    # One explanation per input, and one call for the prompt both inputs share.
+    assert [path for path, _ in calls].count(explainer_script) == 2
+    assert len([prompt for path, prompt in calls if path == corrector]) == 1
+
+
 def test_compare_retrievers_rows(
     run, dev_jsonl, gee_jsonl, explainer_script, corrector_script
 ):
@@ -1621,7 +1745,7 @@ def test_compare_retrievers_rejects_rankings_before_any_backend_call(
     assert message in err.splitlines()[-1]
     assert backend_calls == []
     # The same run with known rankings does call the backends.
-    assert run(*argv[:7], "--rankings", "tfidf_cosine")[0] == 0
+    assert run(*argv[:9], "--rankings", "tfidf_cosine")[0] == 0
     assert backend_calls
 
 
@@ -1755,6 +1879,17 @@ def test_a_line_that_hangs_the_segmenter_costs_one_input_at_any_jobs(
     message = lines[3]["error"]["message"]
     assert message.endswith("timed out after 0.5s")
     assert err.splitlines() == [f"error: 1 of 8 inputs failed (first: d3 at retrieve: {message})"]
+
+
+def test_a_segmenter_that_cannot_start_is_one_error_line(run, gee_jsonl, tmp_path):
+    out = tmp_path / "external.re2idx"
+    command = str(tmp_path / "no-such-segmenter")
+    code, stdout, err = run("build-index", "--in", gee_jsonl, "--out", str(out),
+                            "--segmenter", "external", "--segmenter-cmd", command)
+    assert (code, stdout) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot start segmenter {command!r}: ")
+    assert not out.exists()
 
 
 def test_make_sft_data_rejects_a_source_text_index(run, write_corpus, tmp_path):

@@ -123,6 +123,11 @@ def test_backend_config_validation():
         BackendConfig(kind="mock")
     with pytest.raises(ValueError, match="timeout"):
         BackendConfig(kind="mock", script_path="s", timeout=0.0)
+    # A kind reads only one of endpoint and script_path: the other is not dropped.
+    with pytest.raises(ValueError, match="script_path is only valid for a mock backend"):
+        BackendConfig(kind="http", endpoint="http://127.0.0.1:9/v1", script_path="s")
+    with pytest.raises(ValueError, match="endpoint is only valid for an http backend"):
+        BackendConfig(kind="mock", endpoint="http://127.0.0.1:9/v1", script_path="s")
 
 
 @pytest.mark.parametrize(

@@ -514,6 +514,32 @@ def test_compare_retrievers_builds_each_index_over_the_field_with_the_config(
     assert builds == [("explanation", IndexConfig(ranking="bm25"))]
 
 
+@pytest.mark.parametrize("field_name", ["explanation", "source"])
+def test_compare_retrievers_queries_each_index_with_the_dev_text_of_its_field(
+    dev_corpus, mini_gee_corpus, sweep_config, write_script, monkeypatch, field_name
+):
+    queried, embedded = [], []
+    real = pipeline_module.query
+    monkeypatch.setattr(
+        pipeline_module, "query",
+        lambda index, text, *args, **kw: queried.append(text) or real(index, text, *args, **kw),
+    )
+
+    def fake_embed(texts, backend):
+        embedded.append(list(texts))
+        return [[float(len(text)), 1.0] for text in texts]
+
+    monkeypatch.setattr(pipeline_module, "embed", fake_embed)
+    embedder = BackendConfig(kind="mock", script_path=write_script({}))  # its embed is fake_embed
+    config = replace(sweep_config, embedding_backend=embedder)
+    rankings = ["tfidf_cosine", "embedding"]
+    compare_retrievers(dev_corpus, rankings, config, mini_gee_corpus, field_name=field_name)
+    # A source-text index is queried with the inputs, not with their explanations.
+    texts = [Q_LOW, Q_HIGH] if field_name == "explanation" else [INPUT_LOW, INPUT_HIGH]
+    assert queried == texts * len(rankings)
+    assert embedded[0] == texts  # the pre-pass, before the embedding index is built
+
+
 def test_compare_retrievers_query_time_leaves_out_embedding(
     dev_corpus, mini_gee_corpus, sweep_config, write_script, monkeypatch
 ):
